@@ -1,6 +1,6 @@
-// Solver engine sweep: the stage-3 solver stack (revised simplex B&B,
-// subgraph decomposition, deterministic parallel B&B) vs the frozen seed
-// tableau solver (solver/reference/), on the exact model family
+// Solver engine sweep: the two production engines (revised simplex B&B
+// and subgraph decomposition) and the auto_select default vs the frozen
+// seed tableau solver (solver/reference/), on the exact model family
 // MipScheduler emits.
 //
 // Each cell of the sites x k x horizon sweep emulates one replanning round
@@ -8,18 +8,16 @@
 // the bucketed horizon. Round 1 (arrivals) is solved cold; round 2 (the
 // replan, which is what gets timed) re-solves fresh models — cold for the
 // reference engine; incumbent-warm-started and basis-hinted for the
-// revised engine, mirroring the scheduler's cross-replan reuse; serial
-// decomposed (the chain DP master); and epoch-batched parallel B&B on the
-// shared pool. Model construction is NOT part of any timed region; it is
-// measured once and reported as build_ms.
+// revised engine, mirroring the scheduler's cross-replan reuse; and
+// decomposed (the chain DP master). Model construction is NOT part of any
+// timed region; it is measured once and reported as build_ms.
 //
 // Every objective is cross-checked against the reference to 1e-6; any
 // divergence makes the binary exit non-zero. The 100-site/k=4/24h cell is
-// the acceptance cell: serial decomposed must beat monolithic revised by
+// the acceptance cell: decomposed must beat monolithic revised by
 // >= 3x there, also enforced with a non-zero exit. `--json <path>` writes
 // the sweep (per-stage timings, blocks, master iterations, warm-start hit
-// rate, nodes per thread) so CI can archive the perf trajectory as
-// BENCH_solver.json.
+// rate) so CI can archive the perf trajectory as BENCH_solver.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -34,7 +32,6 @@
 #include "vbatt/solver/incremental.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/util/rng.h"
-#include "vbatt/util/thread_pool.h"
 
 namespace {
 
@@ -121,12 +118,10 @@ struct CellResult {
   const char* engine_selected = "";  // resolve_engine on this cell's models
   double ref_ms = 0.0;         // reference engine, round-2 (replan) solves
   double revised_ms = 0.0;     // revised engine, warm + basis-hinted
-  double decomposed_ms = 0.0;  // serial decomposition (chain DP master)
-  double parallel_ms = 0.0;    // epoch-batched parallel B&B, shared pool
+  double decomposed_ms = 0.0;  // decomposition (chain DP master)
   int ref_nodes = 0;
   int revised_nodes = 0;
   int decomposed_nodes = 0;
-  int parallel_nodes = 0;
   std::int64_t ref_pivots = 0;
   std::int64_t revised_pivots = 0;
   // Decomposition stage counters (summed over the cell's apps).
@@ -169,14 +164,12 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
   // the sweep's total runtime in check without hurting the min.
   const int repeats = sites >= 100 ? 3 : 5;
 
-  // The default engine is the byte-stable pinned one; the bench measures
-  // the fast paths, so every non-reference solve opts in explicitly.
+  // The bench compares the engines head to head, so each solve pins one;
+  // the auto_select default gets its own cross-check below.
   solver::MipOptions revised;
   revised.engine = solver::MipEngine::revised;
   solver::MipOptions decomposed;
   decomposed.engine = solver::MipEngine::decomposed;
-  solver::MipOptions parallel;
-  parallel.engine = solver::MipEngine::parallel;
 
   const auto check = [&](const solver::MipResult& got,
                          const solver::MipResult& want) {
@@ -244,22 +237,13 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
     }
   });
 
-  std::vector<solver::MipResult> parallel_results(n_apps);
-  cell.parallel_ms = best_ms(repeats, [&] {
-    for (std::size_t a = 0; a < n_apps; ++a) {
-      parallel_results[a] = solver::solve_mip(round2[a], parallel);
-    }
-  });
-
   for (std::size_t a = 0; a < n_apps; ++a) {
     const solver::MipResult& want = ref_results[a];
     check(revised_results[a], want);
     check(decomposed_results[a], want);
-    check(parallel_results[a], want);
     cell.ref_nodes += want.nodes_explored;
     cell.revised_nodes += revised_results[a].nodes_explored;
     cell.decomposed_nodes += decomposed_results[a].nodes_explored;
-    cell.parallel_nodes += parallel_results[a].nodes_explored;
     cell.ref_pivots += want.pivots;
     cell.revised_pivots += revised_results[a].pivots;
     cell.blocks += decomposed_results[a].blocks;
@@ -275,10 +259,8 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
   // it), cross-checked against the reference on one untimed pass.
   cell.engine_selected =
       solver::engine_name(solver::resolve_engine(round2[0]));
-  solver::MipOptions adaptive;
-  adaptive.engine = solver::MipEngine::auto_select;
   for (std::size_t a = 0; a < n_apps; ++a) {
-    check(solver::solve_mip(round2[a], adaptive), ref_results[a]);
+    check(solver::solve_mip(round2[a]), ref_results[a]);
   }
 
   // Amortized replan series (incremental model build): replan 1 builds
@@ -327,13 +309,11 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
   return cell;
 }
 
-bool write_json(const std::string& path, const std::vector<CellResult>& rows,
-                int threads) {
+bool write_json(const std::string& path, const std::vector<CellResult>& rows) {
   std::ofstream out{path};
   bench::JsonWriter json{out};
   json.begin_object();
   json.field("bench", "solver");
-  json.field("threads", threads);
   json.begin_array("results");
   for (const CellResult& r : rows) {
     json.begin_object();
@@ -351,17 +331,12 @@ bool write_json(const std::string& path, const std::vector<CellResult>& rows,
     json.field("ref_ms", r.ref_ms);
     json.field("revised_ms", r.revised_ms);
     json.field("decomposed_ms", r.decomposed_ms);
-    json.field("parallel_ms", r.parallel_ms);
     json.field("speedup", r.ref_ms / std::max(1e-9, r.revised_ms));
     json.field("decomposed_speedup",
                r.revised_ms / std::max(1e-9, r.decomposed_ms));
     json.field("ref_nodes", r.ref_nodes);
     json.field("revised_nodes", r.revised_nodes);
     json.field("decomposed_nodes", r.decomposed_nodes);
-    json.field("parallel_nodes", r.parallel_nodes);
-    json.field("parallel_nodes_per_thread",
-               static_cast<double>(r.parallel_nodes) /
-                   static_cast<double>(threads));
     json.field("ref_pivots", r.ref_pivots);
     json.field("revised_pivots", r.revised_pivots);
     json.field("blocks", r.blocks);
@@ -399,18 +374,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const int threads =
-      static_cast<int>(vbatt::util::ThreadPool::shared().size()) + 1;
   std::printf(
-      "solver replan sweep: reference tableau vs revised vs decomposed vs "
-      "parallel (%d lane%s)\n",
-      threads, threads == 1 ? "" : "s");
+      "solver replan sweep: reference tableau vs revised vs decomposed\n");
   std::printf(
-      "  %5s %2s %8s %7s %7s %7s %6s | %9s %9s %9s %9s | %7s %7s | %6s %6s "
+      "  %5s %2s %8s %7s %7s %7s %6s | %9s %9s %9s | %7s %7s | %6s %6s "
       "%5s | %5s | %-10s | %s\n",
       "sites", "k", "horizon", "buckets", "bld1 ms", "bldN ms", "amort",
-      "ref ms", "rev ms", "dec ms", "par ms", "spd", "dec spd", "blocks",
-      "master", "fall", "hit%", "engine", "match");
+      "ref ms", "rev ms", "dec ms", "spd", "dec spd", "blocks", "master",
+      "fall", "hit%", "engine", "match");
 
   std::vector<CellResult> rows;
   bool all_match = true;
@@ -437,12 +408,12 @@ int main(int argc, char** argv) {
           build_amortization = amortization;
         }
         std::printf(
-            "  %5d %2d %7dh %7d %7.2f %7.2f %5.1fx | %9.2f %9.2f %9.2f "
-            "%9.2f | %6.1fx %6.1fx | %6d %6d %5d | %4.0f%% | %-10s | %s\n",
+            "  %5d %2d %7dh %7d %7.2f %7.2f %5.1fx | %9.2f %9.2f %9.2f | "
+            "%6.1fx %6.1fx | %6d %6d %5d | %4.0f%% | %-10s | %s\n",
             cell.sites, cell.k, cell.horizon_hours, cell.buckets,
             cell.build_first_ms, cell.build_steady_ms, amortization,
-            cell.ref_ms, cell.revised_ms, cell.decomposed_ms,
-            cell.parallel_ms, speedup, dec_speedup, cell.blocks,
+            cell.ref_ms, cell.revised_ms, cell.decomposed_ms, speedup,
+            dec_speedup, cell.blocks,
             cell.master_iterations, cell.monolithic_fallbacks,
             cell.warm_offers > 0
                 ? 100.0 * static_cast<double>(cell.warm_hits) /
@@ -455,7 +426,7 @@ int main(int argc, char** argv) {
   }
 
   if (!json_path.empty()) {
-    if (!write_json(json_path, rows, threads)) {
+    if (!write_json(json_path, rows)) {
       std::fprintf(stderr, "error: could not write %s\n", json_path.c_str());
       return 1;
     }

@@ -100,8 +100,9 @@ struct MipSchedulerConfig {
   /// so the root LP starts dual-feasible and usually re-optimizes in a
   /// handful of pivots. Unlike `warm_start` this can change which of
   /// several equal-cost optima the solver lands on, so it is a separate
-  /// knob; the pinned default engine ignores hints entirely and stays
-  /// byte-stable regardless. Hints are invalidated wholesale whenever the
+  /// knob. Only the revised engine (and the decomposed engine's monolithic
+  /// fallback) reads hints; the chain DP ignores them. Hints are
+  /// invalidated wholesale whenever the
   /// simulator reports a topology change (on_topology_change) — a basis
   /// for a fleet that lost a link or a rack describes the wrong polytope.
   bool reuse_basis = true;
@@ -111,7 +112,7 @@ struct MipSchedulerConfig {
   /// and the k=0 move-row rhs change. On a cache hit those are patched in
   /// place instead of rebuilding — the patched model is bitwise-identical
   /// to a scratch build (same arithmetic, same order), so every engine
-  /// including pinned produces byte-identical schedules. The cache is
+  /// produces byte-identical schedules. The cache is
   /// dropped wholesale by on_topology_change.
   bool incremental_build = true;
   /// Debug cross-check: after every patch, also build from scratch and

@@ -25,8 +25,8 @@
 // recovery constructs a fresh one, which is output-identical only for
 // schedulers that carry no result-bearing state across replans (Greedy
 // always; MipScheduler with warm_start and reuse_basis off — warm starts
-// are cutoff-only and hints are inert under the pinned engine, but the
-// service disables both so the contract is self-evident).
+// are cutoff-only, but a carried basis can steer which equal-cost optimum
+// the revised engine lands on, so the service disables both).
 #pragma once
 
 #include <map>

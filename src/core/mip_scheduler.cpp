@@ -680,13 +680,9 @@ std::vector<Move> MipScheduler::replan(const FleetState& state) {
     const Trajectory* previous =
         prev_it != prev_trajectories_.end() ? &prev_it->second : nullptr;
     // One solve per app per replan: its persisted basis (if any) seeds the
-    // root and is refreshed in place for the next round. The pinned
-    // engine ignores hints, so don't offer one (keeps hit/miss honest).
-    solver::MipBasisHint* hint = nullptr;
-    if (config_.reuse_basis &&
-        config_.mip.engine != solver::MipEngine::pinned) {
-      hint = &basis_hints_[app->app.app_id];
-    }
+    // root and is refreshed in place for the next round.
+    solver::MipBasisHint* hint =
+        config_.reuse_basis ? &basis_hints_[app->app.app_id] : nullptr;
     const std::optional<Trajectory> trajectory = solve_app(
         state, app->app.stable_cores(), app->app.stable_memory_gb(),
         app->end_tick, app->allowed, app->site, previous, hint);

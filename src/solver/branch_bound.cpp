@@ -7,12 +7,10 @@
 #include <queue>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
-#include "bb_detail.h"
 #include "vbatt/solver/basis.h"
 #include "vbatt/solver/decompose.h"
-#include "vbatt/solver/parallel_bb.h"
-#include "vbatt/solver/pinned.h"
 #include "vbatt/solver/presolve.h"
 #include "vbatt/solver/revised.h"
 
@@ -20,9 +18,146 @@ namespace vbatt::solver {
 
 namespace {
 
-using detail::kBoundTol;
-using detail::Node;
-using detail::NodeOrder;
+constexpr double kBoundTol = 1e-7;
+/// Tolerance for accepting a caller-provided warm solution as feasible.
+constexpr double kWarmTol = 1e-6;
+
+struct Node {
+  double bound = 0.0;  // LP objective of the parent relaxation
+  std::uint64_t seq = 0;
+  std::vector<double> lb;
+  std::vector<double> ub;
+  Basis basis;  // parent's final basis: dual-feasible start for this node
+  int branch_var = -1;
+  bool went_up = false;
+  double frac = 0.0;  // fractional part of the branch variable at the parent
+};
+
+struct NodeOrder {
+  bool operator()(const Node& a, const Node& b) const {
+    // Min-heap on (bound, push order): best-first, deterministic ties.
+    if (a.bound != b.bound) return a.bound > b.bound;
+    return a.seq > b.seq;
+  }
+};
+
+/// Index of the most fractional integer variable, or -1 if all integral.
+/// The seed's rule; used until pseudo-costs have observations.
+int most_fractional(const Model& model, const std::vector<double>& x,
+                    double tol) {
+  int best = -1;
+  double best_dist = tol;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (!model.vars()[i].integer) continue;
+    const double frac = x[i] - std::floor(x[i]);
+    const double dist = std::min(frac, 1.0 - frac);
+    if (dist > best_dist) {
+      best_dist = dist;
+      best = static_cast<int>(i);
+    }
+  }
+  return best;
+}
+
+/// Per-variable pseudo-costs: average objective degradation per unit of
+/// fractionality pushed, by branch direction, within one tree.
+struct PseudoCost {
+  double down_sum = 0.0;
+  double up_sum = 0.0;
+  int down_n = 0;
+  int up_n = 0;
+};
+
+/// Pseudo-cost state for one tree.
+struct PseudoCostTable {
+  std::vector<PseudoCost> pc;
+  std::int64_t observations = 0;
+  double total = 0.0;
+
+  explicit PseudoCostTable(std::size_t n) : pc(n) {}
+
+  /// Record the observed bound degradation of an expanded child.
+  void observe(std::size_t var, bool went_up, double frac, double gain) {
+    const double step = went_up ? 1.0 - frac : frac;
+    const double rate = std::max(0.0, gain) / std::max(step, 1e-6);
+    if (went_up) {
+      pc[var].up_sum += rate;
+      ++pc[var].up_n;
+    } else {
+      pc[var].down_sum += rate;
+      ++pc[var].down_n;
+    }
+    ++observations;
+    total += rate;
+  }
+
+  /// Pseudo-cost branching once observations exist, most-fractional
+  /// before. Returns -1 when x is integral.
+  int select(const Model& model, const std::vector<double>& x,
+             double int_tol) const {
+    if (observations == 0) return most_fractional(model, x, int_tol);
+    const double global = total / static_cast<double>(observations);
+    int best = -1;
+    double best_score = -1.0;
+    for (std::size_t j = 0; j < x.size(); ++j) {
+      if (!model.vars()[j].integer) continue;
+      const double frac = x[j] - std::floor(x[j]);
+      if (std::min(frac, 1.0 - frac) <= int_tol) continue;
+      const double down =
+          (pc[j].down_n > 0 ? pc[j].down_sum / pc[j].down_n : global) * frac;
+      const double up =
+          (pc[j].up_n > 0 ? pc[j].up_sum / pc[j].up_n : global) *
+          (1.0 - frac);
+      const double score = std::max(down, 1e-12) * std::max(up, 1e-12);
+      if (score > best_score) {
+        best_score = score;
+        best = static_cast<int>(j);
+      }
+    }
+    return best;
+  }
+};
+
+/// Validate a caller-provided warm solution against the (presolve-
+/// tightened) box, integrality, and every model row. A valid vector's
+/// objective becomes a static cutoff; an invalid one is silently ignored.
+std::optional<double> warm_cutoff(const Model& model,
+                                  const std::vector<double>& warm_x,
+                                  const std::vector<double>& lb,
+                                  const std::vector<double>& ub,
+                                  double int_tol) {
+  const std::size_t n = model.n_vars();
+  if (warm_x.size() != n) return std::nullopt;
+  std::vector<double> xw = warm_x;
+  for (std::size_t j = 0; j < n; ++j) {
+    if (model.vars()[j].integer) {
+      const double snapped = std::round(xw[j]);
+      if (std::abs(xw[j] - snapped) > int_tol) return std::nullopt;
+      xw[j] = snapped;
+    }
+    if (xw[j] < lb[j] - kWarmTol || xw[j] > ub[j] + kWarmTol) {
+      return std::nullopt;
+    }
+  }
+  for (const Constraint& con : model.constraints()) {
+    double act = 0.0;
+    for (const auto& [idx, coeff] : con.terms) {
+      act += coeff * xw[static_cast<std::size_t>(idx)];
+    }
+    switch (con.rel) {
+      case Rel::le:
+        if (!(act <= con.rhs + kWarmTol)) return std::nullopt;
+        break;
+      case Rel::ge:
+        if (!(act >= con.rhs - kWarmTol)) return std::nullopt;
+        break;
+      case Rel::eq:
+        if (!(std::abs(act - con.rhs) <= kWarmTol)) return std::nullopt;
+        break;
+    }
+  }
+  return model.objective_of(xw);
+}
 
 MipResult solve_mip_impl(const Model& model, const MipOptions& options,
                          const MipWarmStart* warm, MipBasisHint* hint) {
@@ -144,6 +279,13 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
     }
   }
 
+  // The root is a node like any other: with the budget already spent it
+  // may not become the incumbent, so the solve fails unproven.
+  if (result.nodes_explored > options.max_nodes) {
+    result.status = LpStatus::iteration_limit;
+    return result;
+  }
+
   bool have_cutoff = false;
   double cutoff = 0.0;
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
@@ -164,14 +306,14 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
   // results — the cutoff only bounds heap growth and drain work.
   if (warm) {
     const std::optional<double> wc =
-        detail::warm_cutoff(model, warm->x, pre.lb, pre.ub, options.int_tol);
+        warm_cutoff(model, warm->x, pre.lb, pre.ub, options.int_tol);
     if (wc) {
       have_cutoff = true;
       cutoff = *wc;
     }
   }
 
-  detail::PseudoCostTable pc(n);
+  PseudoCostTable pc(n);
 
   bool have_incumbent = false;
   double incumbent = 0.0;
@@ -184,7 +326,7 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
   // children carry a bound no larger than any integral optimum, so a valid
   // warm cutoff never drops them.
   {
-    const int branch = detail::most_fractional(model, root.x, options.int_tol);
+    const int branch = most_fractional(model, root.x, options.int_tol);
     if (branch < 0) {
       have_incumbent = true;
       incumbent = root.objective;
@@ -279,112 +421,6 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
   return result;
 }
 
-/// The seed branch & bound, decision-for-decision, over the pinned LP
-/// engine: best-first on a bound-only priority queue (even its tie order
-/// among equal bounds is part of the pinned behavior — equal-bound pops
-/// follow the heap's structural order, which depends on the exact push
-/// sequence), cold LP solve per node, most-fractional branching. Warm
-/// starts are deliberately ignored: removing a node from the queue — even
-/// one that would never be expanded — changes the heap's tie order and
-/// with it which of several equally-optimal incumbents is found first.
-MipResult solve_mip_pinned(const Model& model, const MipOptions& options) {
-  MipResult result;
-
-  std::vector<double> lb0;
-  std::vector<double> ub0;
-  for (const Variable& v : model.vars()) {
-    lb0.push_back(v.lb);
-    ub0.push_back(v.ub);
-  }
-
-  const LpResult root = solve_lp_pinned(model, lb0, ub0);
-  result.pivots += root.pivots;
-  ++result.nodes_explored;
-  if (root.status != LpStatus::optimal) {
-    result.status = root.status;
-    return result;
-  }
-
-  struct PinnedNode {
-    double bound = 0.0;
-    std::vector<double> lb;
-    std::vector<double> ub;
-  };
-  struct PinnedOrder {
-    bool operator()(const PinnedNode& a, const PinnedNode& b) const {
-      return a.bound > b.bound;  // min-heap on bound: best-first
-    }
-  };
-  std::priority_queue<PinnedNode, std::vector<PinnedNode>, PinnedOrder> open;
-  open.push(PinnedNode{root.objective, lb0, ub0});
-
-  bool have_incumbent = false;
-  double incumbent = 0.0;
-  std::vector<double> incumbent_x;
-  bool exhausted_cleanly = true;
-
-  while (!open.empty()) {
-    if (result.nodes_explored >= options.max_nodes) {
-      exhausted_cleanly = false;
-      break;
-    }
-    PinnedNode node = open.top();
-    open.pop();
-    if (have_incumbent && node.bound >= incumbent - options.gap_abs) {
-      continue;  // cannot improve
-    }
-    const LpResult lp = solve_lp_pinned(model, node.lb, node.ub);
-    result.pivots += lp.pivots;
-    ++result.nodes_explored;
-    if (lp.status == LpStatus::unbounded) {
-      result.status = LpStatus::unbounded;
-      return result;
-    }
-    if (lp.status != LpStatus::optimal) continue;  // pruned (infeasible)
-    if (have_incumbent && lp.objective >= incumbent - options.gap_abs) {
-      continue;
-    }
-    const int branch =
-        detail::most_fractional(model, lp.x, options.int_tol);
-    if (branch < 0) {
-      // Integral: new incumbent.
-      have_incumbent = true;
-      incumbent = lp.objective;
-      incumbent_x = lp.x;
-      continue;
-    }
-    const auto bi = static_cast<std::size_t>(branch);
-    const double value = lp.x[bi];
-
-    PinnedNode down = node;
-    down.bound = lp.objective;
-    down.ub[bi] = std::floor(value);
-    if (down.ub[bi] >= down.lb[bi]) open.push(std::move(down));
-
-    PinnedNode up = std::move(node);
-    up.bound = lp.objective;
-    up.lb[bi] = std::ceil(value);
-    if (up.lb[bi] <= up.ub[bi]) open.push(std::move(up));
-  }
-
-  if (!have_incumbent) {
-    result.status =
-        exhausted_cleanly ? LpStatus::infeasible : LpStatus::iteration_limit;
-    return result;
-  }
-  result.status = LpStatus::optimal;
-  result.objective = incumbent;
-  result.x = std::move(incumbent_x);
-  // Snap near-integral values exactly.
-  for (std::size_t i = 0; i < result.x.size(); ++i) {
-    if (model.vars()[i].integer) {
-      result.x[i] = std::round(result.x[i]);
-    }
-  }
-  result.proven_optimal = exhausted_cleanly;
-  return result;
-}
-
 }  // namespace
 
 MipEngine resolve_engine(const Model& model) {
@@ -447,25 +483,15 @@ MipEngine resolve_engine(const Model& model) {
   }
   chainish = chainish && eq_unit_rows >= 2;
 
-  if (blocks > 1 || chainish) return MipEngine::decomposed;
-  // Large monolithic model with nothing to split: the epoch-batched
-  // parallel tree is the only engine that amortizes a deep search, and it
-  // stays bit-identical at every thread count so picking it never breaks
-  // VBATT_THREADS invariance.
-  if (nc >= 256) return MipEngine::parallel;
-  return MipEngine::revised;
+  return blocks > 1 || chainish ? MipEngine::decomposed : MipEngine::revised;
 }
 
 const char* engine_name(MipEngine engine) noexcept {
   switch (engine) {
-    case MipEngine::pinned:
-      return "pinned";
     case MipEngine::revised:
       return "revised";
     case MipEngine::decomposed:
       return "decomposed";
-    case MipEngine::parallel:
-      return "parallel";
     case MipEngine::auto_select:
       return "auto";
   }
@@ -475,14 +501,10 @@ const char* engine_name(MipEngine engine) noexcept {
 MipResult solve_mip(const Model& model, const MipOptions& options,
                     const MipWarmStart* warm, MipBasisHint* hint) {
   switch (options.engine) {
-    case MipEngine::pinned:
-      return solve_mip_pinned(model, options);
     case MipEngine::revised:
       return solve_mip_impl(model, options, warm, hint);
     case MipEngine::decomposed:
       return solve_mip_decomposed(model, options, warm, hint);
-    case MipEngine::parallel:
-      return solve_mip_parallel(model, options, warm, hint);
     case MipEngine::auto_select: {
       MipOptions resolved = options;
       resolved.engine = resolve_engine(model);
@@ -500,21 +522,15 @@ MipResult solve_lexicographic(Model& model,
   if (secondary.size() != model.n_vars()) {
     throw std::invalid_argument{"solve_lexicographic: cost size mismatch"};
   }
-  const bool pinned = options.engine == MipEngine::pinned;
   const bool revised = options.engine == MipEngine::revised;
   // Stage-to-stage basis carry (revised engine). The caller's hint doubles
   // as the carrier when provided, so cross-replan warm starts compose with
   // the lexicographic flow; otherwise a local stage-scoped one is used.
   MipBasisHint local_tree;
   MipBasisHint* tree = hint ? hint : &local_tree;
-  MipResult first;
-  if (pinned) {
-    first = solve_mip_pinned(model, options);
-  } else if (revised) {
-    first = solve_mip_impl(model, options, warm, tree);
-  } else {
-    first = solve_mip(model, options, warm, hint);
-  }
+  const MipResult first = revised
+                              ? solve_mip_impl(model, options, warm, tree)
+                              : solve_mip(model, options, warm, hint);
   if (first.status != LpStatus::optimal) return first;
 
   // Bound the primary objective, then swap in the secondary costs — in
@@ -534,18 +550,17 @@ MipResult solve_lexicographic(Model& model,
     model.vars()[i].cost = secondary[i];
   }
 
-  // Stage 2 warm-starts from stage 1 (revised-family engines): the
-  // stage-1 optimum satisfies the cap row by construction (incumbent
-  // cutoff). With the plain revised engine the stage-1 root basis
-  // extended with the new row's logical additionally stays primal
-  // feasible (root basis warm start), skipping phase 1 outright. The
-  // decomposed engine typically takes its monolithic fallback here —
-  // the cap row couples every block — and the parallel engine runs its
-  // own epoch-batched tree; both only use the incumbent cutoff.
+  // Stage 2 warm-starts from stage 1: the stage-1 optimum satisfies the
+  // cap row by construction (incumbent cutoff). With the plain revised
+  // engine the stage-1 root basis extended with the new row's logical
+  // additionally stays primal feasible (root basis warm start), skipping
+  // phase 1 outright. Under auto_select stage 2 is dispatched afresh from
+  // its own shape; the decomposed engine typically takes its monolithic
+  // fallback here (the cap row couples every block) and uses only the
+  // incumbent cutoff.
+  const MipWarmStart stage2_warm{first.x};
   MipResult second;
-  if (pinned) {
-    second = solve_mip_pinned(model, options);
-  } else if (revised) {
+  if (revised) {
     MipBasisHint tree2;
     if (!tree->basis.empty()) {
       tree2.basis = tree->basis;
@@ -554,10 +569,8 @@ MipResult solve_lexicographic(Model& model,
       tree2.rows = tree->rows;
       tree2.rows.push_back(static_cast<int>(model.n_constraints()) - 1);
     }
-    const MipWarmStart stage2_warm{first.x};
     second = solve_mip_impl(model, options, &stage2_warm, &tree2);
   } else {
-    const MipWarmStart stage2_warm{first.x};
     second = solve_mip(model, options, &stage2_warm, nullptr);
   }
   // Surface stage-2 decomposition/warm-start observability; stage 1's

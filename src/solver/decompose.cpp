@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "bb_detail.h"
 
 namespace vbatt::solver {
 
@@ -520,13 +518,26 @@ MipResult solve_mip_decomposed(const Model& model, const MipOptions& options,
   result.x.assign(n, 0.0);
   result.status = LpStatus::optimal;
   result.proven_optimal = true;
+  const auto fail = [&](LpStatus status) {
+    result.status = status;
+    result.x.clear();
+    result.proven_optimal = false;
+    result.objective = 0.0;
+    return result;
+  };
+  // Each chain DP and the box block spend one node of options.max_nodes;
+  // B&B blocks spend theirs from what remains. A spent budget fails the
+  // whole solve unproven, as it does in the revised engine.
+  const auto spend_node = [&]() {
+    return ++result.nodes_explored <= options.max_nodes;
+  };
 
   for (const Block& block : blocks) {
     int stages = 0;
     const ChainOutcome outcome =
         try_chain(model, rows, block, result.x, &stages);
     if (outcome == ChainOutcome::solved) {
-      ++result.nodes_explored;
+      if (!spend_node()) return fail(LpStatus::iteration_limit);
       ++result.blocks;
       ++result.chain_blocks;
       result.master_iterations += stages;
@@ -534,32 +545,24 @@ MipResult solve_mip_decomposed(const Model& model, const MipOptions& options,
     }
     if (outcome == ChainOutcome::infeasible) {
       ++result.nodes_explored;
-      result.status = LpStatus::infeasible;
-      result.x.clear();
-      result.proven_optimal = false;
-      result.objective = 0.0;
-      return result;
+      return fail(LpStatus::infeasible);
     }
     if (blocks.size() == 1 && box_vars.empty()) return fallback();
+    MipOptions block_options = options;
+    block_options.max_nodes -= result.nodes_explored;
     const MipResult sub =
-        solve_block_bb(model, rows, block, options, warm, result.x);
+        solve_block_bb(model, rows, block, block_options, warm, result.x);
     result.nodes_explored += sub.nodes_explored;
     result.pivots += sub.pivots;
     ++result.blocks;
-    if (sub.status != LpStatus::optimal) {
-      result.status = sub.status;
-      result.x.clear();
-      result.proven_optimal = false;
-      result.objective = 0.0;
-      return result;
-    }
+    if (sub.status != LpStatus::optimal) return fail(sub.status);
     result.proven_optimal = result.proven_optimal && sub.proven_optimal;
   }
 
   if (!box_vars.empty()) {
     // All row-less variables form one box block: each sits at whichever
     // bound (rounded inward for integers) its cost prefers.
-    ++result.nodes_explored;
+    if (!spend_node()) return fail(LpStatus::iteration_limit);
     ++result.blocks;
     for (const int v : box_vars) {
       const Variable& var = model.vars()[static_cast<std::size_t>(v)];
@@ -568,20 +571,10 @@ MipResult solve_mip_decomposed(const Model& model, const MipOptions& options,
       if (var.integer) {
         lo = std::ceil(lo - options.int_tol);
         hi = std::floor(hi + options.int_tol);
-        if (lo > hi) {
-          result.status = LpStatus::infeasible;
-          result.x.clear();
-          result.proven_optimal = false;
-          return result;
-        }
+        if (lo > hi) return fail(LpStatus::infeasible);
       }
       if (var.cost < 0.0) {
-        if (!std::isfinite(hi)) {
-          result.status = LpStatus::unbounded;
-          result.x.clear();
-          result.proven_optimal = false;
-          return result;
-        }
+        if (!std::isfinite(hi)) return fail(LpStatus::unbounded);
         result.x[static_cast<std::size_t>(v)] = hi;
       } else {
         result.x[static_cast<std::size_t>(v)] = lo;

@@ -1,13 +1,6 @@
-// Branch & bound MIP solver with two selectable engines.
+// Branch & bound MIP solver with two engines and shape-based selection.
 //
-// MipEngine::pinned (default) reproduces the seed solver's search decision
-// for decision — cold pinned-tableau LP per node (see pinned.h),
-// bound-only priority queue, most-fractional branching — so the returned
-// solution is byte-stable against the frozen reference across solver
-// generations. The scheduling MIPs are degenerate enough that "any optimal
-// vertex" is not reproducible; "the seed's optimal vertex" is.
-//
-// MipEngine::revised is the fast path: best-first search on a
+// MipEngine::revised is the monolithic search: best-first on a
 // deterministic (bound, push order) heap. One RevisedSolver is built per
 // tree from the root presolve; each child re-solves from its parent's
 // basis with the dual simplex (a single tightened bound leaves the parent
@@ -15,6 +8,12 @@
 // path stalls. Branching uses pseudo-costs once the tree has produced
 // observations and the most-fractional rule before that. Warm-start
 // incumbents prune the heap without changing the result.
+//
+// MipEngine::decomposed (decompose.h) splits the model into independent
+// blocks and solves the trajectory family's chain blocks with an exact
+// DP. The default, MipEngine::auto_select, picks between the two from the
+// model's shape. The frozen seed solver in reference.h is the oracle both
+// are checked against (objectives to 1e-6).
 #pragma once
 
 #include <cstdint>
@@ -27,12 +26,13 @@
 namespace vbatt::solver {
 
 enum class MipEngine {
-  /// Seed-equivalent search over the pinned LP engine: byte-stable
-  /// solutions, warm starts ignored (see MipWarmStart).
-  pinned,
+  /// Adaptive (the default): resolve_engine(model) picks one of the
+  /// concrete engines below from the model's shape, then dispatches. The
+  /// choice is a pure function of the model, independent of thread count.
+  auto_select,
   /// Revised simplex + dual-simplex warm-started B&B with presolve,
   /// pseudo-cost branching, and incumbent cutoffs. Objectives match the
-  /// pinned engine to 1e-6; the chosen vertex may differ on degenerate
+  /// reference oracle to 1e-6; the chosen vertex may differ on degenerate
   /// (alternative-optima) models.
   revised,
   /// Stage-3 decomposition layer (decompose.h): splits the model into
@@ -41,20 +41,8 @@ enum class MipEngine {
   /// separate revised B&B subproblems, and stitches the results. Any
   /// structure it cannot prove separable falls back to the monolithic
   /// revised path (MipResult::monolithic_fallback). Objectives match the
-  /// monolithic engines to 1e-6.
+  /// revised engine to 1e-6.
   decomposed,
-  /// Deterministic parallel B&B (parallel_bb.h): epoch-batched node
-  /// expansion over util::ThreadPool with a (bound, seq)-keyed frontier
-  /// and serial merge. Bit-identical (incumbent, objective, node count)
-  /// at every VBATT_THREADS, including 1.
-  parallel,
-  /// Adaptive: resolve_engine(model) picks one of the concrete engines
-  /// above from the model's shape (see its contract), then dispatches.
-  /// Never resolves to pinned — callers who need byte-stability must ask
-  /// for it explicitly — and the choice is a pure function of the model,
-  /// independent of thread count, so results stay invariant across
-  /// VBATT_THREADS for the engines that guarantee it.
-  auto_select,
 };
 
 /// The engine auto_select dispatches `model` to: a deterministic, pure
@@ -65,58 +53,46 @@ enum class MipEngine {
 ///   - multi-block or chain-shaped models (unit-coefficient eq rows over
 ///     binaries plus short coupling rows — the trajectory family's
 ///     signature): decomposed, whose union-find + chain-DP master beats
-///     the monolithic engines on every benchmarked cell and falls back to
+///     the monolithic engine on every benchmarked cell and falls back to
 ///     revised when the probe was wrong;
-///   - large single-block models with no chain signature: parallel, whose
-///     epoch-batched tree search amortizes deep non-chain trees and stays
-///     bit-identical at every thread count;
 ///   - everything else: revised.
 ///
-/// BENCH_solver.json documents the shape→engine map this encodes: on the
-/// trajectory sweep decomposed wins every cell, parallel loses every cell
-/// (batching overhead dwarfs the near-root searches), so parallel is only
-/// picked where decomposition has provably nothing to split.
+/// BENCH_solver.json documents the shape→engine map this encodes.
 MipEngine resolve_engine(const Model& model);
 
-/// Stable lower-case name for an engine ("pinned", "revised", ...), for
-/// logs and bench JSON.
+/// Stable lower-case name for an engine ("auto", "revised",
+/// "decomposed"), for logs and bench JSON.
 const char* engine_name(MipEngine engine) noexcept;
 
 struct MipOptions {
   /// Node budget; on exhaustion the incumbent (if any) is returned with
-  /// proven_optimal = false.
+  /// proven_optimal = false. The root (revised) and every chain or box
+  /// block (decomposed) count as one node each, so 0 fails every solve.
   int max_nodes = 20000;
   /// Integrality tolerance.
   double int_tol = 1e-6;
   /// Stop when bound and incumbent are within this absolute gap.
   double gap_abs = 1e-6;
-  /// Pivot budget per node LP (revised engine); < 0 picks an automatic
-  /// budget scaled to the model size. A child LP that exhausts it is
-  /// dropped and the result is marked not proven optimal, so degenerate
-  /// models surface as failed or unproven solves instead of hangs. The
-  /// pinned engine keeps the seed's own fixed size-scaled budget so its
-  /// solves stay decision-identical (they are equally hang-proof).
+  /// Pivot budget per node LP; < 0 picks an automatic budget scaled to
+  /// the model size. A child LP that exhausts it is dropped and the result
+  /// is marked not proven optimal, so degenerate models surface as failed
+  /// or unproven solves instead of hangs.
   std::int64_t max_lp_pivots = -1;
-  /// Which search/LP engine to use. Defaults to the byte-stable pinned
-  /// engine; opt into MipEngine::revised for speed when exact vertex
-  /// reproducibility is not required.
-  MipEngine engine = MipEngine::pinned;
+  /// Which engine to use. Production callers leave the default; tests and
+  /// bench_solver pin a concrete engine to compare them.
+  MipEngine engine = MipEngine::auto_select;
 };
 
 struct MipWarmStart {
   /// Candidate integral solution in model variable space, e.g. the
   /// previous replanning round's schedule.
   ///
-  /// Revised engine: validated against bounds, integrality, and every
-  /// constraint; a valid vector acts purely as a static cutoff that keeps
-  /// provably useless nodes out of the open heap. solve_mip returns
-  /// exactly what the cold solve returns (this vector is never the
-  /// returned solution), so warm and cold runs are bit-identical.
-  ///
-  /// Pinned engine: ignored. Pruning the seed's bound-only priority queue
-  /// would perturb its tie order among equal-bound nodes and change which
-  /// of several equally-optimal incumbents is found first, breaking
-  /// byte-stability.
+  /// Validated against bounds, integrality, and every constraint; a valid
+  /// vector acts purely as a static cutoff that keeps provably useless
+  /// nodes out of the open heap. solve_mip returns exactly what the cold
+  /// solve returns (this vector is never the returned solution), so warm
+  /// and cold runs are bit-identical. The decomposed engine slices it per
+  /// block; its chain DP needs none.
   std::vector<double> x;
 };
 
@@ -124,13 +100,12 @@ struct MipWarmStart {
 /// previous solve of a structurally identical model, persisted by callers
 /// between replanning rounds (MipScheduler keeps one per app).
 ///
-/// Consumed and refreshed in place by solve_mip for the revised-family
-/// engines: on entry a hint whose shape matches the current presolve
+/// Consumed and refreshed in place by the revised engine (and by the
+/// decomposed engine's monolithic fallback): on entry a hint whose shape matches the current presolve
 /// (same variable count, same surviving row subset) primes the root LP
 /// with a primal warm start, skipping phase 1; on an optimal root exit
 /// the hint is overwritten with the new root basis and duals. A hint
 /// that no longer matches is ignored and replaced — never an error.
-/// The pinned engine ignores hints entirely (byte-stability).
 ///
 /// `epoch` is owned by the caller: MipScheduler stamps the fault
 /// subsystem's topology epoch at capture and discards hints whose epoch
@@ -162,8 +137,8 @@ struct MipResult {
   std::int64_t pivots = 0;
   bool proven_optimal = false;
 
-  // --- stage-3 observability (zero for the pinned/revised engines
-  // unless noted) ---
+  // --- stage-3 observability (zero for the revised engine unless
+  // noted) ---
   /// Independent blocks the decomposition layer detected (>= 1 when the
   /// decomposed engine actually decomposed; 0 on fallback).
   int blocks = 0;
@@ -191,9 +166,9 @@ MipResult solve_mip(const Model& model, const MipOptions& options = {},
 ///
 /// Works in place: stage 2 appends the primary-cap row and swaps the
 /// costs, then restores `model` exactly before returning (no model copy).
-/// With the revised engine, stage 2 warm-starts from stage 1: its optimum
-/// seeds the incumbent cutoff and its root basis primes the stage-2 root
-/// LP. The pinned engine re-solves stage 2 cold, matching the seed.
+/// Stage 2 warm-starts from stage 1: its optimum seeds the incumbent
+/// cutoff, and with the revised engine its root basis also primes the
+/// stage-2 root LP.
 /// `warm` seeds stage 1, same semantics as solve_mip.
 /// `hint` seeds stage 1, same semantics as solve_mip; the stage-2 tree
 /// (with its extra cap row) never touches it.

@@ -36,7 +36,8 @@ struct HealthConfig {
 struct ServiceConfig {
   /// Scheduler policy: greedy | mip | mip24h | mippeak. The service always
   /// builds MIP schedulers with warm_start and reuse_basis off so a
-  /// recovered scheduler is a pure function of the replayed fleet state.
+  /// recovered scheduler is a pure function of the replayed fleet state
+  /// (a carried basis can change which equal-cost optimum is chosen).
   std::string policy = "mip";
   HealthConfig health{};
   /// Seed for forecast-noise child streams of streamed fault reports.

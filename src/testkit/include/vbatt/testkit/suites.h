@@ -6,9 +6,10 @@
 //           frozen seed engine (vm_reference.h)
 //   dcsim   indexed Site::choose_* vs the retained linear scans
 //           (scan_reference.h) on random reachable site states
-//   solver  pinned engine vs frozen seed solver (bitwise), revised engine
-//           vs seed (objective + feasibility audit), MIP dominance over
-//           sampled feasible points, solve_lexicographic in-place restore
+//   solver  revised engine vs frozen seed solver (objective + feasibility
+//           audit), decomposed vs revised and the default engine vs seed,
+//           MIP dominance over sampled feasible points,
+//           solve_lexicographic in-place restore
 //   fault   schedule CSV round-trip + malformed-CSV diagnostics, chaos
 //           generator determinism, InvariantChecker-armed chaos runs
 //   energy  trace/forecast range invariants, stable-share superadditivity

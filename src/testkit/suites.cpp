@@ -30,7 +30,6 @@
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
 #include "vbatt/solver/decompose.h"
-#include "vbatt/solver/parallel_bb.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/vm_reference.h"
@@ -777,37 +776,6 @@ Spec gen_model_spec(util::Rng& rng) {
 const std::vector<ShrinkKey> kModelShrink = {
     {"vars", 1}, {"rows", 0}, {"ints", 0}};
 
-CaseResult eval_pinned_bitwise(const Spec& spec) {
-  const solver::Model model = make_model(spec);
-  solver::MipOptions pinned;
-  pinned.engine = solver::MipEngine::pinned;
-  const solver::MipResult got = solver::solve_mip(model, pinned);
-  const solver::MipResult want = solver::reference::solve_mip(model);
-  if (got.status != want.status) {
-    return fail_str("status " + std::to_string(static_cast<int>(got.status)) +
-                    " != reference " +
-                    std::to_string(static_cast<int>(want.status)));
-  }
-  if (got.proven_optimal != want.proven_optimal) {
-    return fail_str("proven_optimal mismatch");
-  }
-  if (got.nodes_explored != want.nodes_explored) {
-    return fail_str("nodes_explored " + std::to_string(got.nodes_explored) +
-                    " != reference " + std::to_string(want.nodes_explored));
-  }
-  if (got.pivots != want.pivots) {
-    return fail_str("pivots " + std::to_string(got.pivots) +
-                    " != reference " + std::to_string(want.pivots));
-  }
-  if (got.objective != want.objective) {  // bitwise by design
-    return fail_str("objective bits differ: " +
-                    std::to_string(got.objective) + " vs " +
-                    std::to_string(want.objective));
-  }
-  if (got.x != want.x) return fail_str("solution vectors differ bitwise");
-  return CaseResult::pass();
-}
-
 /// x must satisfy bounds, integrality, and every row of `model` to `tol`.
 std::string audit_feasibility(const solver::Model& model,
                               const std::vector<double>& x, double tol) {
@@ -918,7 +886,7 @@ CaseResult eval_lexi_restore(const Spec& spec) {
   for (double& c : secondary) c = rng.uniform(-5.0, 5.0);
 
   for (const solver::MipEngine engine :
-       {solver::MipEngine::pinned, solver::MipEngine::revised}) {
+       {solver::MipEngine::auto_select, solver::MipEngine::revised}) {
     solver::Model model = original;
     solver::MipOptions options;
     options.engine = engine;
@@ -926,15 +894,13 @@ CaseResult eval_lexi_restore(const Spec& spec) {
     if (std::string diff = diff_models(original, model); !diff.empty()) {
       return fail_str(std::string{"solve_lexicographic left the model "
                                   "modified ("} +
-                      (engine == solver::MipEngine::pinned ? "pinned"
-                                                           : "revised") +
-                      "): " + diff);
+                      solver::engine_name(engine) + "): " + diff);
     }
   }
   return CaseResult::pass();
 }
 
-/// Spec for the decomposition/parallel properties: alternates between the
+/// Spec for the decomposition property: alternates between the
 /// fully random family (usually coupled → monolithic fallback) and a
 /// block-diagonal chain family (several independent trajectory chains →
 /// the DP master), so both sides of the decomposed engine fuzz every run.
@@ -1018,6 +984,20 @@ CaseResult eval_decomposed_diff(const Spec& spec) {
   monolithic.engine = solver::MipEngine::revised;
   const solver::MipResult got = solver::solve_mip(model, decomposed);
   const solver::MipResult want = solver::solve_mip(model, monolithic);
+  // The production default (auto_select) must meet the oracle directly.
+  const solver::MipResult dflt = solver::solve_mip(model);
+  const solver::MipResult oracle = solver::reference::solve_mip(model);
+  if (dflt.status != oracle.status) {
+    return fail_str("default status " +
+                    std::to_string(static_cast<int>(dflt.status)) +
+                    " != reference " +
+                    std::to_string(static_cast<int>(oracle.status)));
+  }
+  if (dflt.status == solver::LpStatus::optimal &&
+      !near(dflt.objective, oracle.objective, 1e-6)) {
+    return fail_str("default objective " + std::to_string(dflt.objective) +
+                    " != reference " + std::to_string(oracle.objective));
+  }
   if (got.status != want.status) {
     return fail_str("decomposed status " +
                     std::to_string(static_cast<int>(got.status)) +
@@ -1035,45 +1015,6 @@ CaseResult eval_decomposed_diff(const Spec& spec) {
   // A chain family must actually decompose; the fallback defeats the test.
   if (spec.get("chains", std::int64_t{0}) > 0 && got.monolithic_fallback) {
     return fail_str("chain-structured model took the monolithic fallback");
-  }
-  return CaseResult::pass();
-}
-
-CaseResult eval_parallel_bb_invariance(const Spec& spec) {
-  const solver::Model model = make_decompose_model(spec);
-  solver::MipOptions options;
-  options.engine = solver::MipEngine::parallel;
-  util::ThreadPool serial{0};
-  util::ThreadPool wide{3};
-  const solver::MipResult one =
-      solver::solve_mip_parallel(model, options, nullptr, nullptr, &serial);
-  const solver::MipResult four =
-      solver::solve_mip_parallel(model, options, nullptr, nullptr, &wide);
-  if (one.status != four.status) return fail_str("status depends on width");
-  if (one.nodes_explored != four.nodes_explored) {
-    return fail_str("node count depends on width: " +
-                    std::to_string(one.nodes_explored) + " vs " +
-                    std::to_string(four.nodes_explored));
-  }
-  if (one.pivots != four.pivots) return fail_str("pivots depend on width");
-  if (one.proven_optimal != four.proven_optimal) {
-    return fail_str("proven_optimal depends on width");
-  }
-  if (one.status == solver::LpStatus::optimal) {
-    if (one.objective != four.objective) {  // bitwise by design
-      return fail_str("incumbent objective bits depend on width");
-    }
-    if (one.x != four.x) return fail_str("incumbent vector depends on width");
-    const solver::MipResult want = solver::reference::solve_mip(model);
-    if (want.status == solver::LpStatus::optimal &&
-        !near(one.objective, want.objective, 1e-6)) {
-      return fail_str("parallel objective " + std::to_string(one.objective) +
-                      " != reference " + std::to_string(want.objective));
-    }
-    if (std::string bad = audit_feasibility(model, one.x, 1e-6);
-        !bad.empty()) {
-      return fail_str("parallel solution infeasible: " + bad);
-    }
   }
   return CaseResult::pass();
 }
@@ -1683,8 +1624,6 @@ std::vector<Property> all_properties() {
                       eval_placement_diff,
                       {{"ops", 1}, {"servers", 1}}});
 
-  registry.push_back({"solver", "pinned_bitwise", gen_model_spec,
-                      eval_pinned_bitwise, kModelShrink});
   registry.push_back({"solver", "revised_objective", gen_model_spec,
                       eval_revised_objective, kModelShrink});
   registry.push_back({"solver", "mip_dominance", gen_model_spec,
@@ -1693,8 +1632,6 @@ std::vector<Property> all_properties() {
                       eval_lexi_restore, kModelShrink});
   registry.push_back({"solver", "decomposed_diff", gen_decompose_spec,
                       eval_decomposed_diff, kDecomposeShrink});
-  registry.push_back({"solver", "parallel_bb_invariance", gen_decompose_spec,
-                      eval_parallel_bb_invariance, kDecomposeShrink});
   registry.push_back({"solver", "delta_model_identity",
                       [](util::Rng& rng) {
                         Spec spec = gen_scenario_spec(rng);

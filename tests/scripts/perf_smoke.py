@@ -86,7 +86,7 @@ def main():
     repo = Path(repo_root)
 
     solver_keys = ("sites", "k", "horizon_hours")
-    solver_fields = ("ref_ms", "revised_ms", "decomposed_ms", "parallel_ms",
+    solver_fields = ("ref_ms", "revised_ms", "decomposed_ms",
                      "build_first_ms", "build_steady_ms")
     # "scenario" splits the base cells from the mixed_econ ones (batch
     # overlay + price/carbon metering) at the same site count.

@@ -9,6 +9,7 @@
 //  * Coupling: a deliberately coupled model (a cap-style row across
 //    blocks, or non-unit coefficients) must take the monolithic fallback
 //    path — never a wrong "decomposed" answer.
+//  * Node budget: max_nodes = 0 fails both engines the same way.
 //  * Cross-solve basis hints: a second structurally identical solve must
 //    report used_basis_hint and return the same objective; a stale hint
 //    (different shape) must be ignored.
@@ -303,6 +304,27 @@ TEST(DecomposedMip, ObjectiveMatchesReferenceOnChainFamily) {
     if (want.status != LpStatus::optimal) continue;
     EXPECT_NEAR(got.objective, want.objective, kObjTol) << "seed " << seed;
   }
+}
+
+TEST(NodeBudget, SpentBudgetFailsBothEnginesAlike) {
+  // The revised root and each chain DP block count as one node, so a zero
+  // budget must fail the solve unproven with no incumbent in both engines.
+  const Model model = trajectory_mip(3, 4, 7);
+  for (const MipEngine engine : {MipEngine::revised, MipEngine::decomposed}) {
+    MipOptions options = engine_options(engine);
+    options.max_nodes = 0;
+    const MipResult r = solve_mip(model, options);
+    EXPECT_EQ(r.status, LpStatus::iteration_limit) << engine_name(engine);
+    EXPECT_FALSE(r.proven_optimal) << engine_name(engine);
+    EXPECT_TRUE(r.x.empty()) << engine_name(engine);
+  }
+  // One node is exactly what the single chain block needs.
+  MipOptions one = engine_options(MipEngine::decomposed);
+  one.max_nodes = 1;
+  const MipResult r = solve_mip(model, one);
+  ASSERT_EQ(r.status, LpStatus::optimal);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.chain_blocks, 1);
 }
 
 TEST(BasisHint, SecondSolveUsesAndRefreshesHint) {

@@ -4,8 +4,7 @@
 //
 // The load-bearing claim is bitwise: a patched model must equal the
 // from-scratch build down to the last mantissa bit, because every solver
-// engine — including the byte-stable pinned one — consumes it, and any
-// drift would silently change schedules. verify_incremental_build wires
+// engine consumes it, and any drift would silently change schedules. verify_incremental_build wires
 // that check into the scheduler itself (it throws on the first diverging
 // bit); these tests pin the cache mechanics around it.
 #include <gtest/gtest.h>

@@ -1,13 +1,11 @@
 // Cross-check harness for the solver engine overhaul.
 //
-// Three layers, mirroring the engine split in branch_bound.h:
-//  * the pinned engine must match the frozen seed oracle *bitwise* —
-//    status, every solution component, objective, and even the pivot
-//    count — on fuzzed LPs/MIPs from both the scheduler's trajectory
-//    model family and unstructured random programs;
-//  * the revised engine must match the oracle's *objective* to 1e-6
-//    (its optimal vertex may legally differ on degenerate models), with
-//    warm-started solves bit-identical to cold ones;
+// Two layers, on fuzzed LPs/MIPs from both the scheduler's trajectory
+// model family and unstructured random programs:
+//  * the revised engine and the default (auto_select) path must match the
+//    frozen seed oracle's *objective* to 1e-6 (the optimal vertex may
+//    legally differ on degenerate models), with warm-started solves
+//    bit-identical to cold ones;
 //  * directed edge cases: degeneracy, infeasibility, unboundedness,
 //    all-bounds-tight boxes, models presolve discharges entirely, and
 //    the per-solve pivot budget.
@@ -26,7 +24,6 @@
 #include "vbatt/core/simulation.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/solver/branch_bound.h"
-#include "vbatt/solver/pinned.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/solver/simplex.h"
 #include "vbatt/util/rng.h"
@@ -121,74 +118,6 @@ Model random_model(std::uint64_t seed, bool integral) {
   return model;
 }
 
-void expect_bitwise_equal_lp(const LpResult& got, const LpResult& want,
-                             std::uint64_t seed) {
-  ASSERT_EQ(got.status, want.status) << "seed " << seed;
-  if (want.status != LpStatus::optimal) return;
-  EXPECT_EQ(got.objective, want.objective) << "seed " << seed;
-  EXPECT_EQ(got.pivots, want.pivots) << "seed " << seed;
-  ASSERT_EQ(got.x.size(), want.x.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < want.x.size(); ++i) {
-    EXPECT_EQ(got.x[i], want.x[i]) << "seed " << seed << " x[" << i << "]";
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Pinned engine: bitwise equality with the frozen oracle.
-
-TEST(PinnedLp, BitwiseMatchesReferenceOnTrajectoryFamily) {
-  for (std::uint64_t seed = 0; seed < 40; ++seed) {
-    const int sites = 2 + static_cast<int>(seed % 4);
-    const int buckets = 2 + static_cast<int>(seed % 5);
-    const Model model = trajectory_mip(sites, buckets, seed, false);
-    std::vector<double> lb;
-    std::vector<double> ub;
-    for (const Variable& v : model.vars()) {
-      lb.push_back(v.lb);
-      ub.push_back(v.ub);
-    }
-    const LpResult want = reference::solve_lp_bounded(model, lb, ub);
-    const LpResult got = solve_lp_pinned(model, lb, ub);
-    expect_bitwise_equal_lp(got, want, seed);
-  }
-}
-
-TEST(PinnedLp, BitwiseMatchesReferenceOnRandomModels) {
-  for (std::uint64_t seed = 100; seed < 180; ++seed) {
-    const Model model = random_model(seed, false);
-    std::vector<double> lb;
-    std::vector<double> ub;
-    for (const Variable& v : model.vars()) {
-      lb.push_back(v.lb);
-      ub.push_back(v.ub);
-    }
-    const LpResult want = reference::solve_lp_bounded(model, lb, ub);
-    const LpResult got = solve_lp_pinned(model, lb, ub);
-    expect_bitwise_equal_lp(got, want, seed);
-  }
-}
-
-TEST(PinnedMip, BitwiseMatchesReferenceSearch) {
-  for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    const Model model = seed % 2 == 0
-                            ? trajectory_mip(2 + static_cast<int>(seed % 3),
-                                             2 + static_cast<int>(seed % 4),
-                                             seed, true)
-                            : random_model(seed, true);
-    const MipResult want = reference::solve_mip(model);
-    const MipResult got = solve_mip(model);  // default engine: pinned
-    ASSERT_EQ(got.status, want.status) << "seed " << seed;
-    EXPECT_EQ(got.nodes_explored, want.nodes_explored) << "seed " << seed;
-    EXPECT_EQ(got.proven_optimal, want.proven_optimal) << "seed " << seed;
-    if (want.status != LpStatus::optimal) continue;
-    EXPECT_EQ(got.objective, want.objective) << "seed " << seed;
-    ASSERT_EQ(got.x.size(), want.x.size()) << "seed " << seed;
-    for (std::size_t i = 0; i < want.x.size(); ++i) {
-      EXPECT_EQ(got.x[i], want.x[i]) << "seed " << seed << " x[" << i << "]";
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Revised engine: objective parity with the oracle, warm/cold identity.
 
@@ -215,29 +144,31 @@ TEST(RevisedMip, ObjectiveMatchesReference) {
                                              2 + static_cast<int>(seed % 4),
                                              seed, true);
     const MipResult want = reference::solve_mip(model);
-    const MipResult got = solve_mip(model, revised_options());
-    ASSERT_EQ(got.status, want.status) << "seed " << seed;
-    if (want.status != LpStatus::optimal) continue;
-    EXPECT_NEAR(got.objective, want.objective, kObjTol) << "seed " << seed;
-    // The revised vertex may differ from the oracle's, but it must be a
-    // genuinely feasible integral point of the *original* model.
-    for (std::size_t i = 0; i < got.x.size(); ++i) {
-      const Variable& v = model.vars()[i];
-      EXPECT_GE(got.x[i], v.lb - kObjTol);
-      EXPECT_LE(got.x[i], v.ub + kObjTol);
-      if (v.integer) {
-        EXPECT_NEAR(got.x[i], std::round(got.x[i]), 1e-9);
+    for (const MipOptions& options : {MipOptions{}, revised_options()}) {
+      const MipResult got = solve_mip(model, options);
+      ASSERT_EQ(got.status, want.status) << "seed " << seed;
+      if (want.status != LpStatus::optimal) continue;
+      EXPECT_NEAR(got.objective, want.objective, kObjTol) << "seed " << seed;
+      // The chosen vertex may differ from the oracle's, but it must be a
+      // genuinely feasible integral point of the *original* model.
+      for (std::size_t i = 0; i < got.x.size(); ++i) {
+        const Variable& v = model.vars()[i];
+        EXPECT_GE(got.x[i], v.lb - kObjTol);
+        EXPECT_LE(got.x[i], v.ub + kObjTol);
+        if (v.integer) {
+          EXPECT_NEAR(got.x[i], std::round(got.x[i]), 1e-9);
+        }
       }
-    }
-    for (const Constraint& con : model.constraints()) {
-      double act = 0.0;
-      for (const auto& [idx, coeff] : con.terms) {
-        act += coeff * got.x[static_cast<std::size_t>(idx)];
-      }
-      switch (con.rel) {
-        case Rel::le: EXPECT_LE(act, con.rhs + kObjTol); break;
-        case Rel::ge: EXPECT_GE(act, con.rhs - kObjTol); break;
-        case Rel::eq: EXPECT_NEAR(act, con.rhs, kObjTol); break;
+      for (const Constraint& con : model.constraints()) {
+        double act = 0.0;
+        for (const auto& [idx, coeff] : con.terms) {
+          act += coeff * got.x[static_cast<std::size_t>(idx)];
+        }
+        switch (con.rel) {
+          case Rel::le: EXPECT_LE(act, con.rhs + kObjTol); break;
+          case Rel::ge: EXPECT_GE(act, con.rhs - kObjTol); break;
+          case Rel::eq: EXPECT_NEAR(act, con.rhs, kObjTol); break;
+        }
       }
     }
   }
@@ -275,12 +206,11 @@ TEST(RevisedMip, InvalidWarmStartIsIgnored) {
 }
 
 // ---------------------------------------------------------------------------
-// Directed edge cases, run through both engines.
+// Directed edge cases, checked against the oracle.
 
 TEST(SolverEdge, DegenerateTiesStayOptimal) {
-  // Every assignment of the unit flow is optimal: all costs equal. Both
-  // engines must report the common objective; the pinned one must match
-  // the oracle's vertex exactly.
+  // Every assignment of the unit flow is optimal: all costs equal. The
+  // LP must report the oracle's common objective.
   Model m;
   std::vector<std::pair<int, double>> sum;
   for (int i = 0; i < 6; ++i) sum.emplace_back(m.add_var("x", 3.0), 1.0);
@@ -288,7 +218,6 @@ TEST(SolverEdge, DegenerateTiesStayOptimal) {
   std::vector<double> lb(6, 0.0);
   std::vector<double> ub(6, 1.0);
   const LpResult want = reference::solve_lp_bounded(m, lb, ub);
-  expect_bitwise_equal_lp(solve_lp_pinned(m, lb, ub), want, 0);
   const LpResult fast = solve_lp(m);
   ASSERT_EQ(fast.status, LpStatus::optimal);
   EXPECT_NEAR(fast.objective, want.objective, kObjTol);
@@ -302,7 +231,6 @@ TEST(SolverEdge, InfeasibleRows) {
   std::vector<double> ub{1.0};
   EXPECT_EQ(reference::solve_lp_bounded(m, lb, ub).status,
             LpStatus::infeasible);
-  EXPECT_EQ(solve_lp_pinned(m, lb, ub).status, LpStatus::infeasible);
   EXPECT_EQ(solve_lp(m).status, LpStatus::infeasible);
   EXPECT_EQ(solve_mip(m).status, LpStatus::infeasible);
   EXPECT_EQ(solve_mip(m, revised_options()).status, LpStatus::infeasible);
@@ -317,7 +245,6 @@ TEST(SolverEdge, UnboundedRay) {
   std::vector<double> ub{std::numeric_limits<double>::infinity(), 1.0};
   EXPECT_EQ(reference::solve_lp_bounded(m, lb, ub).status,
             LpStatus::unbounded);
-  EXPECT_EQ(solve_lp_pinned(m, lb, ub).status, LpStatus::unbounded);
   EXPECT_EQ(solve_lp(m).status, LpStatus::unbounded);
 }
 
@@ -333,7 +260,6 @@ TEST(SolverEdge, AllBoundsTight) {
   const LpResult want = reference::solve_lp_bounded(m, lb, ub);
   ASSERT_EQ(want.status, LpStatus::optimal);
   EXPECT_NEAR(want.objective, 4.5, 1e-12);
-  expect_bitwise_equal_lp(solve_lp_pinned(m, lb, ub), want, 0);
   const LpResult fast = solve_lp(m);
   ASSERT_EQ(fast.status, LpStatus::optimal);
   EXPECT_NEAR(fast.objective, want.objective, kObjTol);
@@ -342,7 +268,6 @@ TEST(SolverEdge, AllBoundsTight) {
   const int z = bad.add_var("z", 1.0, 2.0, 2.0);
   bad.add_constraint({{z, 1.0}}, Rel::le, 1.0);
   EXPECT_EQ(solve_lp(bad).status, LpStatus::infeasible);
-  EXPECT_EQ(solve_lp_pinned(bad, {2.0}, {2.0}).status, LpStatus::infeasible);
   EXPECT_EQ(solve_mip(bad).status, LpStatus::infeasible);
   EXPECT_EQ(solve_mip(bad, revised_options()).status, LpStatus::infeasible);
 }
@@ -357,7 +282,7 @@ TEST(SolverEdge, PresolveDischargesEntireModel) {
   m.add_constraint({{x, 1.0}}, Rel::eq, 4.0);
   m.add_constraint({{y, 2.0}}, Rel::eq, 3.0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::le, 10.0);
-  for (const MipResult r :
+  for (const MipResult& r :
        {solve_mip(m), solve_mip(m, revised_options())}) {
     ASSERT_EQ(r.status, LpStatus::optimal);
     EXPECT_NEAR(r.x[0], 4.0, 1e-9);
