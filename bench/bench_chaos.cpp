@@ -24,8 +24,8 @@
 
 #include "bench_util.h"
 #include "vbatt/core/availability.h"
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/fault/injector.h"
 #include "vbatt/util/thread_pool.h"
@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
               "intensity", "avail", "min", "p99 rec", "max rec", "aband%",
               "fallback", "downtime");
 
-  util::ThreadPool& pool = util::ThreadPool::shared();
+  const core::FleetSimOptions pooled{.pool = &util::ThreadPool::shared()};
   const std::vector<double> intensities = {0.0, 0.5, 1.0, 2.0};
   std::vector<CellResult> cells;
   bool invariants_ok = true;
@@ -210,8 +210,8 @@ int main(int argc, char** argv) {
       const auto t0 = std::chrono::steady_clock::now();
       core::VmLevelResult result{graph.n_sites(), ticks};
       try {
-        result = core::run_vm_level_simulation(injector.graph(), apps,
-                                               *scheduler, config, &pool);
+        result = core::run_fleet_simulation(injector.graph(), apps,
+                                            *scheduler, config, pooled);
       } catch (const std::logic_error& e) {
         std::fprintf(stderr, "INVARIANT VIOLATION (%s @ %.1f): %s\n", policy,
                      intensity, e.what());
@@ -225,8 +225,8 @@ int main(int argc, char** argv) {
       if (intensity == 0.0) {
         // The zero-chaos cell must reproduce a run with no injector at all.
         const auto plain_sched = make_scheduler(policy);
-        const core::VmLevelResult plain = core::run_vm_level_simulation(
-            graph, apps, *plain_sched, {}, &pool);
+        const core::VmLevelResult plain =
+            core::run_fleet_simulation(graph, apps, *plain_sched, {}, pooled);
         if (!same_result(result, plain)) {
           std::fprintf(stderr,
                        "FAIL: %s intensity-0 run diverged from the "

@@ -26,7 +26,7 @@ constexpr std::size_t kWordBits = 64;
 
 /// Dense bitset over app slots; iteration yields ascending slot order,
 /// which equals ascending app_id order (slots are the rank of the app_id
-/// in sorted order) — the same order the unsharded engine's std::set and
+/// in sorted order) — the same order the oracle's (testkit::reference_vm_run)
 /// ordered-map walks produce.
 class SlotBits {
  public:
@@ -128,8 +128,8 @@ VmLevelResult run_fleet_simulation(
   };
 
   // --- App slots: rank of app_id in sorted order, so slot order ==
-  // app_id order and every bitset walk reproduces the unsharded engine's
-  // ordered iteration.
+  // app_id order and every bitset walk reproduces the oracle's ordered
+  // iteration.
   const std::size_t n_apps = apps.size();
   std::vector<std::int64_t> slot_app_id(n_apps);
   std::unordered_map<std::int64_t, std::int32_t> slot_of;
@@ -147,7 +147,7 @@ VmLevelResult run_fleet_simulation(
     }
   }
 
-  // Per-app columns (SoA replacement for the unsharded TrackedApp map).
+  // Per-app columns (SoA replacement for a per-app TrackedApp map).
   // Shape/arrival data is filled up front from the workload; placement
   // state is written at arrival time.
   std::vector<std::int32_t> app_index(n_apps, -1);  // slot -> index in apps
@@ -246,7 +246,7 @@ VmLevelResult run_fleet_simulation(
     return id;
   };
 
-  // --- Fault machinery (identical bookkeeping to the unsharded engine).
+  // --- Fault machinery (identical bookkeeping to the oracle).
   FaultHooks* const hooks = config.faults.hooks;
   const MoveRetryPolicy retry = config.faults.retry;
   struct PendingRetry {
@@ -261,9 +261,9 @@ VmLevelResult run_fleet_simulation(
   std::int64_t fleet_paused = 0;
 
   // --- Displaced / paused machinery. The queue holds (vm_id, source);
-  // shape and ownership come from the VM/app columns. The unsharded
-  // engine's std::map aggregates become flat arrays indexed by core
-  // count, with explicit entry counters standing in for .empty().
+  // shape and ownership come from the VM/app columns. Per-core-count
+  // aggregates are flat arrays indexed by core count, with explicit entry
+  // counters standing in for .empty().
   std::deque<std::pair<std::int64_t, std::int32_t>> displaced;
   std::vector<std::int64_t> displaced_core_counts(
       static_cast<std::size_t>(max_shape_cores) + 1, 0);
@@ -304,9 +304,8 @@ VmLevelResult run_fleet_simulation(
     }
   };
 
-  // Event indices, as in the unsharded engine. The departure heap is
-  // keyed (end_tick, slot); slot order == app_id order, so pops come out
-  // in the unsharded (end_tick, app_id) order.
+  // Event indices. The departure heap is keyed (end_tick, slot); slot
+  // order == app_id order, so pops come out in (end_tick, app_id) order.
   using AppDeparture = std::pair<util::Tick, std::int32_t>;
   std::priority_queue<AppDeparture, std::vector<AppDeparture>,
                       std::greater<AppDeparture>>
@@ -367,7 +366,7 @@ VmLevelResult run_fleet_simulation(
 
   // Opt-in scenario extensions (coordinator-only state, so the shard count
   // cannot perturb them). The overlay steps at the same serial point as the
-  // unsharded engine; econ terms accumulate in the deferred-metering
+  // oracle; econ terms accumulate in the deferred-metering
   // reductions below in the identical (tick, site) order.
   const bool has_overlay = config.ext != nullptr &&
                            config.ext->batch != nullptr &&
@@ -562,7 +561,7 @@ VmLevelResult run_fleet_simulation(
     state.avail_cache = &avail;
 
     // Epoch barrier: serial reductions in global site order. Energy for
-    // tick t-1 lands exactly where the unsharded engine added it.
+    // tick t-1 lands exactly where a per-tick serial engine adds it.
     if (i > 0) {
       for (std::size_t s = 0; s < n_sites; ++s) {
         result.powered_server_ticks += site_powered[s];
@@ -615,7 +614,7 @@ VmLevelResult run_fleet_simulation(
     // 2. Replanning. The FleetState mirror is rebuilt from the app
     //    columns: shards each build one contiguous slot range (order-free
     //    construction), the coordinator splices them in slot order, so
-    //    the ordered map comes out identical to the unsharded build.
+    //    the ordered map comes out identical to a serial build.
     if (replan_period > 0 && t > 0 && t % replan_period == 0) {
       state.apps.clear();
       run_sharded([&](std::size_t k) {
@@ -736,7 +735,7 @@ VmLevelResult run_fleet_simulation(
       const std::int64_t stable_hi = app_stable_base[u] + app_stable_n[u];
       for (std::int64_t id = app_stable_base[u]; id < stable_hi; ++id) {
         // Only VMs resident at the old home move (a displaced VM re-homed
-        // elsewhere stays put, as in the unsharded engine).
+        // elsewhere stays put, as in the oracle).
         if (vm_recs[static_cast<std::size_t>(id)].site != from) continue;
         remove_vm_at(id, static_cast<std::size_t>(from));
         if (place_vm(id, slot, false, move.to_site)) {
@@ -850,7 +849,7 @@ VmLevelResult run_fleet_simulation(
     }
 
     // 6. Re-home displaced stable VMs (serial rotation, identical to the
-    //    unsharded pass; the any_can_fit proof uses the per-shard maxima
+    //    oracle's pass; the any_can_fit proof uses the per-shard maxima
     //    — absorb_evicted changed no allocation, so they are still exact).
     bool any_can_fit = false;
     if (displaced_entries > 0) {
@@ -956,7 +955,7 @@ VmLevelResult run_fleet_simulation(
     result.base.degradable_active_vm_ticks += fleet_degradable_ids;
 
     // 7b. Batch overlay (serial): identical free-core formula and step
-    //     point as the unsharded engine, so the overlay trajectory is
+    //     point as the oracle, so the overlay trajectory is
     //     bit-identical at every shard/thread count.
     if (has_overlay) {
       for (std::size_t s = 0; s < n_sites; ++s) {

@@ -15,7 +15,6 @@
 
 #include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/dcsim/scan_reference.h"
 #include "vbatt/dcsim/site.h"
 #include "vbatt/energy/aggregate.h"
@@ -46,6 +45,23 @@ std::unique_ptr<core::Scheduler> make_scheduler(const Spec& spec) {
     return std::make_unique<core::MipScheduler>(core::make_mip24h_config());
   }
   return std::make_unique<core::GreedyScheduler>();
+}
+
+/// VM-level config for the oracle differentials: `place` picks the
+/// allocation policy (0 best fit, the default; 1 first fit; 2 worst fit).
+core::VmLevelConfig make_vm_config(const Spec& spec) {
+  core::VmLevelConfig config;
+  switch (spec.get("place", std::int64_t{0})) {
+    case 1:
+      config.placement = core::VmLevelConfig::Placement::first_fit;
+      break;
+    case 2:
+      config.placement = core::VmLevelConfig::Placement::worst_fit;
+      break;
+    default:
+      break;
+  }
+  return config;
 }
 
 CaseResult fail_str(std::string msg) { return CaseResult::fail(std::move(msg)); }
@@ -84,7 +100,7 @@ Spec gen_scenario_spec(util::Rng& rng) {
 const std::vector<ShrinkKey> kScenarioShrink = {
     {"days", 1},   {"sites", 1},  {"wind", 0},   {"peak", 1},
     {"amp", 0},    {"period", 1}, {"aph100", 0}, {"maxvms", 1},
-    {"deg100", 0}, {"life", 1},
+    {"deg100", 0}, {"life", 1},   {"place", 0},
 };
 
 /// Scenario keys plus the batch-overlay knobs (harvest_closure,
@@ -94,6 +110,7 @@ const std::vector<ShrinkKey> kBatchScenarioShrink = {
     {"amp", 0},      {"period", 1}, {"aph100", 0},    {"maxvms", 1},
     {"deg100", 0},   {"life", 1},   {"jph100", 0},    {"tph100", 0},
     {"bcores", 1},   {"brun", 1},   {"bslack100", 100}, {"blat", 0},
+    {"place", 0},
 };
 
 /// Bare-overlay keys (deadline_conservation drives BatchOverlay directly,
@@ -115,8 +132,8 @@ const std::vector<ShrinkKey> kEconScenarioShrink = {
 CaseResult eval_conservation(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   const auto scheduler = make_scheduler(spec);
-  const core::VmLevelResult r = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *scheduler, {}, nullptr);
+  const core::VmLevelResult r =
+      core::run_fleet_simulation(sc.graph, sc.apps, *scheduler);
   const auto n_ticks = static_cast<util::Tick>(sc.graph.n_ticks());
 
   // Non-negativity of every counter.
@@ -206,86 +223,77 @@ CaseResult eval_conservation(const Spec& spec) {
   return CaseResult::pass();
 }
 
-CaseResult eval_thread_invariance(const Spec& spec) {
-  const Scenario sc = make_scenario(spec);
-  const auto sched_a = make_scheduler(spec);
-  const core::VmLevelResult serial = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *sched_a, {}, nullptr);
-  util::ThreadPool pool{3};
-  const auto sched_b = make_scheduler(spec);
-  const core::VmLevelResult parallel = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *sched_b, {}, &pool);
-  const std::string diff =
-      diff_vm_results(serial, parallel, sc.graph.n_sites());
-  if (!diff.empty()) return fail_str("serial vs 3-lane pool: " + diff);
-  return CaseResult::pass();
-}
-
 CaseResult eval_chaos_zero(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   const auto sched_a = make_scheduler(spec);
-  const core::VmLevelResult bare = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *sched_a, {}, nullptr);
+  const core::VmLevelResult bare =
+      core::run_fleet_simulation(sc.graph, sc.apps, *sched_a);
 
   fault::FaultInjector injector{sc.graph, fault::FaultSchedule{},
                                 spec.child_seed("noise")};
   core::VmLevelConfig config;
   config.faults.hooks = &injector;
   const auto sched_b = make_scheduler(spec);
-  const core::VmLevelResult hooked = core::run_vm_level_simulation(
-      injector.graph(), sc.apps, *sched_b, config, nullptr);
+  const core::VmLevelResult hooked =
+      core::run_fleet_simulation(injector.graph(), sc.apps, *sched_b, config);
 
-  // diff_vm_results covers exactly the non-hook-gated fields, which is the
-  // identity an empty schedule must preserve.
-  const std::string diff = diff_vm_results(bare, hooked, sc.graph.n_sites());
+  // Every field outside the hook-gated fault counters must match the bare
+  // run; those counters are pinned separately below.
+  const std::string diff = diff_vm_results(bare, hooked, sc.graph.n_sites(),
+                                           /*fault_counters=*/false);
   if (!diff.empty()) return fail_str("empty-schedule injector: " + diff);
   if (hooked.base.faulted_site_ticks != 0 ||
       hooked.base.retried_moves != 0 || hooked.base.abandoned_moves != 0) {
     return fail_str("empty schedule produced fault counters");
   }
+  // Downtime is metered whenever hooks are installed: exactly the ticks
+  // on which the bare run had displaced stable cores.
+  std::int64_t downtime = 0;
+  for (const std::int64_t cores : bare.base.displaced_stable_cores_per_tick) {
+    downtime += cores > 0 ? 1 : 0;
+  }
+  if (hooked.base.stable_vm_downtime_ticks != downtime) {
+    return fail_str("stable_vm_downtime_ticks=" +
+                    std::to_string(hooked.base.stable_vm_downtime_ticks) +
+                    " != displaced ticks=" + std::to_string(downtime));
+  }
   return CaseResult::pass();
 }
 
+/// The fleet engine at k shards, serial and on a 3-lane pool, against the
+/// frozen linear-scan oracle: field-for-field, bit-for-bit.
 CaseResult eval_engine_diff(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
-  const auto sched_a = make_scheduler(spec);
-  const core::VmLevelResult fast = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *sched_a, {}, nullptr);
-  const auto sched_b = make_scheduler(spec);
+  const core::VmLevelConfig config = make_vm_config(spec);
+  const auto sched_ref = make_scheduler(spec);
   const core::VmLevelResult ref =
-      reference_vm_run(sc.graph, sc.apps, *sched_b, {});
-  const std::string diff = diff_vm_results(ref, fast, sc.graph.n_sites());
-  if (!diff.empty()) return fail_str("event-driven vs seed engine: " + diff);
+      reference_vm_run(sc.graph, sc.apps, *sched_ref, config);
+  util::ThreadPool pool{3};
+  core::FleetSimOptions options;
+  options.n_shards = static_cast<int>(
+      std::clamp<std::int64_t>(spec.get("shards", 2), 1, 64));
+  for (util::ThreadPool* p :
+       {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    options.pool = p;
+    const auto scheduler = make_scheduler(spec);
+    const core::VmLevelResult fleet =
+        core::run_fleet_simulation(sc.graph, sc.apps, *scheduler, config,
+                                   options);
+    const std::string diff = diff_vm_results(ref, fleet, sc.graph.n_sites());
+    if (!diff.empty()) {
+      return fail_str("oracle vs " + std::to_string(options.n_shards) +
+                      "-shard engine" +
+                      (p != nullptr ? ", 4 lanes: " : ", serial: ") + diff);
+    }
+  }
   return CaseResult::pass();
 }
 
 // --- fleet suite ---------------------------------------------------------
 
-/// Sharded vs unsharded on a random fleet: run_fleet_simulation must be a
-/// field-for-field, bit-for-bit drop-in for run_vm_level_simulation.
-CaseResult eval_fleet_diff(const Spec& spec) {
-  const Scenario sc = make_scenario(spec);
-  const auto sched_a = make_scheduler(spec);
-  const core::VmLevelResult unsharded = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *sched_a, {}, nullptr);
-  const auto sched_b = make_scheduler(spec);
-  core::FleetSimOptions options;
-  options.n_shards = static_cast<int>(
-      std::clamp<std::int64_t>(spec.get("shards", 2), 1, 64));
-  const core::VmLevelResult sharded =
-      core::run_fleet_simulation(sc.graph, sc.apps, *sched_b, {}, options);
-  const std::string diff =
-      diff_vm_results(unsharded, sharded, sc.graph.n_sites());
-  if (!diff.empty()) {
-    return fail_str("unsharded vs " + std::to_string(options.n_shards) +
-                    "-shard engine: " + diff);
-  }
-  return CaseResult::pass();
-}
-
 /// Shard-count and thread-count bit-invariance under a chaos schedule:
-/// every (shards, pool) combination must reproduce the unsharded faulted
-/// run exactly.
+/// every (shards, pool) combination must reproduce the oracle's faulted
+/// run exactly, fault counters included.
 CaseResult eval_fleet_shard_invariance(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   fault::ChaosConfig chaos;
@@ -296,7 +304,7 @@ CaseResult eval_fleet_shard_invariance(const Spec& spec) {
 
   const auto faulted_run = [&](auto&& engine) {
     fault::FaultInjector injector{sc.graph, schedule, noise};
-    core::VmLevelConfig config;
+    core::VmLevelConfig config = make_vm_config(spec);
     config.faults.hooks = &injector;
     const auto scheduler = make_scheduler(spec);
     return engine(injector.graph(), *scheduler, config);
@@ -304,8 +312,7 @@ CaseResult eval_fleet_shard_invariance(const Spec& spec) {
   const core::VmLevelResult baseline = faulted_run(
       [&](const core::VbGraph& graph, core::Scheduler& scheduler,
           const core::VmLevelConfig& config) {
-        return core::run_vm_level_simulation(graph, sc.apps, scheduler,
-                                             config, nullptr);
+        return reference_vm_run(graph, sc.apps, scheduler, config);
       });
   util::ThreadPool pool{3};
   for (const int shards : {1, 2, 7}) {
@@ -467,8 +474,8 @@ CaseResult eval_harvest_closure(const Spec& spec) {
   core::VmLevelConfig config;
   config.ext = &ext;
   const auto scheduler = make_scheduler(spec);
-  const core::VmLevelResult r = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *scheduler, config, nullptr);
+  const core::VmLevelResult r =
+      core::run_fleet_simulation(sc.graph, sc.apps, *scheduler, config);
   const workload::BatchStats& b = r.base.batch;
 
   for (const auto& [name, v] :
@@ -541,8 +548,8 @@ CaseResult eval_objective_identity(const Spec& spec) {
   }
   core::VmLevelConfig config;
   config.ext = &ext;
-  const core::VmLevelResult r = core::run_vm_level_simulation(
-      sc.graph, sc.apps, scheduler, config, nullptr);
+  const core::VmLevelResult r =
+      core::run_fleet_simulation(sc.graph, sc.apps, scheduler, config);
 
   // Ledger totals close over their per-tick series.
   double per_tick = 0.0;
@@ -589,7 +596,7 @@ CaseResult eval_objective_identity(const Spec& spec) {
   return CaseResult::pass();
 }
 
-/// Sharded fleet engine vs unsharded on the full extension surface (batch
+/// Sharded fleet engine vs the oracle on the full extension surface (batch
 /// overlay + price + carbon), serial and pooled: bit-for-bit, fingerprint
 /// included.
 CaseResult eval_batch_fleet_diff(const Spec& spec) {
@@ -604,12 +611,12 @@ CaseResult eval_batch_fleet_diff(const Spec& spec) {
   ext.batch = &batch;
   ext.price = &price;
   ext.carbon = &carbon;
-  core::VmLevelConfig config;
+  core::VmLevelConfig config = make_vm_config(spec);
   config.ext = &ext;
 
   const auto sched_a = make_scheduler(spec);
-  const core::VmLevelResult unsharded = core::run_vm_level_simulation(
-      sc.graph, sc.apps, *sched_a, config, nullptr);
+  const core::VmLevelResult ref =
+      reference_vm_run(sc.graph, sc.apps, *sched_a, config);
   util::ThreadPool pool{3};
   core::FleetSimOptions options;
   options.n_shards = static_cast<int>(
@@ -620,13 +627,12 @@ CaseResult eval_batch_fleet_diff(const Spec& spec) {
     const auto sched_b = make_scheduler(spec);
     const core::VmLevelResult sharded = core::run_fleet_simulation(
         sc.graph, sc.apps, *sched_b, config, options);
-    const std::string diff =
-        diff_vm_results(unsharded, sharded, sc.graph.n_sites());
+    const std::string diff = diff_vm_results(ref, sharded, sc.graph.n_sites());
     if (!diff.empty()) {
       return fail_str("extensions, shards=" + std::to_string(options.n_shards) +
                       (p != nullptr ? ", 4 lanes: " : ", serial: ") + diff);
     }
-    if (svc::result_fingerprint(unsharded.base) !=
+    if (svc::result_fingerprint(ref.base) !=
         svc::result_fingerprint(sharded.base)) {
       return fail_str("fingerprints diverge despite field-level equality");
     }
@@ -1043,8 +1049,8 @@ CaseResult eval_delta_model_identity(const Spec& spec) {
     mc.incremental_build = incremental;
     mc.verify_incremental_build = verify;
     core::MipScheduler scheduler{mc};
-    core::VmLevelResult result = core::run_vm_level_simulation(
-        injector.graph(), sc.apps, scheduler, config, nullptr);
+    core::VmLevelResult result = core::run_fleet_simulation(
+        injector.graph(), sc.apps, scheduler, config);
     if (incremental) {
       patches = scheduler.model_patch_count();
       invalidations = scheduler.model_cache_invalidations();
@@ -1257,8 +1263,8 @@ CaseResult eval_chaos_invariants(const Spec& spec) {
   vm_config.faults.hooks = &injector;
   const auto scheduler = make_scheduler(spec);
   try {
-    (void)core::run_vm_level_simulation(injector.graph(), sc.apps, *scheduler,
-                                        vm_config, nullptr);
+    (void)core::run_fleet_simulation(injector.graph(), sc.apps, *scheduler,
+                                     vm_config);
   } catch (const std::logic_error& e) {
     return fail_str(std::string{"invariant violation under chaos: "} +
                     e.what());
@@ -1532,29 +1538,29 @@ std::vector<Property> all_properties() {
     return spec;
   };
 
+  // Oracle differentials also draw the allocation policy (place=0|1|2).
+  const auto oracle_gen = [](util::Rng& rng) {
+    Spec spec = gen_scenario_spec(rng);
+    if (rng.chance(0.125)) spec.set("sched", std::string{"mip24h"});
+    spec.set("place", static_cast<std::int64_t>(rng.below(3)));
+    return spec;
+  };
+
   registry.push_back({"sim", "conservation", scenario_gen, eval_conservation,
                       kScenarioShrink});
-  registry.push_back({"sim", "thread_invariance", scenario_gen,
-                      eval_thread_invariance, kScenarioShrink});
   registry.push_back({"sim", "chaos_zero", scenario_gen_sched,
                       eval_chaos_zero, kScenarioShrink});
-  registry.push_back({"sim", "engine_diff", scenario_gen, eval_engine_diff,
-                      kScenarioShrink});
-
-  registry.push_back({"fleet", "sharded_diff",
-                      [](util::Rng& rng) {
-                        Spec spec = gen_scenario_spec(rng);
-                        if (rng.chance(0.125)) {
-                          spec.set("sched", std::string{"mip24h"});
-                        }
+  registry.push_back({"sim", "engine_diff",
+                      [oracle_gen](util::Rng& rng) {
+                        Spec spec = oracle_gen(rng);
                         spec.set("shards", 1 + static_cast<std::int64_t>(
                                                    rng.below(8)));
                         return spec;
                       },
-                      eval_fleet_diff, kScenarioShrink});
+                      eval_engine_diff, kScenarioShrink});
   registry.push_back({"fleet", "shard_invariance",
-                      [](util::Rng& rng) {
-                        Spec spec = gen_scenario_spec(rng);
+                      [oracle_gen](util::Rng& rng) {
+                        Spec spec = oracle_gen(rng);
                         spec.set("i100", 50 + static_cast<std::int64_t>(
                                                   rng.below(250)));
                         return spec;
@@ -1597,13 +1603,10 @@ std::vector<Property> all_properties() {
                       },
                       eval_objective_identity, kEconScenarioShrink});
   registry.push_back({"fleet", "batch_sharded_diff",
-                      [](util::Rng& rng) {
-                        Spec spec = gen_scenario_spec(rng);
+                      [oracle_gen](util::Rng& rng) {
+                        Spec spec = oracle_gen(rng);
                         gen_batch_keys(spec, rng);
                         gen_econ_keys(spec, rng);
-                        if (rng.chance(0.125)) {
-                          spec.set("sched", std::string{"mip24h"});
-                        }
                         spec.set("shards", 1 + static_cast<std::int64_t>(
                                                    rng.below(8)));
                         return spec;

@@ -14,39 +14,59 @@ namespace {
 
 using namespace vbatt;
 
-// The pre-index dcsim::Site: flat server array, linear-scan best-fit
-// placement, shrink_to that rebuilds and sorts a by-server table on every
-// call.
+// The pre-index dcsim::Site: flat server array, linear-scan placement,
+// shrink_to that rebuilds and sorts a by-server table on every call.
 
 struct RefServer {
   int free_cores = 0;
   double free_memory_gb = 0.0;
   int vm_count = 0;
+  bool failed = false;  // offline (server outage) until repaired
 };
+
+/// Eviction order within a server: degradable before stable, then vm_id.
+bool victim_before(const dcsim::VmInstance* a, const dcsim::VmInstance* b) {
+  if (a->vm_class != b->vm_class) {
+    return a->vm_class == workload::VmClass::degradable;
+  }
+  return a->vm_id < b->vm_id;
+}
 
 class RefSite {
  public:
-  RefSite(int n_servers, const dcsim::ServerSpec& server) {
+  RefSite(int n_servers, const dcsim::ServerSpec& server,
+          core::VmLevelConfig::Placement placement)
+      : placement_{placement} {
     servers_.assign(static_cast<std::size_t>(n_servers),
-                    RefServer{server.cores, server.memory_gb, 0});
+                    RefServer{server.cores, server.memory_gb, 0, false});
   }
 
   int allocated_cores() const { return allocated_cores_; }
   const std::vector<RefServer>& servers() const { return servers_; }
 
   bool place(const dcsim::VmInstance& vm) {
+    // One scan for every policy: first fit takes the first healthy server
+    // with room; best fit the least free cores, worst fit the most, ties
+    // to the lowest index.
     std::optional<int> best;
     int best_free = 0;
     for (std::size_t i = 0; i < servers_.size(); ++i) {
       const RefServer& s = servers_[i];
-      if (s.free_cores < vm.shape.cores ||
+      if (s.failed || s.free_cores < vm.shape.cores ||
           s.free_memory_gb < vm.shape.memory_gb) {
         continue;
       }
-      if (!best || s.free_cores < best_free) {
+      const bool better =
+          !best ||
+          (placement_ == core::VmLevelConfig::Placement::best_fit &&
+           s.free_cores < best_free) ||
+          (placement_ == core::VmLevelConfig::Placement::worst_fit &&
+           s.free_cores > best_free);
+      if (better) {
         best = static_cast<int>(i);
         best_free = s.free_cores;
       }
+      if (placement_ == core::VmLevelConfig::Placement::first_fit) break;
     }
     if (!best) return false;
     RefServer& s = servers_[static_cast<std::size_t>(*best)];
@@ -72,20 +92,8 @@ class RefSite {
   std::vector<dcsim::VmInstance> shrink_to(int available_cores) {
     std::vector<dcsim::VmInstance> evicted;
     if (allocated_cores_ <= available_cores) return evicted;
-    std::vector<std::vector<const dcsim::VmInstance*>> by_server(
-        servers_.size());
-    for (const auto& [id, vm] : vms_) {
-      by_server[static_cast<std::size_t>(vm.server)].push_back(&vm);
-    }
-    for (auto& list : by_server) {
-      std::sort(list.begin(), list.end(),
-                [](const dcsim::VmInstance* a, const dcsim::VmInstance* b) {
-                  if (a->vm_class != b->vm_class) {
-                    return a->vm_class == workload::VmClass::degradable;
-                  }
-                  return a->vm_id < b->vm_id;
-                });
-    }
+    std::vector<std::vector<const dcsim::VmInstance*>> by_server =
+        residents_by_server();
     const int n = static_cast<int>(servers_.size());
     std::vector<std::int64_t> victim_ids;
     for (int step = 0; step < n && allocated_cores_ > available_cores;
@@ -105,7 +113,50 @@ class RefSite {
     return evicted;
   }
 
+  /// Take `count` healthy servers offline, lowest index first, evicting
+  /// every resident in victim order.
+  std::vector<dcsim::VmInstance> fail_servers(int count) {
+    std::vector<dcsim::VmInstance> evicted;
+    const std::vector<std::vector<const dcsim::VmInstance*>> by_server =
+        residents_by_server();
+    std::vector<std::int64_t> victim_ids;
+    for (std::size_t i = 0; i < servers_.size() && count > 0; ++i) {
+      if (servers_[i].failed) continue;
+      --count;
+      for (const dcsim::VmInstance* vm : by_server[i]) {
+        victim_ids.push_back(vm->vm_id);
+        evicted.push_back(*vm);
+        detach(*vm);
+      }
+      servers_[i].failed = true;
+    }
+    for (const std::int64_t id : victim_ids) vms_.erase(id);
+    return evicted;
+  }
+
+  /// Return `count` failed servers to service, lowest index first.
+  void repair_servers(int count) {
+    for (std::size_t i = 0; i < servers_.size() && count > 0; ++i) {
+      if (!servers_[i].failed) continue;
+      --count;
+      servers_[i].failed = false;
+    }
+  }
+
  private:
+  std::vector<std::vector<const dcsim::VmInstance*>> residents_by_server()
+      const {
+    std::vector<std::vector<const dcsim::VmInstance*>> by_server(
+        servers_.size());
+    for (const auto& [id, vm] : vms_) {
+      by_server[static_cast<std::size_t>(vm.server)].push_back(&vm);
+    }
+    for (auto& list : by_server) {
+      std::sort(list.begin(), list.end(), victim_before);
+    }
+    return by_server;
+  }
+
   void detach(const dcsim::VmInstance& vm) {
     RefServer& s = servers_[static_cast<std::size_t>(vm.server)];
     s.free_cores += vm.shape.cores;
@@ -114,6 +165,7 @@ class RefSite {
     allocated_cores_ -= vm.shape.cores;
   }
 
+  core::VmLevelConfig::Placement placement_;
   std::vector<RefServer> servers_;
   std::unordered_map<std::int64_t, dcsim::VmInstance> vms_;
   int allocated_cores_ = 0;
@@ -136,6 +188,19 @@ struct RefDisplacedVm {
   std::size_t source = 0;
 };
 
+/// A blocked proactive move waiting out its backoff.
+struct RefRetry {
+  core::Move move;  // at_tick = when the next attempt is due
+  int attempts = 0;  // failed attempts so far
+};
+
+/// A server-outage batch due back in service at `tick`.
+struct RefRepair {
+  util::Tick tick = 0;
+  std::size_t site = 0;
+  int count = 0;
+};
+
 void erase_id(std::vector<std::int64_t>& ids, std::int64_t id) {
   const auto pos = std::find(ids.begin(), ids.end(), id);
   if (pos != ids.end()) ids.erase(pos);
@@ -156,7 +221,7 @@ core::VmLevelResult reference_vm_run(
   for (std::size_t s = 0; s < n_sites; ++s) {
     sites.emplace_back(
         std::max(1, graph.site(s).capacity_cores / config.server.cores),
-        config.server);
+        config.server, config.placement);
   }
 
   std::map<std::int64_t, RefTrackedApp> live;
@@ -171,6 +236,23 @@ core::VmLevelResult reference_vm_run(
   state.degradable_cores.assign(n_sites, 0);
 
   std::unordered_map<std::int64_t, std::size_t> vm_site;
+
+  // Fault machinery: every branch is gated on `hooks`.
+  core::FaultHooks* const hooks = config.faults.hooks;
+  const core::MoveRetryPolicy& retry = config.faults.retry;
+  std::vector<RefRetry> retries;   // in the order they were deferred
+  std::vector<RefRepair> repairs;  // in the order the outages began
+  std::uint64_t topo_epoch = hooks ? hooks->topology_epoch() : 0;
+
+  // Scenario extensions: the shared batch overlay plus econ meters.
+  const core::ScenarioExtensions* ext = config.ext;
+  const bool has_overlay =
+      ext != nullptr && ext->batch != nullptr && !ext->batch->empty();
+  workload::BatchOverlay overlay = has_overlay
+                                       ? workload::BatchOverlay{*ext->batch}
+                                       : workload::BatchOverlay{};
+  const energy::SiteSeries* price = ext != nullptr ? ext->price : nullptr;
+  const energy::SiteSeries* carbon = ext != nullptr ? ext->carbon : nullptr;
 
   const auto place_vm = [&](dcsim::VmInstance vm, std::size_t s) -> bool {
     if (!sites[s].place(vm)) return false;
@@ -196,13 +278,54 @@ core::VmLevelResult reference_vm_run(
     }
     return removed;
   };
+  /// Evicted VMs (power shrink or server outage at `s`): stable ones join
+  /// the displaced queue, degradable ones pause.
+  const auto absorb_evicted =
+      [&](std::size_t s, const std::vector<dcsim::VmInstance>& evicted) {
+        for (const dcsim::VmInstance& vm : evicted) {
+          vm_site.erase(vm.vm_id);
+          if (vm.vm_class == workload::VmClass::stable) {
+            state.stable_cores[s] -= vm.shape.cores;
+            displaced.push_back(RefDisplacedVm{vm, s});
+          } else {
+            state.degradable_cores[s] -= vm.shape.cores;
+            const auto it = live.find(vm.app_id);
+            if (it != live.end()) {
+              ++it->second.paused_degradable;
+              erase_id(it->second.degradable_ids, vm.vm_id);
+            }
+          }
+        }
+      };
 
   const double hours_per_tick = graph.axis().minutes_per_tick() / 60.0;
   const util::Tick replan_period = scheduler.replan_period_ticks();
+  std::vector<int> avail(n_sites, 0);
 
   for (std::size_t i = 0; i < n_ticks; ++i) {
     const auto t = static_cast<util::Tick>(i);
     state.now = t;
+    ++result.base.completed_ticks;
+
+    // 0. Faults: link transitions, topology epoch, due server repairs.
+    if (hooks) {
+      hooks->begin_tick(t);
+      if (hooks->topology_epoch() != topo_epoch) {
+        topo_epoch = hooks->topology_epoch();
+        scheduler.on_topology_change();
+      }
+      for (auto it = repairs.begin(); it != repairs.end();) {
+        if (it->tick == t) {
+          sites[it->site].repair_servers(it->count);
+          it = repairs.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      avail[s] = graph.available_cores(s, t);
+    }
 
     // 1. App departures — full sweep of the live map.
     for (auto it = live.begin(); it != live.end();) {
@@ -227,7 +350,8 @@ core::VmLevelResult reference_vm_run(
                        }),
         displaced.end());
 
-    // 2. Replanning.
+    // 2. Replanning; a replan supersedes every outstanding move, retries
+    //    included.
     if (replan_period > 0 && t > 0 && t % replan_period == 0) {
       state.apps.clear();
       for (const auto& [id, app] : live) {
@@ -241,6 +365,7 @@ core::VmLevelResult reference_vm_run(
         state.apps.emplace(id, std::move(summary));
       }
       pending_moves.clear();
+      retries.clear();
       for (core::Move& move : scheduler.replan(state)) {
         pending_moves[move.app_id].push_back(move);
       }
@@ -285,68 +410,118 @@ core::VmLevelResult reference_vm_run(
       ++next_app;
     }
 
-    // 4. Execute due proactive moves — scan of every pending entry.
+    // 4. Execute due proactive moves — scan of every pending entry. Under
+    //    faults a move to a downed site or across a severed link is
+    //    deferred with capped exponential backoff, then abandoned.
+    const auto move_blocked = [&](const RefTrackedApp& app,
+                                  const core::Move& move) {
+      return hooks->site_down(move.to_site, t) ||
+             !graph.latency().connected(app.home, move.to_site);
+    };
+    const auto defer_move = [&](const core::Move& move, int prior_attempts) {
+      const int attempts = prior_attempts + 1;
+      if (attempts >= retry.max_attempts) {
+        ++result.base.abandoned_moves;
+        return;
+      }
+      util::Tick backoff = retry.base_backoff_ticks;
+      for (int a = 1; a < attempts && backoff < retry.max_backoff_ticks; ++a) {
+        backoff *= 2;
+      }
+      core::Move again = move;
+      again.at_tick = t + std::min(backoff, retry.max_backoff_ticks);
+      retries.push_back(RefRetry{again, attempts});
+      ++result.base.retried_moves;
+    };
+    const auto execute_move = [&](RefTrackedApp& app,
+                                  const core::Move& move) {
+      const std::size_t from = app.home;
+      app.home = move.to_site;
+      bool moved_any = false;
+      for (const std::int64_t id : app.stable_ids) {
+        const auto vm = remove_vm(id, from);
+        if (!vm) continue;
+        if (place_vm(*vm, move.to_site)) {
+          const double gb = vm->shape.memory_gb;
+          result.base.ledger.record_out(from, t, gb);
+          result.base.ledger.record_in(move.to_site, t, gb);
+          result.base.moved_gb[i] += gb;
+          ++result.vm_migrations;
+          moved_any = true;
+        } else {
+          ++result.fragmentation_failures;
+          displaced.push_back(RefDisplacedVm{*vm, from});
+        }
+      }
+      std::vector<std::int64_t> kept;
+      kept.reserve(app.degradable_ids.size());
+      for (const std::int64_t id : app.degradable_ids) {
+        const auto vm = remove_vm(id, from);
+        if (!vm) {
+          kept.push_back(id);
+          continue;
+        }
+        if (place_vm(*vm, move.to_site)) {
+          kept.push_back(id);
+        } else {
+          ++app.paused_degradable;
+        }
+      }
+      app.degradable_ids = std::move(kept);
+      if (moved_any) ++result.base.planned_migrations;
+    };
     for (auto& [app_id, moves] : pending_moves) {
       const auto live_it = live.find(app_id);
       if (live_it == live.end()) continue;
       RefTrackedApp& app = live_it->second;
       for (const core::Move& move : moves) {
         if (move.at_tick != t || move.to_site == app.home) continue;
-        const std::size_t from = app.home;
-        app.home = move.to_site;
-        bool moved_any = false;
-        for (const std::int64_t id : app.stable_ids) {
-          const auto vm = remove_vm(id, from);
-          if (!vm) continue;
-          if (place_vm(*vm, move.to_site)) {
-            const double gb = vm->shape.memory_gb;
-            result.base.ledger.record_out(from, t, gb);
-            result.base.ledger.record_in(move.to_site, t, gb);
-            result.base.moved_gb[i] += gb;
-            ++result.vm_migrations;
-            moved_any = true;
-          } else {
-            ++result.fragmentation_failures;
-            displaced.push_back(RefDisplacedVm{*vm, from});
-          }
+        if (hooks && move_blocked(app, move)) {
+          defer_move(move, 0);
+        } else {
+          execute_move(app, move);
         }
-        std::vector<std::int64_t> kept;
-        kept.reserve(app.degradable_ids.size());
-        for (const std::int64_t id : app.degradable_ids) {
-          const auto vm = remove_vm(id, from);
-          if (!vm) {
-            kept.push_back(id);
-            continue;
-          }
-          if (place_vm(*vm, move.to_site)) {
-            kept.push_back(id);
-          } else {
-            ++app.paused_degradable;
-          }
+      }
+    }
+
+    if (hooks) {
+      // 4b. Retry deferred moves whose backoff expires now, in deferral
+      //     order. Entries deferred again land behind the cut.
+      std::vector<RefRetry> due;
+      for (auto it = retries.begin(); it != retries.end();) {
+        if (it->move.at_tick == t) {
+          due.push_back(*it);
+          it = retries.erase(it);
+        } else {
+          ++it;
         }
-        app.degradable_ids = std::move(kept);
-        if (moved_any) ++result.base.planned_migrations;
+      }
+      for (const RefRetry& r : due) {
+        const auto live_it = live.find(r.move.app_id);
+        if (live_it == live.end()) continue;
+        RefTrackedApp& app = live_it->second;
+        if (r.move.to_site == app.home) continue;
+        if (move_blocked(app, r.move)) {
+          defer_move(r.move, r.attempts);
+        } else {
+          execute_move(app, r.move);
+        }
+      }
+
+      // 4c. Server outages beginning now evict like a power shrink.
+      for (const core::ServerOutage& outage : hooks->server_outages_at(t)) {
+        if (outage.site >= n_sites || outage.count <= 0) continue;
+        absorb_evicted(outage.site,
+                       sites[outage.site].fail_servers(outage.count));
+        if (outage.repair_tick > t) {
+          repairs.push_back({outage.repair_tick, outage.site, outage.count});
+        }
       }
     }
 
     // 5. Power enforcement, serial over sites.
     for (std::size_t s = 0; s < n_sites; ++s) {
-      const int avail = graph.available_cores(s, t);
-      const std::vector<dcsim::VmInstance> evicted = sites[s].shrink_to(avail);
-      for (const dcsim::VmInstance& vm : evicted) {
-        vm_site.erase(vm.vm_id);
-        if (vm.vm_class == workload::VmClass::stable) {
-          state.stable_cores[s] -= vm.shape.cores;
-          displaced.push_back(RefDisplacedVm{vm, s});
-        } else {
-          state.degradable_cores[s] -= vm.shape.cores;
-          const auto it = live.find(vm.app_id);
-          if (it != live.end()) {
-            ++it->second.paused_degradable;
-            erase_id(it->second.degradable_ids, vm.vm_id);
-          }
-        }
-      }
+      absorb_evicted(s, sites[s].shrink_to(avail[s]));
     }
 
     // 6. Re-home displaced stable VMs.
@@ -357,7 +532,7 @@ core::VmLevelResult reference_vm_run(
       if (it == live.end()) continue;
       bool placed = false;
       for (const std::size_t cand : it->second.allowed) {
-        if (graph.available_cores(cand, t) - sites[cand].allocated_cores() <
+        if (avail[cand] - sites[cand].allocated_cores() <
             entry.vm.shape.cores) {
           continue;
         }
@@ -389,8 +564,8 @@ core::VmLevelResult reference_vm_run(
     //    is the active count.
     for (auto& [id, app] : live) {
       while (app.paused_degradable > 0) {
-        const int headroom = graph.available_cores(app.home, t) -
-                             sites[app.home].allocated_cores();
+        const int headroom =
+            avail[app.home] - sites[app.home].allocated_cores();
         if (headroom < app.app.shape.cores) break;
         dcsim::VmInstance vm;
         vm.vm_id = next_vm_id++;
@@ -407,7 +582,19 @@ core::VmLevelResult reference_vm_run(
           static_cast<std::int64_t>(app.degradable_ids.size());
     }
 
-    // 8. Energy — per-server scan of every site, every tick.
+    // 7b. Batch overlay on the cores the service ledger leaves free.
+    if (has_overlay) {
+      std::vector<std::int64_t> free(n_sites, 0);
+      for (std::size_t s = 0; s < n_sites; ++s) {
+        free[s] = std::max<std::int64_t>(
+            0, static_cast<std::int64_t>(avail[s]) - state.stable_cores[s] -
+                   state.degradable_cores[s]);
+      }
+      overlay.step(t, free);
+    }
+
+    // 8. Energy — per-server scan of every site, every tick — metered
+    //    into cost and carbon when their series are attached.
     for (std::size_t s = 0; s < n_sites; ++s) {
       int powered = 0;
       int active_cores = 0;
@@ -423,7 +610,38 @@ core::VmLevelResult reference_vm_run(
                          hours_per_tick / 1e6;
       result.base.energy_mwh += mwh;
       result.base.energy_mwh_per_tick[i] += mwh;
+      if (price != nullptr) {
+        const double usd = price->value(s, static_cast<double>(t)) * mwh;
+        result.base.cost_usd += usd;
+        result.base.cost_usd_per_tick[i] += usd;
+      }
+      if (carbon != nullptr) {
+        const double kg = carbon->value(s, static_cast<double>(t)) * mwh;
+        result.base.carbon_kg += kg;
+        result.base.carbon_kg_per_tick[i] += kg;
+      }
     }
+
+    // 9. Fault accounting and end-of-tick observation.
+    if (hooks) {
+      const std::int64_t displaced_now =
+          result.base.displaced_stable_cores_per_tick[i];
+      if (displaced_now > 0) ++result.base.stable_vm_downtime_ticks;
+      for (std::size_t s = 0; s < n_sites; ++s) {
+        if (hooks->site_degraded(s, t)) ++result.base.faulted_site_ticks;
+      }
+      core::TickSnapshot snap;
+      snap.t = t;
+      snap.available = &avail;
+      snap.stable_cores = &state.stable_cores;
+      snap.degradable_cores = &state.degradable_cores;
+      snap.displaced_stable_cores = displaced_now;
+      hooks->on_tick_end(snap);
+    }
+  }
+  if (has_overlay) {
+    overlay.finalize();
+    result.base.batch = overlay.stats();
   }
   result.base.fallback_activations = scheduler.fallback_count();
   return result;
@@ -431,7 +649,7 @@ core::VmLevelResult reference_vm_run(
 
 std::string diff_vm_results(const core::VmLevelResult& a,
                             const core::VmLevelResult& b,
-                            std::size_t n_sites) {
+                            std::size_t n_sites, bool fault_counters) {
   std::ostringstream out;
   const auto mismatch = [&](const char* field, auto lhs, auto rhs) {
     out << field << ": " << lhs << " != " << rhs;
@@ -509,6 +727,32 @@ std::string diff_vm_results(const core::VmLevelResult& a,
   }
   if (a.base.carbon_kg_per_tick != b.base.carbon_kg_per_tick) {
     return "carbon_kg_per_tick series differ";
+  }
+  if (a.base.completed_ticks != b.base.completed_ticks) {
+    return mismatch("completed_ticks", a.base.completed_ticks,
+                    b.base.completed_ticks);
+  }
+  if (a.base.fallback_activations != b.base.fallback_activations) {
+    return mismatch("fallback_activations", a.base.fallback_activations,
+                    b.base.fallback_activations);
+  }
+  if (!fault_counters) return {};
+  if (a.base.retried_moves != b.base.retried_moves) {
+    return mismatch("retried_moves", a.base.retried_moves,
+                    b.base.retried_moves);
+  }
+  if (a.base.abandoned_moves != b.base.abandoned_moves) {
+    return mismatch("abandoned_moves", a.base.abandoned_moves,
+                    b.base.abandoned_moves);
+  }
+  if (a.base.faulted_site_ticks != b.base.faulted_site_ticks) {
+    return mismatch("faulted_site_ticks", a.base.faulted_site_ticks,
+                    b.base.faulted_site_ticks);
+  }
+  if (a.base.stable_vm_downtime_ticks != b.base.stable_vm_downtime_ticks) {
+    return mismatch("stable_vm_downtime_ticks",
+                    a.base.stable_vm_downtime_ticks,
+                    b.base.stable_vm_downtime_ticks);
   }
   return {};
 }

@@ -6,7 +6,7 @@
 
 #include <cstdint>
 
-#include "vbatt/core/vm_level_sim.h"
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/property.h"
 #include "vbatt/testkit/spec.h"
@@ -36,8 +36,8 @@ TEST(VmLevelSimRegress, DisplacedByAppSumsToFleetTotal) {
   // must carry the full total, not stay empty.
   const Scenario sc = make_scenario(Spec::parse(kDisplacedByAppSpec));
   core::GreedyScheduler scheduler;
-  const core::VmLevelResult r = core::run_vm_level_simulation(
-      sc.graph, sc.apps, scheduler, {}, nullptr);
+  const core::VmLevelResult r =
+      core::run_fleet_simulation(sc.graph, sc.apps, scheduler);
   ASSERT_GT(r.base.displaced_stable_core_ticks, 0);
   std::int64_t by_app = 0;
   for (const auto& [app_id, cores] : r.base.displaced_by_app) {
@@ -60,8 +60,9 @@ TEST(VmLevelSimRegress, DegradableTicksCloseUnderPauseResume) {
   expect_replay_ok(kDegradableLawSpec);
 }
 
-// The same stale-id leak made the event-driven engine diverge from the
-// frozen seed engine on degradable-heavy runs.
+// The same stale-id leak made the VM-level engine diverge from the frozen
+// seed engine on degradable-heavy runs (sim.engine_diff now replays it
+// against run_fleet_simulation).
 // Minimized by: vbatt_fuzz --suite=sim --cases=30 --seed=1
 constexpr const char* kEngineDiffSpec =
     "seed=2516521525580818058;sites=1;wind=0;days=1;peak=1;trace=model;"

@@ -10,9 +10,9 @@
 
 #include <vector>
 
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/simulation.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/fault/injector.h"
 
@@ -173,8 +173,7 @@ TEST(BasisReuse, SimulatorsInvalidateWhenTheEpochAdvances) {
     MipScheduler scheduler{reuse_config()};
     VmLevelConfig config;
     config.faults.hooks = &vm_injector;
-    (void)run_vm_level_simulation(vm_injector.graph(), apps, scheduler,
-                                  config);
+    (void)run_fleet_simulation(vm_injector.graph(), apps, scheduler, config);
     EXPECT_GE(scheduler.basis_hint_invalidations(), 1);
   }
 }

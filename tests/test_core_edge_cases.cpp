@@ -3,10 +3,10 @@
 
 #include <numeric>
 
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/replication.h"
 #include "vbatt/core/simulation.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 
 namespace vbatt::core {
@@ -126,7 +126,7 @@ TEST(EdgeCases, VmLevelHandlesFragmentationGracefully) {
     apps.push_back(app);
   }
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps, greedy, config);
+      run_fleet_simulation(graph, apps, greedy, config);
   EXPECT_EQ(r.base.apps_placed, 20);
   // 200/8 = 25 servers x 1 VM each max -> 40 VMs cannot all fit.
   EXPECT_GT(r.fragmentation_failures + r.base.displaced_stable_core_ticks,

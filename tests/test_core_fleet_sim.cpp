@@ -1,7 +1,8 @@
 // Directed differentials for the sharded fleet engine: every configuration
-// of shard count and worker pool must reproduce run_vm_level_simulation
-// bit for bit. The random-scenario versions of these checks live in the
-// testkit "fleet" suite; these pin the small deterministic cases.
+// of shard count and worker pool must reproduce the frozen oracle
+// (testkit::reference_vm_run) bit for bit, fault counters included. The
+// random-scenario versions of these checks live in the testkit "sim" and
+// "fleet" suites; these pin the small deterministic cases.
 #include "vbatt/core/fleet_sim.h"
 
 #include <gtest/gtest.h>
@@ -9,10 +10,11 @@
 #include <vector>
 
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/fault/injector.h"
 #include "vbatt/fault/schedule.h"
+#include "vbatt/testkit/generators.h"
+#include "vbatt/testkit/spec.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
 
@@ -49,14 +51,15 @@ std::vector<workload::Application> apps_of(int count, int stable = 6,
   return apps;
 }
 
-/// Runs both engines on the same scenario and expects bit-identity across
-/// shard counts 1, 2, and 7, serially and on a 3-lane pool.
+/// Runs the oracle and the fleet engine on the same scenario and expects
+/// bit-identity across shard counts 1, 2, and 7, serially and on a 3-lane
+/// pool.
 void expect_engines_agree(const VbGraph& graph,
                           const std::vector<workload::Application>& apps,
                           const VmLevelConfig& config = {}) {
   GreedyScheduler reference_sched;
   const VmLevelResult reference =
-      run_vm_level_simulation(graph, apps, reference_sched, config);
+      testkit::reference_vm_run(graph, apps, reference_sched, config);
   util::ThreadPool pool{3};
   for (const int shards : {1, 2, 7}) {
     for (util::ThreadPool* p :
@@ -74,17 +77,17 @@ void expect_engines_agree(const VbGraph& graph,
   }
 }
 
-TEST(FleetSim, MatchesUnshardedGreedy) {
+TEST(FleetSim, MatchesOracleGreedy) {
   expect_engines_agree(small_graph(), apps_of(12));
 }
 
-TEST(FleetSim, MatchesUnshardedUnderPressure) {
+TEST(FleetSim, MatchesOracleUnderPressure) {
   // Oversubscribed fleet: displacement, pausing, and re-home rotation all
   // fire, so the whole coordinator path is exercised.
   expect_engines_agree(small_graph(96 * 3), apps_of(40, 10, 6, 96 * 2));
 }
 
-TEST(FleetSim, MatchesUnshardedAllPlacements) {
+TEST(FleetSim, MatchesOracleAllPlacements) {
   for (const auto placement : {VmLevelConfig::Placement::best_fit,
                                VmLevelConfig::Placement::first_fit,
                                VmLevelConfig::Placement::worst_fit}) {
@@ -94,12 +97,12 @@ TEST(FleetSim, MatchesUnshardedAllPlacements) {
   }
 }
 
-TEST(FleetSim, MatchesUnshardedWithMipScheduler) {
+TEST(FleetSim, MatchesOracleWithMipScheduler) {
   const VbGraph graph = small_graph();
   const auto apps = apps_of(10);
   MipScheduler reference_sched{make_mip24h_config()};
   const VmLevelResult reference =
-      run_vm_level_simulation(graph, apps, reference_sched);
+      testkit::reference_vm_run(graph, apps, reference_sched);
   for (const int shards : {2, 7}) {
     MipScheduler sched{make_mip24h_config()};
     FleetSimOptions options;
@@ -112,7 +115,7 @@ TEST(FleetSim, MatchesUnshardedWithMipScheduler) {
   }
 }
 
-TEST(FleetSim, MatchesUnshardedUnderChaos) {
+TEST(FleetSim, MatchesOracleUnderChaos) {
   const VbGraph graph = small_graph(96 * 2);
   const auto apps = apps_of(20, 8, 4);
   fault::ChaosConfig chaos;
@@ -131,7 +134,7 @@ TEST(FleetSim, MatchesUnshardedUnderChaos) {
   const VmLevelResult reference =
       faulted([&](const VbGraph& g, const VmLevelConfig& config) {
         GreedyScheduler sched;
-        return run_vm_level_simulation(g, apps, sched, config);
+        return testkit::reference_vm_run(g, apps, sched, config);
       });
   util::ThreadPool pool{3};
   for (const int shards : {1, 2, 7}) {
@@ -146,6 +149,48 @@ TEST(FleetSim, MatchesUnshardedUnderChaos) {
     EXPECT_EQ("", testkit::diff_vm_results(reference, sharded,
                                            graph.n_sites()))
         << "shards=" << shards;
+  }
+}
+
+TEST(FleetSim, MatchesOracleOnBlockedMoveRetries) {
+  // Two square-wave sites under heavy chaos with the 24h MIP: proactive
+  // moves hit downed sites, so the retry/backoff path fires. A generous
+  // and a tight retry policy (the latter abandons) must both match the
+  // oracle, fault counters included.
+  const testkit::Spec spec = testkit::Spec::parse(
+      "seed=1589903009166988750;sites=2;wind=0;days=1;peak=1;trace=square;"
+      "amp=0;period=1;aph100=54;maxvms=4;deg100=0;life=5;i100=282");
+  const testkit::Scenario sc = testkit::make_scenario(spec);
+  fault::ChaosConfig chaos;
+  chaos.intensity = 2.82;
+  const fault::FaultSchedule schedule =
+      make_chaos_schedule(sc.graph, chaos, spec.child_seed("chaos"));
+  for (const int max_attempts : {5, 2}) {
+    const auto faulted = [&](auto&& run) {
+      fault::FaultInjector injector{sc.graph, schedule,
+                                    spec.child_seed("noise")};
+      VmLevelConfig config;
+      config.faults.hooks = &injector;
+      config.faults.retry.max_attempts = max_attempts;
+      MipScheduler sched{make_mip24h_config()};
+      return run(injector.graph(), sched, config);
+    };
+    const VmLevelResult reference = faulted(
+        [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
+          return testkit::reference_vm_run(g, sc.apps, sched, config);
+        });
+    EXPECT_GT(reference.base.retried_moves, 0);
+    if (max_attempts == 2) {
+      EXPECT_GT(reference.base.abandoned_moves, 0);
+    }
+    const VmLevelResult fleet = faulted(
+        [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
+          return run_fleet_simulation(g, sc.apps, sched, config,
+                                      FleetSimOptions{2, nullptr});
+        });
+    EXPECT_EQ("", testkit::diff_vm_results(reference, fleet,
+                                           sc.graph.n_sites()))
+        << "max_attempts=" << max_attempts;
   }
 }
 

@@ -1,4 +1,7 @@
-#include "vbatt/core/vm_level_sim.h"
+// Directed behaviour tests for the VM-level engine (run_fleet_simulation
+// at its default single shard): placement, eviction, energy and ledger
+// accounting at server granularity.
+#include "vbatt/core/fleet_sim.h"
 
 #include <gtest/gtest.h>
 
@@ -44,7 +47,7 @@ TEST(VmLevelSim, PlacesAllApps) {
   const VbGraph graph = small_graph();
   GreedyScheduler greedy;
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps_of(8), greedy);
+      run_fleet_simulation(graph, apps_of(8), greedy);
   EXPECT_EQ(r.base.apps_placed, 8);
   EXPECT_EQ(r.fragmentation_failures, 0);
 }
@@ -53,7 +56,7 @@ TEST(VmLevelSim, LedgerConservation) {
   const VbGraph graph = small_graph(96 * 3);
   GreedyScheduler greedy;
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps_of(25, 8, 4, 96 * 2), greedy);
+      run_fleet_simulation(graph, apps_of(25, 8, 4, 96 * 2), greedy);
   double out_total = 0.0;
   double in_total = 0.0;
   for (std::size_t s = 0; s < graph.n_sites(); ++s) {
@@ -73,7 +76,7 @@ TEST(VmLevelSim, EnergyCountsOnlyPoweredServers) {
   // A single tiny app: best-fit packs it onto one server, so at most one
   // powered server-tick per tick.
   const VmLevelResult r =
-      run_vm_level_simulation(graph, apps_of(1, 1, 0), greedy);
+      run_fleet_simulation(graph, apps_of(1, 1, 0), greedy);
   EXPECT_GT(r.base.energy_mwh, 0.0);
   EXPECT_LE(r.powered_server_ticks, static_cast<std::int64_t>(96 * 2));
 }
@@ -88,9 +91,9 @@ TEST(VmLevelSim, ConsolidationPowersFewerServersThanSpreading) {
   GreedyScheduler g1;
   GreedyScheduler g2;
   const VmLevelResult consolidated =
-      run_vm_level_simulation(graph, apps, g1, best);
+      run_fleet_simulation(graph, apps, g1, best);
   const VmLevelResult spread =
-      run_vm_level_simulation(graph, apps, g2, worst);
+      run_fleet_simulation(graph, apps, g2, worst);
   EXPECT_LT(consolidated.powered_server_ticks, spread.powered_server_ticks);
   EXPECT_LT(consolidated.base.energy_mwh, spread.base.energy_mwh);
 }
@@ -108,7 +111,7 @@ TEST(VmLevelSim, PowerDipEvictsIndividualVms) {
   GreedyScheduler greedy;
   std::vector<workload::Application> apps = apps_of(1, 8, 0, 96);
   apps[0].arrival = 48;
-  const VmLevelResult r = run_vm_level_simulation(graph, apps, greedy);
+  const VmLevelResult r = run_fleet_simulation(graph, apps, greedy);
   EXPECT_GT(r.base.displaced_stable_core_ticks, 0);
 }
 
@@ -123,7 +126,7 @@ TEST(VmLevelSim, DegradableVmsPauseAndResume) {
   GreedyScheduler greedy;
   std::vector<workload::Application> apps = apps_of(1, 0, 8, 96);
   apps[0].arrival = 48;  // noon day one, runs to noon day two
-  const VmLevelResult r = run_vm_level_simulation(graph, apps, greedy);
+  const VmLevelResult r = run_fleet_simulation(graph, apps, greedy);
   EXPECT_GT(r.base.paused_degradable_vm_ticks, 0);  // paused overnight
   EXPECT_EQ(r.base.displaced_stable_core_ticks, 0);
   EXPECT_DOUBLE_EQ(
@@ -136,7 +139,7 @@ TEST(VmLevelSim, MipSchedulerWorksAtVmGranularity) {
   MipSchedulerConfig config = make_mip_config();
   config.clique_k = 2;
   MipScheduler scheduler{config};
-  const VmLevelResult r = run_vm_level_simulation(
+  const VmLevelResult r = run_fleet_simulation(
       graph, apps_of(12, 8, 4, 96 * 2), scheduler);
   EXPECT_EQ(r.base.apps_placed, 12);
   // Proactive app moves translate into per-VM migrations.
@@ -146,17 +149,16 @@ TEST(VmLevelSim, MipSchedulerWorksAtVmGranularity) {
 }
 
 TEST(VmLevelSim, ParallelRunIsBitIdenticalToSerial) {
-  // The pool fans per-site power enforcement and energy accounting; every
-  // lane writes only its own site's slots, so the thread count must never
-  // change the answer.
+  // The pool runs the per-shard phases; every lane writes only its own
+  // shard's slots, so the thread count must never change the answer.
   const VbGraph graph = small_graph(96 * 3);
   const auto apps = apps_of(25, 8, 4, 96 * 2);
   GreedyScheduler g1;
   GreedyScheduler g2;
   util::ThreadPool pool{3};
-  const VmLevelResult serial = run_vm_level_simulation(graph, apps, g1);
+  const VmLevelResult serial = run_fleet_simulation(graph, apps, g1);
   const VmLevelResult parallel =
-      run_vm_level_simulation(graph, apps, g2, {}, &pool);
+      run_fleet_simulation(graph, apps, g2, {}, {.pool = &pool});
 
   EXPECT_EQ(serial.vm_migrations, parallel.vm_migrations);
   EXPECT_EQ(serial.fragmentation_failures, parallel.fragmentation_failures);
@@ -191,7 +193,7 @@ TEST(VmLevelSim, AggregateAgreesWithAppLevelSim) {
   GreedyScheduler g1;
   GreedyScheduler g2;
   const SimResult app_level = run_simulation(graph, apps, g1);
-  const VmLevelResult vm_level = run_vm_level_simulation(graph, apps, g2);
+  const VmLevelResult vm_level = run_fleet_simulation(graph, apps, g2);
   const double a = std::accumulate(app_level.moved_gb.begin(),
                                    app_level.moved_gb.end(), 0.0);
   const double b = std::accumulate(vm_level.base.moved_gb.begin(),

@@ -5,9 +5,9 @@
 // degrades through its fallback ladder instead of failing.
 #include <gtest/gtest.h>
 
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/simulation.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/fault/injector.h"
 
@@ -87,12 +87,12 @@ TEST(FaultChaos, EmptyScheduleMatchesNoFaultRunGreedy) {
 
   core::GreedyScheduler vm_plain;
   const core::VmLevelResult vp =
-      run_vm_level_simulation(graph, apps, vm_plain);
+      run_fleet_simulation(graph, apps, vm_plain);
   core::GreedyScheduler vm_hooked;
   core::VmLevelConfig vm_config;
   vm_config.faults.hooks = &injector;
   const core::VmLevelResult vh =
-      run_vm_level_simulation(injector.graph(), apps, vm_hooked, vm_config);
+      run_fleet_simulation(injector.graph(), apps, vm_hooked, vm_config);
   expect_same_vm(vp, vh);
 }
 
@@ -125,8 +125,8 @@ TEST(FaultChaos, ChaosRunIsDeterministicAndThreadInvariant) {
     core::GreedyScheduler sched;
     core::VmLevelConfig config;
     config.faults.hooks = &injector;
-    return run_vm_level_simulation(injector.graph(), apps, sched, config,
-                                   pool);
+    return run_fleet_simulation(injector.graph(), apps, sched, config,
+                                {.pool = pool});
   };
 
   util::ThreadPool serial{0};
@@ -151,7 +151,7 @@ TEST(FaultChaos, InvariantsHoldOnEveryTick) {
   core::VmLevelConfig config;
   config.faults.hooks = &injector;
   const core::VmLevelResult r =
-      run_vm_level_simulation(injector.graph(), apps, sched, config);
+      run_fleet_simulation(injector.graph(), apps, sched, config);
   EXPECT_EQ(injector.checked_ticks(),
             static_cast<std::int64_t>(graph.n_ticks()));
   EXPECT_EQ(r.base.fallback_activations, 0);  // greedy has no ladder

@@ -11,8 +11,8 @@
 
 #include <vector>
 
+#include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/vm_level_sim.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/solver/incremental.h"
 #include "vbatt/solver/model.h"
@@ -232,7 +232,7 @@ TEST(DeltaModelBuild, FullSimulationMatchesScratchBuilds) {
     config.incremental_build = incremental;
     config.verify_incremental_build = incremental;
     MipScheduler scheduler{config};
-    return run_vm_level_simulation(graph, apps, scheduler, {});
+    return run_fleet_simulation(graph, apps, scheduler);
   };
   const VmLevelResult delta = run_with(true);
   const VmLevelResult scratch = run_with(false);

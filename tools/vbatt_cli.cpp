@@ -301,12 +301,14 @@ int cmd_schedule(const Args& args) {
       return 2;
     }
     if (args.flag("vm-level")) {
-      // The pool fans per-site shrink/energy; output is thread-invariant.
+      // The pool runs the fleet engine's per-shard phases; the shard
+      // count follows its width and never changes the output.
       core::VmLevelConfig vm_config;
       vm_config.faults.hooks = injector.get();
       vm_config.ext = ext.any() ? &ext : nullptr;
-      const core::VmLevelResult vm = core::run_vm_level_simulation(
-          sim_graph, apps, *scheduler, vm_config, &util::ThreadPool::shared());
+      const core::VmLevelResult vm = core::run_fleet_simulation(
+          sim_graph, apps, *scheduler, vm_config,
+          core::FleetSimOptions{.pool = &util::ThreadPool::shared()});
       result = vm.base;
       std::printf("vm-level: %lld VM migrations, %lld fragmentation "
                   "failures, %lld powered server-ticks\n",
