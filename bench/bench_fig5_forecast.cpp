@@ -1,7 +1,9 @@
 // Figure 5: energy prediction accuracy at 3-hour, day and week leads.
 // Paper MAPE: 8.5-9% (3 h), 18-25% (day), 44% solar / 75% wind (week).
 #include "bench_util.h"
+#include "vbatt/core/vb_graph.h"
 #include "vbatt/energy/forecast.h"
+#include "vbatt/energy/site.h"
 #include "vbatt/energy/solar.h"
 #include "vbatt/energy/wind.h"
 #include "vbatt/util/csv.h"
@@ -82,6 +84,21 @@ void bm_forecast_week_ahead(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_forecast_week_ahead)->Unit(benchmark::kMillisecond);
+
+// Every forecast a scheduler reads: VbGraph over 25 wind sites x 90 days
+// at the default seven leads (one bulk forecaster call for the fleet).
+void bm_graph_build(benchmark::State& state) {
+  energy::FleetConfig config;
+  config.n_solar = 0;
+  config.n_wind = 25;
+  const energy::Fleet fleet =
+      energy::generate_fleet(config, util::TimeAxis{15}, 96u * 90u);
+  const core::VbGraphConfig graph_config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::VbGraph{fleet, graph_config});
+  }
+}
+BENCHMARK(bm_graph_build)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

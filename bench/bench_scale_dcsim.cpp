@@ -13,9 +13,10 @@
 // Every row's three results are checked identical field-for-field
 // (counters, moved_gb, energy series, per-site ledger) before any timing
 // is reported. The headline row is the paper's single 700-server site over
-// a full year of 15-minute ticks. `--json <path>` writes the sweep for CI
-// to archive; the binary exits non-zero if results diverge or the JSON
-// cannot be written.
+// a full year of 15-minute ticks. Every row also records `setup_ms`, the
+// single-shot time to build its inputs (fleet generation + VbGraph, with
+// the forecasts). `--json <path>` writes the sweep for CI to archive; the
+// binary exits non-zero if results diverge or the JSON cannot be written.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -38,8 +39,11 @@ namespace {
 
 using namespace vbatt;
 
-core::VbGraph make_graph(int n_sites, double cores_per_mw,
-                         std::size_t ticks) {
+/// The cell's inputs: a wind fleet and its VbGraph (with the forecasts).
+/// `setup_ms` gets the single-shot wall clock of building both.
+core::VbGraph make_graph(int n_sites, double cores_per_mw, std::size_t ticks,
+                         double& setup_ms) {
+  const auto t0 = std::chrono::steady_clock::now();
   energy::FleetConfig config;
   config.n_solar = 0;
   config.n_wind = n_sites;
@@ -48,7 +52,11 @@ core::VbGraph make_graph(int n_sites, double cores_per_mw,
       energy::generate_fleet(config, util::TimeAxis{15}, ticks);
   core::VbGraphConfig graph_config;
   graph_config.cores_per_mw = cores_per_mw;
-  return core::VbGraph{fleet, graph_config};
+  core::VbGraph graph{fleet, graph_config};
+  setup_ms = std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - t0)
+                 .count();
+  return graph;
 }
 
 template <typename Fn>
@@ -78,6 +86,7 @@ struct SweepRow {
   std::size_t days = 0;
   std::size_t apps = 0;
   std::size_t vms = 0;
+  double setup_ms = 0.0;
   double ref_ms = 0.0;
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
@@ -101,6 +110,7 @@ bool write_json(const std::string& path, const std::vector<SweepRow>& rows,
     json.field("days", r.days);
     json.field("apps", r.apps);
     json.field("vms", r.vms);
+    json.field("setup_ms", r.setup_ms);
     json.field("ref_ms", r.ref_ms);
     json.field("serial_ms", r.serial_ms);
     json.field("parallel_ms", r.parallel_ms);
@@ -145,6 +155,7 @@ struct FleetRow {
   std::size_t days = 0;
   std::size_t apps = 0;
   std::size_t vms = 0;
+  double setup_ms = 0.0;
   double fleet_serial_ms = 0.0;
   double fleet_pool_ms = 0.0;
   bool checked = false;
@@ -169,6 +180,7 @@ bool write_fleet_json(const std::string& path,
     json.field("days", r.days);
     json.field("apps", r.apps);
     json.field("vms", r.vms);
+    json.field("setup_ms", r.setup_ms);
     json.field("fleet_serial_ms", r.fleet_serial_ms);
     json.field("fleet_pool_ms", r.fleet_pool_ms);
     // "checked": the cell was cross-checked against the oracle.
@@ -202,22 +214,23 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
   std::printf("fleet sweep (%zu thread%s)\n",
               util::ThreadPool::default_threads(),
               util::ThreadPool::default_threads() == 1 ? "" : "s");
-  std::printf("  %5s %-10s %7s %5s %7s %9s | %9s %9s | %s\n", "sites",
-              "scenario", "servers", "days", "apps", "vms", "serial ms",
-              "pool ms", "identical");
+  std::printf("  %5s %-10s %7s %5s %7s %9s | %9s | %9s %9s | %s\n",
+              "sites", "scenario", "servers", "days", "apps", "vms",
+              "setup ms", "serial ms", "pool ms", "identical");
 
   std::vector<FleetRow> rows;
   bool all_identical = true;
   for (const FleetCase& c : cases) {
     if (c.n_sites > max_sites) continue;
     const std::size_t ticks = 96 * c.days;
-    const core::VbGraph graph = make_graph(c.n_sites, c.cores_per_mw, ticks);
+    FleetRow row;
+    const core::VbGraph graph =
+        make_graph(c.n_sites, c.cores_per_mw, ticks, row.setup_ms);
     workload::AppGeneratorConfig app_config;
     app_config.apps_per_hour = c.apps_per_hour;
     const auto apps =
         workload::generate_apps(app_config, util::TimeAxis{15}, ticks);
 
-    FleetRow row;
     row.sites = c.n_sites;
     row.servers = graph.site(0).capacity_cores / 40;
     row.days = c.days;
@@ -284,10 +297,10 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
     all_identical = all_identical && row.bit_identical;
     rows.push_back(row);
 
-    std::printf("  %5d %-10s %7d %5zu %7zu %9zu | %9.1f %9.1f | %s\n",
+    std::printf("  %5d %-10s %7d %5zu %7zu %9zu | %9.1f | %9.1f %9.1f | %s\n",
                 row.sites, row.scenario.c_str(), row.servers, row.days,
-                row.apps, row.vms, row.fleet_serial_ms, row.fleet_pool_ms,
-                row.bit_identical ? "yes" : "NO");
+                row.apps, row.vms, row.setup_ms, row.fleet_serial_ms,
+                row.fleet_pool_ms, row.bit_identical ? "yes" : "NO");
   }
 
   if (!json_path.empty()) {
@@ -339,9 +352,9 @@ int main(int argc, char** argv) {
   std::printf("vm-level engine sweep (%zu thread%s)\n",
               util::ThreadPool::default_threads(),
               util::ThreadPool::default_threads() == 1 ? "" : "s");
-  std::printf("  %5s %7s %5s %6s %7s | %9s %9s %9s | %7s %7s | %s\n", "sites",
-              "servers", "days", "apps", "vms", "ref ms", "serial ms",
-              "par ms", "ser x", "par x", "identical");
+  std::printf("  %5s %7s %5s %6s %7s | %9s | %9s %9s %9s | %7s %7s | %s\n",
+              "sites", "servers", "days", "apps", "vms", "setup ms", "ref ms",
+              "serial ms", "par ms", "ser x", "par x", "identical");
 
   // servers/site = 400 MW peak x cores_per_mw / 40 cores; the last row is
   // the headline: the paper's ~700-server site over a year of 15-min ticks.
@@ -359,13 +372,14 @@ int main(int argc, char** argv) {
   double headline_speedup = 0.0;
   for (const Case& c : cases) {
     const std::size_t ticks = 96 * c.days;
-    const core::VbGraph graph = make_graph(c.n_sites, c.cores_per_mw, ticks);
+    SweepRow row;
+    const core::VbGraph graph =
+        make_graph(c.n_sites, c.cores_per_mw, ticks, row.setup_ms);
     workload::AppGeneratorConfig app_config;
     app_config.apps_per_hour = c.apps_per_hour;
     const auto apps =
         workload::generate_apps(app_config, util::TimeAxis{15}, ticks);
 
-    SweepRow row;
     row.sites = c.n_sites;
     row.servers = graph.site(0).capacity_cores / 40;
     row.days = c.days;
@@ -403,9 +417,10 @@ int main(int argc, char** argv) {
     rows.push_back(row);
 
     std::printf(
-        "  %5d %7d %5zu %6zu %7zu | %9.1f %9.1f %9.1f | %6.1fx %6.1fx | %s\n",
-        row.sites, row.servers, row.days, row.apps, row.vms, row.ref_ms,
-        row.serial_ms, row.parallel_ms,
+        "  %5d %7d %5zu %6zu %7zu | %9.1f | %9.1f %9.1f %9.1f | %6.1fx %6.1fx "
+        "| %s\n",
+        row.sites, row.servers, row.days, row.apps, row.vms, row.setup_ms,
+        row.ref_ms, row.serial_ms, row.parallel_ms,
         row.ref_ms / std::max(1e-9, row.serial_ms),
         row.ref_ms / std::max(1e-9, row.parallel_ms),
         row.bit_identical ? "yes" : "NO");

@@ -31,15 +31,23 @@ VbGraph::VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config)
     throw std::invalid_argument{"VbGraph: forecast leads must ascend"};
   }
   n_ticks_ = fleet.traces.front().size();
+  for (const energy::PowerTrace& trace : fleet.traces) {
+    if (trace.size() != n_ticks_) {
+      throw std::invalid_argument{"VbGraph: trace length mismatch"};
+    }
+  }
 
-  const energy::Forecaster forecaster{config.forecaster};
+  // Every site's forecasts at every lead in one bulk call, which shares
+  // the per-site and per-(source, lead) work across the leads and sites.
+  std::vector<std::vector<std::vector<double>>> forecasts;
+  if (!config.oracle_forecasts) {
+    forecasts = energy::Forecaster{config.forecaster}.forecast(
+        fleet.traces, leads_hours_);
+  }
   sites_.reserve(fleet.specs.size());
   for (std::size_t i = 0; i < fleet.specs.size(); ++i) {
     const energy::SiteSpec& spec = fleet.specs[i];
     const energy::PowerTrace& trace = fleet.traces[i];
-    if (trace.size() != n_ticks_) {
-      throw std::invalid_argument{"VbGraph: trace length mismatch"};
-    }
     VbSite site;
     site.id = spec.id;
     site.name = spec.name;
@@ -48,11 +56,10 @@ VbGraph::VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config)
     site.capacity_cores = static_cast<int>(
         std::lround(spec.peak_mw * config.cores_per_mw));
     site.power_norm = trace.normalized_series();
-    site.forecast_norm.reserve(leads_hours_.size());
-    for (const double lead : leads_hours_) {
-      site.forecast_norm.push_back(config.oracle_forecasts
-                                       ? trace.normalized_series()
-                                       : forecaster.forecast(trace, lead));
+    if (config.oracle_forecasts) {
+      site.forecast_norm.assign(leads_hours_.size(), trace.normalized_series());
+    } else {
+      site.forecast_norm = std::move(forecasts[i]);
     }
     sites_.push_back(std::move(site));
   }

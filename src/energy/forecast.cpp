@@ -1,6 +1,7 @@
 #include "vbatt/energy/forecast.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 
@@ -33,64 +34,49 @@ std::vector<double> Forecaster::climatology(const PowerTrace& actual) {
 
 std::vector<double> Forecaster::forecast(const PowerTrace& actual,
                                          double lead_hours) const {
-  if (lead_hours < 0.0) {
-    throw std::invalid_argument{"forecast: negative lead"};
+  return std::move(forecast(std::span{&actual, 1}, std::span{&lead_hours, 1})
+                       .front()
+                       .front());
+}
+
+std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
+    std::span<const PowerTrace> traces, std::span<const double> leads) const {
+  for (const double lead : leads) {
+    if (lead < 0.0) throw std::invalid_argument{"forecast: negative lead"};
   }
-  const auto& series = actual.normalized_series();
-  const std::size_t n = series.size();
-  if (n == 0) return {};
-  const util::TimeAxis& axis = actual.axis();
-  const bool solar = actual.source() == Source::solar;
-
-  const std::vector<double> clim = climatology(actual);
-  const auto per_day = static_cast<std::size_t>(axis.ticks_per_day());
-  constexpr double clim_floor = 0.02;
-
-  // 1. Work in the shape-preserving ratio domain r = actual / climatology.
-  //    Smoothing r over a lead-dependent window blurs weather regimes
-  //    without destroying the diurnal shape (a week-ahead solar forecast
-  //    still knows day from night). Centered smoothing is the "oracle
-  //    smoothing" surrogate: a weather model legitimately sees the future,
-  //    only blurrier the further out.
-  std::vector<double> ratio(n, 0.0);
-  std::vector<double> valid(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double c = clim[i % per_day];
-    if (c > clim_floor) {
-      ratio[i] = series[i] / c;
-      valid[i] = 1.0;
+  std::vector<std::vector<std::vector<double>>> out;
+  if (traces.empty()) return out;
+  const util::TimeAxis& axis = traces.front().axis();
+  const std::size_t n = traces.front().size();
+  // noise_by_source[solar ? 0 : 1][l], drawn the first time a trace of
+  // that source shows up. Sharing it is exact because the stream is keyed
+  // without the site (see forecast.h).
+  std::array<std::vector<std::vector<double>>, 2> noise_by_source;
+  out.reserve(traces.size());
+  for (const PowerTrace& trace : traces) {
+    if (trace.axis() != axis || trace.size() != n) {
+      throw std::invalid_argument{
+          "forecast: traces must share one axis and length"};
     }
+    auto& table = noise_by_source[trace.source() == Source::solar ? 0 : 1];
+    if (table.empty() && n > 0) {
+      table.reserve(leads.size());
+      for (const double lead : leads) {
+        table.push_back(noise_series(trace.source(), lead, axis, n));
+      }
+    }
+    out.push_back(forecast_leads(trace, leads, table));
   }
-  const auto window_ticks = static_cast<std::size_t>(std::max<util::Tick>(
-      1, axis.from_hours(config_.window_per_lead * lead_hours)));
-  // Masked moving average: nights contribute neither value nor weight, so
-  // a multi-day solar smoothing window sees only daytime regimes.
-  const std::vector<double> num = stats::moving_average(
-      [&] {
-        std::vector<double> masked(n);
-        for (std::size_t i = 0; i < n; ++i) masked[i] = ratio[i] * valid[i];
-        return masked;
-      }(),
-      window_ticks);
-  const std::vector<double> den = stats::moving_average(valid, window_ticks);
-  std::vector<double> smoothed(n, 1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (den[i] > 1e-9) smoothed[i] = num[i] / den[i];
-  }
+  return out;
+}
 
-  // 2. Blend the smoothed ratio toward 1 (= pure climatology) with a weight
-  //    that grows with lead.
-  const double half_life = solar ? config_.beta_half_life_solar_hours
-                                 : config_.beta_half_life_wind_hours;
-  const double beta_max =
-      solar ? config_.beta_max_solar : config_.beta_max_wind;
-  const double beta =
-      lead_hours <= 0.0
-          ? 0.0
-          : beta_max * lead_hours / (lead_hours + half_life);
-
-  // 3. AR(1) multiplicative noise whose scale grows with lead. Seeded by
-  //    (seed, source, lead quantized to minutes) for determinism.
+std::vector<double> Forecaster::noise_series(Source source,
+                                             double lead_hours,
+                                             const util::TimeAxis& axis,
+                                             std::size_t n) const {
+  // AR(1) multiplicative noise whose scale grows with lead. Seeded by
+  // (seed, source, lead quantized to minutes) for determinism.
+  const bool solar = source == Source::solar;
   const double sigma =
       (solar ? config_.sigma0_solar : config_.sigma0_wind) +
       (solar ? config_.sigma1_solar : config_.sigma1_wind) *
@@ -106,15 +92,88 @@ std::vector<double> Forecaster::forecast(const PowerTrace& actual,
   double noise = sigma * rng.normal();
   for (std::size_t i = 0; i < n; ++i) {
     noise = noise * decay + step_sigma * rng.normal();
+    out[i] = noise;
+  }
+  return out;
+}
+
+std::vector<std::vector<double>> Forecaster::forecast_leads(
+    const PowerTrace& actual, std::span<const double> leads,
+    const std::vector<std::vector<double>>& noise_table) const {
+  const auto& series = actual.normalized_series();
+  const std::size_t n = series.size();
+  std::vector<std::vector<double>> out(leads.size());
+  if (n == 0) return out;
+  const util::TimeAxis& axis = actual.axis();
+  const bool solar = actual.source() == Source::solar;
+
+  const std::vector<double> clim = climatology(actual);
+  const auto per_day = static_cast<std::size_t>(axis.ticks_per_day());
+  constexpr double clim_floor = 0.02;
+
+  // 1. Work in the shape-preserving ratio domain r = actual / climatology.
+  //    Smoothing r over a lead-dependent window blurs weather regimes
+  //    without destroying the diurnal shape (a week-ahead solar forecast
+  //    still knows day from night). Centered smoothing is the "oracle
+  //    smoothing" surrogate: a weather model legitimately sees the future,
+  //    only blurrier the further out. Nights (climatology at the floor)
+  //    are masked: they contribute neither value nor weight, so a
+  //    multi-day solar smoothing window sees only daytime regimes.
+  //    valid_before[i] counts the unmasked ticks in [0, i), so any
+  //    window's weight is an exact integer difference.
+  std::vector<double> ratio(n, 0.0);
+  std::vector<std::size_t> valid_before(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
     const double c = clim[i % per_day];
-    if (c <= clim_floor) {
-      // A forecaster always knows the deterministic near-zero regime
-      // (solar night); emit the climatological residue unchanged.
-      out[i] = std::clamp(c, 0.0, 1.0);
-      continue;
+    const bool valid = c > clim_floor;
+    if (valid) ratio[i] = series[i] / c;
+    valid_before[i + 1] = valid_before[i] + (valid ? 1 : 0);
+  }
+
+  for (std::size_t l = 0; l < leads.size(); ++l) {
+    const double lead_hours = leads[l];
+    const auto window_ticks = static_cast<std::size_t>(std::max<util::Tick>(
+        1, axis.from_hours(config_.window_per_lead * lead_hours)));
+    const std::size_t half = window_ticks / 2;
+    // Masked moving average = moving_average(ratio) / moving_average(mask).
+    // The mask average is a count over the same clipped window, divided
+    // by the window size exactly as moving_average divides its sum.
+    const std::vector<double> num = stats::moving_average(ratio, window_ticks);
+
+    // 2. Blend the smoothed ratio toward 1 (= pure climatology) with a
+    //    weight that grows with lead.
+    const double half_life = solar ? config_.beta_half_life_solar_hours
+                                   : config_.beta_half_life_wind_hours;
+    const double beta_max =
+        solar ? config_.beta_max_solar : config_.beta_max_wind;
+    const double beta =
+        lead_hours <= 0.0
+            ? 0.0
+            : beta_max * lead_hours / (lead_hours + half_life);
+
+    // 3. Apply the (source, lead) noise stream.
+    const std::vector<double>& lead_noise = noise_table[l];
+    std::vector<double>& fc = out[l];
+    fc.resize(n);
+    // k = i % per_day, advanced without a division per tick.
+    for (std::size_t i = 0, k = 0; i < n;
+         ++i, k = k + 1 == per_day ? 0 : k + 1) {
+      const double c = clim[k];
+      if (c <= clim_floor) {
+        // A forecaster always knows the deterministic near-zero regime
+        // (solar night); emit the climatological residue unchanged.
+        fc[i] = std::clamp(c, 0.0, 1.0);
+        continue;
+      }
+      const std::size_t lo = i >= half ? i - half : 0;
+      const std::size_t hi = std::min(n - 1, i + half);
+      const double den =
+          static_cast<double>(valid_before[hi + 1] - valid_before[lo]) /
+          static_cast<double>(hi - lo + 1);
+      const double smoothed = den > 1e-9 ? num[i] / den : 1.0;
+      const double r_hat = (1.0 - beta) * smoothed + beta * 1.0;
+      fc[i] = std::clamp(c * r_hat * (1.0 + lead_noise[i]), 0.0, 1.0);
     }
-    const double r_hat = (1.0 - beta) * smoothed[i] + beta * 1.0;
-    out[i] = std::clamp(c * r_hat * (1.0 + noise), 0.0, 1.0);
   }
   return out;
 }

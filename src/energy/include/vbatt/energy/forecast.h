@@ -12,9 +12,17 @@
 // perturbed by AR(1) multiplicative noise whose scale grows with L. The
 // three knobs are calibrated per source so the measured MAPE lands in the
 // paper's bands; tests assert that.
+//
+// The noise stream is keyed by (config seed, source, lead) only: every
+// site of one source sees the same noise series at a given lead. The bulk
+// forecast() draws each (source, lead) series once and shares it across
+// the traces it is given; that sharing is exact only because of this
+// keying. Per-site noise would have to add the site to the key, and the
+// bulk path would then have to key its noise table by site too.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vbatt/energy/trace.h"
@@ -55,6 +63,13 @@ class Forecaster {
   std::vector<double> forecast(const PowerTrace& actual,
                                double lead_hours) const;
 
+  /// Bulk form: out[s][l] is forecast(traces[s], leads[l]), bit for bit.
+  /// Climatology and the ratio/mask are computed once per trace, and the
+  /// noise once per (source, lead) for all traces. The traces must share
+  /// one axis and length.
+  std::vector<std::vector<std::vector<double>>> forecast(
+      std::span<const PowerTrace> traces, std::span<const double> leads) const;
+
   /// Empirical climatology of a trace: mean normalized power per
   /// tick-of-day. Returned series has ticks_per_day entries.
   static std::vector<double> climatology(const PowerTrace& actual);
@@ -67,6 +82,17 @@ class Forecaster {
   const ForecastConfig& config() const noexcept { return config_; }
 
  private:
+  /// AR(1) noise at one (source, lead) over `n` ticks of `axis`.
+  std::vector<double> noise_series(Source source, double lead_hours,
+                                   const util::TimeAxis& axis,
+                                   std::size_t n) const;
+
+  /// All leads of one trace; noise_table[l] is noise_series(source,
+  /// leads[l], ...).
+  std::vector<std::vector<double>> forecast_leads(
+      const PowerTrace& actual, std::span<const double> leads,
+      const std::vector<std::vector<double>>& noise_table) const;
+
   ForecastConfig config_;
 };
 

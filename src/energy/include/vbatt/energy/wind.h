@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "vbatt/energy/trace.h"
 #include "vbatt/energy/weather.h"
@@ -75,6 +76,12 @@ class WindModel {
   explicit WindModel(WindConfig config);
 
   PowerTrace generate(const util::TimeAxis& axis, std::size_t n_ticks) const;
+
+  /// The same trace, with the front path supplied by the caller: `front`
+  /// must be generate_front(config().front, axis, n_ticks). Sites loading
+  /// on one shared front can then generate it once between them.
+  PowerTrace generate(const util::TimeAxis& axis, std::size_t n_ticks,
+                      const std::vector<double>& front) const;
 
   /// Deterministic (noise-free) speed component at a tick; for tests.
   double mean_speed(const util::TimeAxis& axis, util::Tick t) const noexcept;

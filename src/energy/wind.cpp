@@ -43,8 +43,14 @@ double WindModel::mean_speed(const util::TimeAxis& axis,
 
 PowerTrace WindModel::generate(const util::TimeAxis& axis,
                                std::size_t n_ticks) const {
-  const std::vector<double> front =
-      generate_front(config_.front, axis, n_ticks);
+  return generate(axis, n_ticks, generate_front(config_.front, axis, n_ticks));
+}
+
+PowerTrace WindModel::generate(const util::TimeAxis& axis, std::size_t n_ticks,
+                               const std::vector<double>& front) const {
+  if (front.size() != n_ticks) {
+    throw std::invalid_argument{"WindModel: front length mismatch"};
+  }
   util::Rng rng{util::seed_for(config_.seed, "wind-gust")};
   const std::vector<double> gust = generate_ou(
       rng, axis, n_ticks, config_.gust_theta_per_hour, config_.gust_sigma);

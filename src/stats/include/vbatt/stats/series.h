@@ -16,7 +16,11 @@ std::vector<double> add(const std::vector<double>& a,
 /// Series scaled by a constant.
 std::vector<double> scale(const std::vector<double>& a, double factor);
 
-/// Centered moving average with window `w` (clamped at the edges).
+/// Centered moving average: out[i] is the mean of a[i - w/2 .. i + w/2]
+/// (integer w/2), clipped to the series at the edges. The full window
+/// spans 2*(w/2) + 1 points, so an even `w` averages w + 1 points. Each
+/// output's sum runs from 0.0 left to right over its window, so results
+/// are bit-identical to the naive loop.
 std::vector<double> moving_average(const std::vector<double>& a,
                                    std::size_t w);
 

@@ -28,18 +28,57 @@ std::vector<double> moving_average(const std::vector<double>& a,
                                    std::size_t w) {
   if (w == 0) throw std::invalid_argument{"moving_average: zero window"};
   const std::size_t n = a.size();
+  const std::size_t half = w / 2;
+  const std::size_t span = 2 * half + 1;
   std::vector<double> out(n);
-  const std::ptrdiff_t half = static_cast<std::ptrdiff_t>(w) / 2;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto lo = std::max<std::ptrdiff_t>(
-        0, static_cast<std::ptrdiff_t>(i) - half);
-    const auto hi = std::min<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(n) - 1,
-        static_cast<std::ptrdiff_t>(i) + half);
+
+  // Every output is sum / count over its (edge-clipped) window, the sum
+  // taken from 0.0 left to right. Both paths below keep that exact add
+  // order, so the result does not depend on which path produced it.
+  const auto clipped = [&](std::size_t i) {
+    const std::size_t lo = i >= half ? i - half : 0;
+    const std::size_t hi = std::min(n - 1, i + half);
     double sum = 0.0;
-    for (std::ptrdiff_t j = lo; j <= hi; ++j) sum += a[static_cast<std::size_t>(j)];
+    for (std::size_t j = lo; j <= hi; ++j) sum += a[j];
     out[i] = sum / static_cast<double>(hi - lo + 1);
+  };
+  if (n < span) {
+    for (std::size_t i = 0; i < n; ++i) clipped(i);
+    return out;
   }
+
+  // Interior outputs [half, n - half) have full windows. Compute them
+  // eight at a time, one register accumulator each: the adds of different
+  // outputs are independent, so they pipeline (and vectorize) instead of
+  // waiting on one long dependency chain.
+  const double divisor = static_cast<double>(span);
+  std::size_t i = 0;
+  for (; i < half; ++i) clipped(i);
+  for (; i + 8 <= n - half; i += 8) {
+    const double* p = a.data() + (i - half);
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    double s4 = 0.0, s5 = 0.0, s6 = 0.0, s7 = 0.0;
+    for (const double* end = p + span; p != end; ++p) {
+      s0 += p[0];
+      s1 += p[1];
+      s2 += p[2];
+      s3 += p[3];
+      s4 += p[4];
+      s5 += p[5];
+      s6 += p[6];
+      s7 += p[7];
+    }
+    double* o = out.data() + i;
+    o[0] = s0 / divisor;
+    o[1] = s1 / divisor;
+    o[2] = s2 / divisor;
+    o[3] = s3 / divisor;
+    o[4] = s4 / divisor;
+    o[5] = s5 / divisor;
+    o[6] = s6 / divisor;
+    o[7] = s7 / divisor;
+  }
+  for (; i < n; ++i) clipped(i);
   return out;
 }
 

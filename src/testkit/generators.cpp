@@ -37,7 +37,7 @@ std::vector<double> synth_series(const std::string& kind, std::size_t n_ticks,
 
 }  // namespace
 
-core::VbGraph make_graph(const Spec& spec) {
+energy::Fleet make_fleet(const Spec& spec) {
   const auto sites =
       static_cast<int>(std::max<std::int64_t>(1, spec.get("sites", 2)));
   const int wind = static_cast<int>(
@@ -52,7 +52,6 @@ core::VbGraph make_graph(const Spec& spec) {
   const auto n_ticks =
       static_cast<std::size_t>(days * axis.ticks_per_day());
 
-  energy::Fleet fleet;
   if (kind == "model") {
     energy::FleetConfig config;
     config.n_solar = sites - wind;
@@ -60,36 +59,52 @@ core::VbGraph make_graph(const Spec& spec) {
     config.region_km = region_km;
     config.peak_mw = peak_mw;
     config.seed = spec.child_seed("fleet");
-    fleet = energy::generate_fleet(config, axis, n_ticks);
-  } else {
-    const double amp =
-        std::clamp<std::int64_t>(spec.get("amp", 60), 0, 100) / 100.0;
-    const auto period = static_cast<std::size_t>(
-        std::max<std::int64_t>(1, spec.get("period", 16)));
-    util::Rng geo{spec.child_seed("geo")};
-    fleet.axis = axis;
-    for (int s = 0; s < sites; ++s) {
-      energy::SiteSpec site;
-      site.id = s;
-      site.name = "fuzz-" + std::to_string(s);
-      site.source =
-          s < wind ? energy::Source::wind : energy::Source::solar;
-      site.peak_mw = peak_mw;
-      site.location = {geo.uniform(0.0, region_km),
-                       geo.uniform(0.0, region_km)};
-      util::Rng trace_rng{
-          spec.child_seed("trace", static_cast<std::uint64_t>(s))};
-      fleet.specs.push_back(site);
-      fleet.traces.emplace_back(
-          axis, peak_mw,
-          synth_series(kind, n_ticks, 1.0 - amp, period, trace_rng),
-          site.source);
-    }
+    return energy::generate_fleet(config, axis, n_ticks);
   }
+  energy::Fleet fleet;
+  const double amp =
+      std::clamp<std::int64_t>(spec.get("amp", 60), 0, 100) / 100.0;
+  const auto period = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, spec.get("period", 16)));
+  util::Rng geo{spec.child_seed("geo")};
+  fleet.axis = axis;
+  for (int s = 0; s < sites; ++s) {
+    energy::SiteSpec site;
+    site.id = s;
+    site.name = "fuzz-" + std::to_string(s);
+    site.source =
+        s < wind ? energy::Source::wind : energy::Source::solar;
+    site.peak_mw = peak_mw;
+    site.location = {geo.uniform(0.0, region_km),
+                     geo.uniform(0.0, region_km)};
+    util::Rng trace_rng{
+        spec.child_seed("trace", static_cast<std::uint64_t>(s))};
+    fleet.specs.push_back(site);
+    fleet.traces.emplace_back(
+        axis, peak_mw,
+        synth_series(kind, n_ticks, 1.0 - amp, period, trace_rng),
+        site.source);
+  }
+  return fleet;
+}
 
+core::VbGraphConfig make_graph_config(const Spec& spec) {
   core::VbGraphConfig config;
   config.oracle_forecasts = spec.get("oracle", std::int64_t{0}) != 0;
-  return core::VbGraph{fleet, config};
+  if (spec.has("fwin")) {
+    config.forecaster.window_per_lead =
+        static_cast<double>(std::max<std::int64_t>(1, spec.get("fwin", 1))) /
+        1000.0;
+  }
+  if (spec.has("fseed")) {
+    config.forecaster.seed =
+        static_cast<std::uint64_t>(spec.get("fseed", std::int64_t{0}));
+  }
+  return config;
+}
+
+core::VbGraph make_graph(const Spec& spec) {
+  return core::VbGraph{make_fleet(spec), make_graph_config(spec)};
 }
 
 std::vector<workload::Application> make_apps(const Spec& spec,

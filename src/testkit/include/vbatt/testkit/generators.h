@@ -10,7 +10,9 @@
 //   graph   sites (total), wind (wind sites among them), days, peak (MW),
 //           region (km), oracle (0/1), trace (token: model|square|cliff|
 //           calm), amp (power-drop amplitude, percent of peak), period
-//           (square-wave half-period, ticks)
+//           (square-wave half-period, ticks), fwin (forecast window per
+//           lead hour x1000; unset = the ForecastConfig default), fseed
+//           (forecast noise seed; unset = the default)
 //   apps    aph100 (apps per hour x100), maxvms, deg100 (degradable
 //           fraction x100), life (median lifetime, hours)
 //   faults  events (event count; event i draws from child stream
@@ -36,11 +38,17 @@
 
 namespace vbatt::testkit {
 
-/// Build the VB graph a spec describes. trace=model runs the full
+/// Build the fleet a spec describes. trace=model runs the full
 /// solar/wind generator; square/cliff/calm build adversarial synthetic
 /// traces (square wave between 1 and 1-amp%, one cliff drop, or a flat
 /// line) that stress exactly the power-dip paths directed tests
 /// under-sample.
+energy::Fleet make_fleet(const Spec& spec);
+
+/// Graph config a spec describes (oracle forecasts, forecaster knobs).
+core::VbGraphConfig make_graph_config(const Spec& spec);
+
+/// The VB graph of make_fleet(spec) under make_graph_config(spec).
 core::VbGraph make_graph(const Spec& spec);
 
 /// Application arrival trace sized to the spec'd graph.

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -30,6 +31,7 @@
 #include "vbatt/svc/service.h"
 #include "vbatt/solver/decompose.h"
 #include "vbatt/solver/reference.h"
+#include "vbatt/testkit/forecast_reference.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
@@ -1344,6 +1346,67 @@ CaseResult eval_trace_range(const Spec& spec) {
   return CaseResult::pass();
 }
 
+/// Index of the first element whose bytes differ (so -0.0 != 0.0), or
+/// npos when the two series are byte-identical.
+std::size_t first_byte_diff(const std::vector<double>& a,
+                            const std::vector<double>& b) {
+  if (a.size() != b.size()) return 0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return i;
+    }
+  }
+  return std::string::npos;
+}
+
+CaseResult eval_forecast_identity(const Spec& spec) {
+  const energy::Fleet fleet = make_fleet(spec);
+  const core::VbGraphConfig config = make_graph_config(spec);
+  const core::VbGraph graph{fleet, config};
+  const bool model = spec.get("trace", std::string{"square"}) == "model";
+  for (std::size_t s = 0; s < fleet.size(); ++s) {
+    const energy::PowerTrace& trace = fleet.traces[s];
+    const std::string where = "site " + std::to_string(s);
+    // generate_fleet shares fronts across sites; each trace must still be
+    // what the site's own spec generates alone.
+    if (model) {
+      const energy::PowerTrace alone =
+          fleet.specs[s].generate(fleet.axis, trace.size());
+      if (alone.source() != trace.source() ||
+          alone.peak_mw() != trace.peak_mw()) {
+        return fail_str(where + ": fleet trace source/peak differs from "
+                        "SiteSpec::generate");
+      }
+      const std::size_t at = first_byte_diff(alone.normalized_series(),
+                                             trace.normalized_series());
+      if (at != std::string::npos) {
+        return fail_str(where + ": fleet trace differs from " +
+                        "SiteSpec::generate at tick " + std::to_string(at));
+      }
+    }
+    const core::VbSite& site = graph.site(s);
+    if (first_byte_diff(site.power_norm, trace.normalized_series()) !=
+        std::string::npos) {
+      return fail_str(where + ": power_norm differs from the trace");
+    }
+    for (std::size_t l = 0; l < config.forecast_leads_hours.size(); ++l) {
+      const double lead = config.forecast_leads_hours[l];
+      const std::vector<double> want =
+          config.oracle_forecasts
+              ? trace.normalized_series()
+              : reference_forecast(trace, lead, config.forecaster);
+      const std::size_t at = first_byte_diff(site.forecast_norm[l], want);
+      if (at != std::string::npos) {
+        return fail_str(where + " lead " + std::to_string(lead) +
+                        "h: forecast differs from the oracle at tick " +
+                        std::to_string(at));
+      }
+    }
+  }
+  return CaseResult::pass();
+}
+
 CaseResult eval_stable_monotone(const Spec& spec) {
   const energy::Fleet fleet = fleet_from_spec(spec);
   if (fleet.size() < 2) return CaseResult::pass();
@@ -1725,6 +1788,40 @@ std::vector<Property> all_properties() {
   registry.push_back({"energy", "trace_range", gen_fleet_spec,
                       eval_trace_range,
                       {{"days", 1}, {"solar", 0}, {"wind", 0}}});
+  registry.push_back({"energy", "forecast_identity",
+                      [](util::Rng& rng) {
+                        Spec spec;
+                        spec.set("seed",
+                                 static_cast<std::int64_t>(rng.next() >> 1));
+                        gen_graph_keys(spec, rng);
+                        // Wider than the scenario draw: up to 6 sites so
+                        // several share a source (and a noise series),
+                        // odd and multi-day spans, random windows (even
+                        // and odd, wider than the trace) and noise seeds.
+                        const auto sites =
+                            1 + static_cast<std::int64_t>(rng.below(6));
+                        spec.set("sites", sites);
+                        spec.set("wind", static_cast<std::int64_t>(rng.below(
+                                             static_cast<std::uint64_t>(
+                                                 sites + 1))));
+                        spec.set("days",
+                                 1 + static_cast<std::int64_t>(rng.below(9)));
+                        spec.set("oracle", rng.chance(0.25) ? 1 : 0);
+                        spec.set("fwin",
+                                 20 + static_cast<std::int64_t>(rng.below(481)));
+                        spec.set("fseed",
+                                 static_cast<std::int64_t>(rng.below(1u << 20)));
+                        return spec;
+                      },
+                      eval_forecast_identity,
+                      {{"days", 1},
+                       {"sites", 1},
+                       {"wind", 0},
+                       {"oracle", 0},
+                       {"amp", 0},
+                       {"period", 1},
+                       {"fwin", 1},
+                       {"fseed", 0}}});
   registry.push_back({"energy", "stable_monotone", gen_fleet_spec,
                       eval_stable_monotone,
                       {{"days", 1}, {"solar", 0}, {"wind", 0}}});

@@ -91,7 +91,8 @@ def main():
     # "scenario" splits the base cells from the mixed_econ ones (batch
     # overlay + price/carbon metering) at the same site count.
     fleet_keys = ("sites", "scenario")
-    fleet_fields = ("fleet_serial_ms", "fleet_pool_ms")
+    # setup_ms: fleet generation + VbGraph build (forecasts) per cell.
+    fleet_fields = ("setup_ms", "fleet_serial_ms", "fleet_pool_ms")
 
     with tempfile.TemporaryDirectory(prefix="perf_smoke_") as tmp:
         solver_runs, fleet_runs = [], []

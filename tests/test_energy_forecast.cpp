@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "vbatt/energy/solar.h"
 #include "vbatt/energy/wind.h"
 #include "vbatt/stats/series.h"
+#include "vbatt/testkit/forecast_reference.h"
 
 namespace vbatt::energy {
 namespace {
@@ -129,6 +133,56 @@ TEST(Forecaster, EmptyTraceGivesEmptyForecast) {
   const PowerTrace empty{axis15(), 100.0, {}, Source::wind};
   const Forecaster fc;
   EXPECT_TRUE(fc.forecast(empty, 24.0).empty());
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// A year-long trace per source at the default leads: the bulk path (one
+// noise draw per source and lead, per-trace work shared by the leads,
+// blocked smoothing) must reproduce the frozen one-call forecaster
+// byte for byte, as must the single-lead wrapper.
+TEST(Forecaster, MatchesFrozenReferenceOverAYear) {
+  const Forecaster fc;
+  const std::vector<PowerTrace> traces{year_solar(), year_wind()};
+  const std::vector<double> leads{0.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0,
+                                  168.0};
+  const auto bulk = fc.forecast(traces, leads);
+  ASSERT_EQ(bulk.size(), traces.size());
+  for (std::size_t s = 0; s < traces.size(); ++s) {
+    ASSERT_EQ(bulk[s].size(), leads.size());
+    for (std::size_t l = 0; l < leads.size(); ++l) {
+      const auto want = testkit::reference_forecast(traces[s], leads[l]);
+      EXPECT_TRUE(same_bytes(bulk[s][l], want))
+          << "trace " << s << " lead " << leads[l];
+      EXPECT_TRUE(same_bytes(fc.forecast(traces[s], leads[l]), want))
+          << "trace " << s << " lead " << leads[l];
+    }
+  }
+}
+
+TEST(Forecaster, BulkValidatesInputs) {
+  const Forecaster fc;
+  const std::vector<double> leads{3.0, 24.0};
+  EXPECT_TRUE(fc.forecast(std::vector<PowerTrace>{}, leads).empty());
+
+  WindConfig wind;
+  std::vector<PowerTrace> traces{WindModel{wind}.generate(axis15(), 96u),
+                                 WindModel{wind}.generate(axis15(), 97u)};
+  EXPECT_THROW(fc.forecast(traces, leads), std::invalid_argument);
+  traces.pop_back();
+  EXPECT_THROW(fc.forecast(traces, std::vector<double>{3.0, -1.0}),
+               std::invalid_argument);
+
+  const std::vector<PowerTrace> empty{
+      PowerTrace{axis15(), 100.0, {}, Source::wind}};
+  const auto out = fc.forecast(empty, leads);
+  ASSERT_EQ(out.size(), 1u);
+  ASSERT_EQ(out[0].size(), leads.size());
+  for (const auto& series : out[0]) EXPECT_TRUE(series.empty());
 }
 
 }  // namespace

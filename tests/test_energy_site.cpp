@@ -55,6 +55,23 @@ TEST(Fleet, WindSitesShareFrontsWithAlternatingSign) {
   EXPECT_NE(fleet.specs[0].wind.front.seed, fleet.specs[1].wind.front.seed);
 }
 
+// generate_fleet generates each regional front once and hands it to every
+// site loading on it; each trace must equal its own spec's generate().
+TEST(Fleet, SharedFrontsMatchPerSiteGeneration) {
+  FleetConfig config;
+  config.n_solar = 2;
+  config.n_wind = 7;
+  config.n_fronts = 3;
+  config.enable_storms = true;
+  const Fleet fleet = generate_fleet(config, axis15(), 96 * 6);
+  ASSERT_EQ(fleet.size(), 9u);
+  for (std::size_t s = 0; s < fleet.size(); ++s) {
+    EXPECT_EQ(fleet.traces[s].normalized_series(),
+              fleet.specs[s].generate(axis15(), 96 * 6).normalized_series())
+        << fleet.specs[s].name;
+  }
+}
+
 TEST(Fleet, SolarNoonVariesWithLongitude) {
   FleetConfig config;
   config.n_solar = 6;

@@ -43,6 +43,20 @@ TEST(WindModel, Deterministic) {
             model.generate(axis15(), 1000).normalized_series());
 }
 
+// A caller-supplied front (how generate_fleet shares one front between
+// the sites loading on it) yields the very trace the model makes alone.
+TEST(WindModel, SuppliedFrontMatchesOwnFront) {
+  WindConfig config;
+  config.front.seed = 9;
+  config.front_loading_speed = -2.0;
+  const WindModel model{config};
+  const std::vector<double> front =
+      generate_front(config.front, axis15(), 2000);
+  EXPECT_EQ(model.generate(axis15(), 2000, front).normalized_series(),
+            model.generate(axis15(), 2000).normalized_series());
+  EXPECT_THROW(model.generate(axis15(), 1999, front), std::invalid_argument);
+}
+
 // Fig. 2b calibration: median <= ~20% of peak, rarely exactly zero,
 // 99th/75th ratio ≈2x.
 TEST(WindModel, YearCalibrationMatchesPaperBands) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -39,6 +41,62 @@ TEST(Series, MovingAverageSmooths) {
 TEST(Series, MovingAverageWindowOneIsIdentity) {
   const std::vector<double> a{3.0, 1.0, 4.0, 1.0, 5.0};
   EXPECT_EQ(moving_average(a, 1), a);
+}
+
+// The blocked kernel must reproduce the naive loop byte for byte: same
+// clipped windows, each summed from 0.0 left to right, divided by the
+// window size. Lengths straddle every edge case of the interior split
+// (empty, shorter than the window, exactly one full window, one short of
+// and one past a whole block of interior outputs) and a 90-day trace.
+TEST(Series, MovingAverageMatchesNaiveLoopBytewise) {
+  const auto naive = [](const std::vector<double>& a, std::size_t w) {
+    const std::size_t n = a.size();
+    const std::size_t half = w / 2;
+    std::vector<double> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t lo = i >= half ? i - half : 0;
+      const std::size_t hi = std::min(n - 1, i + half);
+      double sum = 0.0;
+      for (std::size_t j = lo; j <= hi; ++j) sum += a[j];
+      out[i] = sum / static_cast<double>(hi - lo + 1);
+    }
+    return out;
+  };
+  util::Rng rng{17};
+  std::vector<double> pool(8640);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    // Signed zeros, exact zeros, tiny and huge magnitudes: the values
+    // where a reordered sum would round (or sign a zero) differently.
+    switch (i % 7) {
+      case 0: pool[i] = -0.0; break;
+      case 1: pool[i] = 0.0; break;
+      case 2: pool[i] = rng.uniform(-1.0, 1.0) * 1e-300; break;
+      case 3: pool[i] = rng.uniform(-1.0, 1.0) * 1e16; break;
+      default: pool[i] = rng.uniform(-1.0, 1.0); break;
+    }
+  }
+  const std::vector<double> zeros(64, -0.0);
+  for (std::size_t w = 1; w <= 300; ++w) {
+    const std::size_t h = w / 2;
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, h, 2 * h, 2 * h + 1, 2 * h + 8,
+          2 * h + 9, std::size_t{8640}}) {
+      const std::vector<double> a(pool.begin(),
+                                  pool.begin() + static_cast<std::ptrdiff_t>(n));
+      const std::vector<double> want = naive(a, w);
+      const std::vector<double> got = moving_average(a, w);
+      ASSERT_EQ(got.size(), n);
+      ASSERT_TRUE(n == 0 || std::memcmp(got.data(), want.data(),
+                                        n * sizeof(double)) == 0)
+          << "w=" << w << " n=" << n;
+    }
+    // Every sum starts from +0.0, so an all-negative-zero series averages
+    // to +0.0 (a kernel seeding its sums with the first element would
+    // keep the sign).
+    for (const double v : moving_average(zeros, w)) {
+      ASSERT_FALSE(std::signbit(v)) << "w=" << w;
+    }
+  }
 }
 
 TEST(Series, EwmaConvergesToConstant) {
