@@ -8,7 +8,10 @@
 //             tick cadence while the stream runs;
 //   recovery  time to rebuild state from snapshot + log-suffix replay, as
 //             a function of how many records the suffix holds (the knob an
-//             operator turns with --snapshot-every).
+//             operator turns with --snapshot-every);
+//   snapshot  median wall-clock and size of snapshot_bytes() over the
+//             snapshots the ingest run takes (the wire codec's encode +
+//             CRC path).
 // `--json <path>` writes the sweep for CI to archive as BENCH_svc.json.
 // The binary exits non-zero if any recovered state diverges from the live
 // run — a perf bench that silently benchmarks a broken recovery would be
@@ -49,6 +52,8 @@ struct PolicyRow {
   // builder should make the build share near-zero after the first replan.
   double replan_build_p50_ms = 0.0;
   double replan_build_p99_ms = 0.0;
+  double snapshot_ms = 0.0;
+  std::size_t snapshot_bytes = 0;
   struct Recovery {
     std::size_t replayed_records = 0;
     double ms = 0.0;
@@ -97,12 +102,17 @@ PolicyRow run_policy(const svc::Scenario& scenario, const std::string& policy,
   svc::ControlPlane live{scenario.graph, service_config(policy)};
   live.attach_log(
       std::make_unique<svc::EventLogWriter>(log_path.string(), true));
+  std::vector<double> snapshot_ms;
+  std::vector<std::size_t> snapshot_bytes;
   std::size_t next_fraction = 0;
   const auto t0 = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < events.size(); ++i) {
     while (next_fraction < fractions.size() &&
            i == events.size() * fractions[next_fraction] / 100) {
+      const auto s0 = std::chrono::steady_clock::now();
       snapshots.emplace_back(i, live.snapshot_bytes());
+      snapshot_ms.push_back(ms_since(s0));
+      snapshot_bytes.push_back(snapshots.back().second.size());
       ++next_fraction;
     }
     svc::Event copy = events[i];
@@ -116,7 +126,13 @@ PolicyRow run_policy(const svc::Scenario& scenario, const std::string& policy,
   row.replan_p99_ms = percentile(live.replan_latencies_ms(), 99.0);
   row.replan_build_p50_ms = percentile(live.replan_build_latencies_ms(), 50.0);
   row.replan_build_p99_ms = percentile(live.replan_build_latencies_ms(), 99.0);
+  const auto s0 = std::chrono::steady_clock::now();
   const std::string reference = live.snapshot_bytes();
+  snapshot_ms.push_back(ms_since(s0));
+  snapshot_bytes.push_back(reference.size());
+  row.snapshot_ms = percentile(snapshot_ms, 50.0);
+  std::sort(snapshot_bytes.begin(), snapshot_bytes.end());
+  row.snapshot_bytes = snapshot_bytes[snapshot_bytes.size() / 2];
   live.attach_log(nullptr);
 
   // Recovery sweep: restore each snapshot, replay the full log (records
@@ -168,6 +184,8 @@ bool write_json(const std::string& path, const svc::Scenario& scenario,
     json.field("replan_p99_ms", row.replan_p99_ms);
     json.field("replan_build_p50_ms", row.replan_build_p50_ms);
     json.field("replan_build_p99_ms", row.replan_build_p99_ms);
+    json.field("snapshot_ms", row.snapshot_ms);
+    json.field("snapshot_bytes", row.snapshot_bytes);
     json.begin_array("recovery");
     for (const PolicyRow::Recovery& rec : row.recovery) {
       json.begin_object();
@@ -208,11 +226,12 @@ int main(int argc, char** argv) {
     rows.push_back(run_policy(scenario, policy, recovery_ok));
     const PolicyRow& row = rows.back();
     std::printf("%-7s %6zu events in %8.1f ms (%9.0f ev/s)  replans=%zu "
-                "p50=%.1f ms p99=%.1f ms (build p50=%.2f ms p99=%.2f ms)\n",
+                "p50=%.1f ms p99=%.1f ms (build p50=%.2f ms p99=%.2f ms)\n"
+                "        snapshot: p50 %.2f ms, median %zu bytes\n",
                 row.policy.c_str(), row.events, row.ingest_ms,
                 row.events_per_sec, row.replans, row.replan_p50_ms,
                 row.replan_p99_ms, row.replan_build_p50_ms,
-                row.replan_build_p99_ms);
+                row.replan_build_p99_ms, row.snapshot_ms, row.snapshot_bytes);
     for (const PolicyRow::Recovery& rec : row.recovery) {
       std::printf("        recovery: %6zu records replayed in %8.1f ms\n",
                   rec.replayed_records, rec.ms);

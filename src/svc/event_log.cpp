@@ -27,11 +27,11 @@ EventLogWriter::EventLogWriter(const std::string& path, bool truncate)
 }
 
 void EventLogWriter::append(std::string_view payload) {
-  util::wire::Writer frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(util::wire::crc32(payload.data(), payload.size()));
-  const std::string& header = frame.data();
-  out_.write(header.data(), static_cast<std::streamsize>(header.size()));
+  char header[8];
+  util::wire::store_le(header, util::wire::frame_length(payload.size()));
+  util::wire::store_le(header + 4,
+                       util::wire::crc32(payload.data(), payload.size()));
+  out_.write(header, sizeof header);
   out_.write(payload.data(), static_cast<std::streamsize>(payload.size()));
   out_.flush();
   if (!out_) {

@@ -304,34 +304,38 @@ core::SimResult ControlPlane::finish() {
 
 std::string ControlPlane::snapshot_bytes() const {
   if (finished_) reject("service already finished");
-  util::wire::Writer body;
-  body.u64(kSnapshotVersion);
-  body.u64(seq_);
-  body.u64(applied_);
-  body.u8(paused_ ? 1 : 0);
-  body.u8(replan_trigger_ ? 1 : 0);
-  save_config(body, config_);
-  body.u64(pending_arrivals_.size());
-  for (const workload::Application& a : pending_arrivals_) {
-    body.i64(a.app_id);
-    body.i64(a.arrival);
-    body.i64(a.lifetime_ticks);
-    body.i64(a.shape.cores);
-    body.f64(a.shape.memory_gb);
-    body.i64(a.n_stable);
-    body.i64(a.n_degradable);
-  }
-  body.vec_i64(pending_departures_);
-  health_.save(body);
-  injector_->save(body);
-  stepper_->save(body);
-
+  // Frame in place: magic, a length/CRC placeholder, then the body,
+  // patched once the body is complete — no second copy of the payload.
   util::wire::Writer out;
   out.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
-  const std::string& payload = body.data();
-  out.u32(static_cast<std::uint32_t>(payload.size()));
-  out.u32(util::wire::crc32(payload.data(), payload.size()));
-  out.bytes(payload.data(), payload.size());
+  const std::size_t header_at = out.size();
+  out.u64(0);
+  const std::size_t body_at = out.size();
+  out.u64(kSnapshotVersion);
+  out.u64(seq_);
+  out.u64(applied_);
+  out.u8(paused_ ? 1 : 0);
+  out.u8(replan_trigger_ ? 1 : 0);
+  save_config(out, config_);
+  out.u64(pending_arrivals_.size());
+  for (const workload::Application& a : pending_arrivals_) {
+    out.i64(a.app_id);
+    out.i64(a.arrival);
+    out.i64(a.lifetime_ticks);
+    out.i64(a.shape.cores);
+    out.f64(a.shape.memory_gb);
+    out.i64(a.n_stable);
+    out.i64(a.n_degradable);
+  }
+  out.vec_i64(pending_departures_);
+  health_.save(out);
+  injector_->save(out);
+  stepper_->save(out);
+
+  const std::size_t body_size = out.size() - body_at;
+  out.patch_u32(header_at, util::wire::frame_length(body_size));
+  out.patch_u32(header_at + 4,
+                util::wire::crc32(out.data().data() + body_at, body_size));
   return out.take();
 }
 

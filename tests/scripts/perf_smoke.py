@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
-"""Perf smoke: run the small cells of the solver and fleet benches and
-fail on a >25% wall-clock regression against the checked-in baselines.
+"""Perf smoke: run the small cells of the solver and fleet benches and the
+service bench, and fail on a >50% wall-clock regression against the
+checked-in baselines.
 
-Usage: perf_smoke.py <bench_solver> <bench_scale_dcsim> <repo_root>
+Usage: perf_smoke.py <bench_solver> <bench_scale_dcsim> <bench_svc> <repo_root>
 
 Opt-in (ctest -L perf), not part of the default suite: wall-clock
 comparisons only mean something on a quiet host. The gate is deliberately
@@ -80,9 +81,9 @@ def compare(label, baseline_rows, current_rows, key_fields, ms_fields):
 
 
 def main():
-    if len(sys.argv) != 4:
+    if len(sys.argv) != 5:
         sys.exit(__doc__)
-    bench_solver, bench_fleet, repo_root = sys.argv[1:4]
+    bench_solver, bench_fleet, bench_svc, repo_root = sys.argv[1:5]
     repo = Path(repo_root)
 
     solver_keys = ("sites", "k", "horizon_hours")
@@ -93,21 +94,28 @@ def main():
     fleet_keys = ("sites", "scenario")
     # setup_ms: fleet generation + VbGraph build (forecasts) per cell.
     fleet_fields = ("setup_ms", "fleet_serial_ms", "fleet_pool_ms")
+    # ingest_ms: the full streamed run per policy, log and snapshots
+    # included (decode/apply/log/snapshot write path).
+    svc_keys = ("policy",)
+    svc_fields = ("ingest_ms",)
 
     with tempfile.TemporaryDirectory(prefix="perf_smoke_") as tmp:
-        solver_runs, fleet_runs = [], []
+        solver_runs, fleet_runs, svc_runs = [], [], []
         # Small cells only: the full sweeps are minutes; the smoke is
         # seconds. --max-sites/--fleet-max-sites keep cell identity intact
         # (same seeds per cell), so rows join 1:1 with the baselines.
         for i in range(RUNS):
             solver_json = Path(tmp) / f"solver{i}.json"
             fleet_json = Path(tmp) / f"fleet{i}.json"
+            svc_json = Path(tmp) / f"svc{i}.json"
             run_bench([bench_solver, "--max-sites", "25",
                        "--json", solver_json])
             run_bench([bench_fleet, "--fleet", "--fleet-max-sites", "50",
                        "--json", fleet_json])
+            run_bench([bench_svc, "--json", svc_json])
             solver_runs.append(load(solver_json)["results"])
             fleet_runs.append(load(fleet_json)["results"])
+            svc_runs.append(load(svc_json)["results"])
 
         regressions = []
         regressions += compare(
@@ -118,6 +126,10 @@ def main():
             "fleet", load(repo / "BENCH_fleet.json")["results"],
             best_of(fleet_runs, fleet_keys, fleet_fields),
             fleet_keys, fleet_fields)
+        regressions += compare(
+            "svc", load(repo / "BENCH_svc.json")["results"],
+            best_of(svc_runs, svc_keys, svc_fields),
+            svc_keys, svc_fields)
 
     if regressions:
         for label, key, field, want, got in regressions:

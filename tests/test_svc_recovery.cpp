@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -237,6 +240,56 @@ TEST(SvcRecovery, ReplayRejectsSequenceGaps) {
   records.erase(records.begin() + 1);  // lose record 2 of 4
   ControlPlane b{scenario.graph, service_config("greedy")};
   EXPECT_THROW(b.replay(records), std::runtime_error);
+}
+
+// Cross-commit format pin. Every identity test above compares two runs of
+// the same build, so a codec change that altered the bytes consistently
+// would pass them all; this one pins the size and CRC of a snapshot and
+// of a log against values captured from an earlier build. The CRC is a
+// test-local bitwise one so it does not depend on the codec under test.
+// Greedy keeps solver vertices out of the bytes.
+std::uint32_t bitwise_crc32(std::string_view bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(SvcFormat, BytesPinned) {
+  ScenarioConfig scenario_config;
+  scenario_config.days = 2;
+  scenario_config.chaos_intensity = 1.0;
+  const Scenario scenario = make_scenario(scenario_config);
+  const std::vector<Event> events =
+      scenario_events(scenario, /*heartbeats=*/true);
+  const auto log_path = temp_log("format");
+
+  ControlPlane service{scenario.graph, service_config("greedy")};
+  service.attach_log(
+      std::make_unique<EventLogWriter>(log_path.string(), true));
+  std::string snapshot;
+  for (const Event& e : events) {
+    service.submit(e);
+    // Same cadence rule as vbatt_svc --snapshot-every: after the
+    // tick_advance that completes tick 96.
+    if (e.kind == EventKind::tick_advance && service.now() + 1 == 96) {
+      snapshot = service.snapshot_bytes();
+    }
+  }
+  service.attach_log(nullptr);
+  std::ifstream in{log_path, std::ios::binary};
+  const std::string log{std::istreambuf_iterator<char>{in},
+                        std::istreambuf_iterator<char>{}};
+  std::filesystem::remove(log_path);
+
+  EXPECT_EQ(snapshot.size(), 172289u);
+  EXPECT_EQ(bitwise_crc32(snapshot), 0xAE3C6A54u);
+  EXPECT_EQ(log.size(), 186109u);
+  EXPECT_EQ(bitwise_crc32(log), 0xA1811649u);
 }
 
 }  // namespace
