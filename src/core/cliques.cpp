@@ -1,6 +1,7 @@
 #include "vbatt/core/cliques.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
@@ -80,25 +81,15 @@ std::vector<RankedSubgraph> score_cliques(
   const std::size_t n_ticks = static_cast<std::size_t>(end - now);
   const std::size_t offset = static_cast<std::size_t>(now - cache.begin());
 
-  std::vector<RankedSubgraph> out(cliques.size());
+  // Raw series pointers per site, so the tick loop reads contiguous ints
+  // with no vector indirection.
+  std::vector<const int*> series(cache.n_sites());
+  for (std::size_t s = 0; s < series.size(); ++s) {
+    series[s] = cache.series(s).data() + offset;
+  }
+  std::vector<CliqueStats> stats(cliques.size());
   const auto score_range = [&](std::size_t first, std::size_t last) {
-    // Per-chunk scratch: raw series pointers for the clique, so the tick
-    // loop reads contiguous ints with no vector indirection.
-    std::vector<const int*> series;
-    for (std::size_t c = first; c < last; ++c) {
-      std::vector<std::size_t>& clique = cliques[c];
-      series.clear();
-      for (const std::size_t s : clique) {
-        series.push_back(cache.series(s).data() + offset);
-      }
-      stats::RunningStats rs;
-      for (std::size_t i = 0; i < n_ticks; ++i) {
-        double cores = 0.0;
-        for (const int* site_series : series) cores += site_series[i];
-        rs.add(cores);
-      }
-      out[c] = RankedSubgraph{std::move(clique), rs.cov(), rs.mean()};
-    }
+    combined_series_stats(cliques, series, n_ticks, first, last, stats);
   };
   if (pool != nullptr) {
     pool->parallel_for(cliques.size(), score_range);
@@ -106,6 +97,11 @@ std::vector<RankedSubgraph> score_cliques(
     score_range(0, cliques.size());
   }
 
+  std::vector<RankedSubgraph> out(cliques.size());
+  for (std::size_t c = 0; c < cliques.size(); ++c) {
+    out[c] = RankedSubgraph{std::move(cliques[c]), stats[c].cov,
+                            stats[c].mean};
+  }
   std::sort(out.begin(), out.end(),
             [](const RankedSubgraph& a, const RankedSubgraph& b) {
               if (a.cov != b.cov) return a.cov < b.cov;
@@ -115,6 +111,49 @@ std::vector<RankedSubgraph> score_cliques(
 }
 
 }  // namespace
+
+void combined_series_stats(
+    const std::vector<std::vector<std::size_t>>& cliques,
+    const std::vector<const int*>& site_series, std::size_t n_ticks,
+    std::size_t first, std::size_t last, std::vector<CliqueStats>& out) {
+  constexpr std::size_t kLanes = 4;
+  // Lane l sums members [lane_begin[l], lane_begin[l + 1]) of `members`.
+  std::vector<const int*> members;
+  std::array<std::size_t, kLanes + 1> lane_begin{};
+  for (std::size_t c0 = first; c0 < last; c0 += kLanes) {
+    members.clear();
+    for (std::size_t l = 0; l < kLanes; ++l) {
+      lane_begin[l] = members.size();
+      // Tail lanes re-run the group's first clique; their results are
+      // dropped.
+      const std::size_t c = c0 + l < last ? c0 + l : c0;
+      for (const std::size_t s : cliques[c]) {
+        members.push_back(site_series[s]);
+      }
+    }
+    lane_begin[kLanes] = members.size();
+
+    std::array<double, kLanes> mean{};
+    std::array<double, kLanes> m2{};
+    for (std::size_t i = 0; i < n_ticks; ++i) {
+      const auto count = static_cast<double>(i + 1);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        double x = 0.0;
+        for (std::size_t m = lane_begin[l]; m < lane_begin[l + 1]; ++m) {
+          x += members[m][i];
+        }
+        const double delta = x - mean[l];
+        mean[l] += delta / count;
+        m2[l] += delta * (x - mean[l]);
+      }
+    }
+    for (std::size_t l = 0; l < kLanes && c0 + l < last; ++l) {
+      out[c0 + l] = CliqueStats{
+          stats::RunningStats::cov_of(n_ticks, mean[l], m2[l]),
+          n_ticks > 0 ? mean[l] : 0.0};
+    }
+  }
+}
 
 std::vector<std::vector<std::size_t>> find_k_cliques(
     const net::LatencyGraph& graph, int k) {

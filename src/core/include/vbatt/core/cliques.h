@@ -29,6 +29,23 @@ struct RankedSubgraph {
   double mean_cores = 0.0;
 };
 
+/// Mean and cov of one clique's combined series.
+struct CliqueStats {
+  double cov = 0.0;
+  double mean = 0.0;
+};
+
+/// Statistics of the combined series of cliques [first, last): for each,
+/// the per-tick sum of its members' `site_series[s][0, n_ticks)`, written
+/// to out[c]. Runs Welford over four cliques per pass (tail lanes padded),
+/// each lane doing exactly stats::RunningStats::add's arithmetic, so the
+/// four dependent divide chains overlap and every value is bit-identical
+/// to one RunningStats per clique.
+void combined_series_stats(
+    const std::vector<std::vector<std::size_t>>& cliques,
+    const std::vector<const int*>& site_series, std::size_t n_ticks,
+    std::size_t first, std::size_t last, std::vector<CliqueStats>& out);
+
 /// Rank all k-cliques by combined *forecast* cov over [now, now + window).
 /// Sorted ascending by cov. Materializes a local ForecastCache and fans
 /// clique scoring across util::ThreadPool::shared() (serial when

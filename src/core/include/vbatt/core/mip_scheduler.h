@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <tuple>
 
 #include "vbatt/core/cliques.h"
 #include "vbatt/core/forecast_cache.h"
@@ -146,9 +145,8 @@ class MipScheduler final : public Scheduler {
         static_cast<std::int64_t>(basis_hints_.size());
     basis_hints_.clear();
     model_cache_invalidations_ +=
-        static_cast<std::int64_t>(model_cache_.size() + econ_cache_.size());
+        static_cast<std::int64_t>(model_cache_.size());
     model_cache_.clear();
-    econ_cache_.clear();
   }
 
   /// Total per-app MIP solves performed (observability / tests).
@@ -273,19 +271,13 @@ class MipScheduler final : public Scheduler {
   /// wholesale by on_topology_change.
   std::map<std::int64_t, solver::MipBasisHint> basis_hints_;
   /// Built trajectory models keyed by structural family (buckets,
-  /// candidate-set size, has-current-site); hits are patched in place
-  /// (costs + k=0 rhs) instead of rebuilt. Pure derived state — never
-  /// serialized; the patch makes any cached entry exact before use.
-  /// Cleared wholesale by on_topology_change.
+  /// candidate-set size, has-current-site), each with its compiled solver
+  /// plan and econ-stage cost vector; hits are patched in place (costs,
+  /// k=0 rhs, econ costs) instead of rebuilt, and solve on the cached
+  /// plan. Pure derived state — never serialized; the patch makes any
+  /// cached entry exact before use. Cleared wholesale by
+  /// on_topology_change.
   solver::ModelCache model_cache_;
-  /// Econ-stage cost vectors keyed by the same structural family as
-  /// model_cache_ (buckets, candidate-set size, has-current-site). Hits
-  /// are patched in place exactly like the model cache — the patched
-  /// vector is bitwise-identical to a scratch build (same arithmetic,
-  /// same order) — and verify_incremental_build cross-checks it too.
-  /// Pure derived state; cleared wholesale by on_topology_change.
-  std::map<std::tuple<int, std::int64_t, int>, std::vector<double>>
-      econ_cache_;
 };
 
 /// Convenience factories for the paper's four policies (Table 1).

@@ -268,28 +268,38 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
 
   solver::Model scratch_model;  // used when incremental build is off
   solver::Model* model_ptr = nullptr;
+  solver::ModelCache::Entry* cached = nullptr;
   const auto build_t0 = std::chrono::steady_clock::now();
   if (config_.incremental_build) {
     const solver::ModelCache::Key key{
         nb, static_cast<std::int64_t>(n_sites), has_y0 ? 1 : 0};
     bool fresh = false;
-    solver::Model& cached = model_cache_.get(key, build_scratch, &fresh);
+    cached = &model_cache_.get(key, build_scratch, &fresh);
     if (fresh) {
       ++model_builds_;
     } else {
-      patch(cached);
+      patch(cached->model);
       ++model_patches_;
       if (config_.verify_incremental_build) {
         const solver::Model rebuilt = build_scratch();
-        const std::string diff = solver::diff_models_bitwise(cached, rebuilt);
+        const std::string diff =
+            solver::diff_models_bitwise(cached->model, rebuilt);
         if (!diff.empty()) {
           throw std::logic_error{
               "MipScheduler: patched model diverged from scratch build: " +
               diff};
         }
+        // The plan the next solve reuses must be what a recompile of the
+        // patched model produces: patches never touch structure.
+        if (cached->plan.compiled &&
+            !(cached->plan == solver::CompiledModel{cached->model})) {
+          throw std::logic_error{
+              "MipScheduler: cached compiled plan diverged from a recompile "
+              "of the patched model"};
+        }
       }
     }
-    model_ptr = &cached;
+    model_ptr = &cached->model;
   } else {
     scratch_model = build_scratch();
     ++model_builds_;
@@ -349,8 +359,14 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
   // mismatch (different horizon or candidate set than last round) is
   // ignored by the solver and simply replaced, so no validation is needed
   // here beyond the topology invalidation done in on_topology_change.
-  solver::MipResult primary = solver::solve_mip(
-      model, config_.mip, have_warm ? &warm : nullptr, hint);
+  // A cached model solves on its cached plan, compiled once per family.
+  // The econ and peak stages below add rows, so their solves (and the next
+  // solve on this plan) compile afresh.
+  const solver::MipWarmStart* warm_ptr = have_warm ? &warm : nullptr;
+  solver::MipResult primary =
+      cached != nullptr
+          ? solver::solve_mip(model, cached->plan, config_.mip, warm_ptr, hint)
+          : solver::solve_mip(model, config_.mip, warm_ptr, hint);
   if (hint != nullptr) {
     if (primary.used_basis_hint) {
       ++basis_hint_hits_;
@@ -389,22 +405,23 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
       }
       return c;
     };
-    const std::tuple<int, std::int64_t, int> key{
-        nb, static_cast<std::int64_t>(n_sites), has_y0 ? 1 : 0};
-    const auto [slot, fresh] = econ_cache_.try_emplace(key);
-    if (fresh) {
-      slot->second = econ_scratch();
+    // The econ vector lives in the model's cache entry (a scratch vector
+    // when incremental build is off).
+    std::vector<double> scratch_econ;
+    std::vector<double>& econ = cached != nullptr ? cached->econ : scratch_econ;
+    if (econ.empty()) {
+      econ = econ_scratch();
     } else {
       for (int k = 0; k < nb; ++k) {
         for (std::size_t s = 0; s < n_sites; ++s) {
-          slot->second[x_index(k, s)] = econ_coeff(k, s);
+          econ[x_index(k, s)] = econ_coeff(k, s);
         }
       }
       if (config_.verify_incremental_build) {
         const std::vector<double> rebuilt = econ_scratch();
-        if (rebuilt.size() != slot->second.size() ||
+        if (rebuilt.size() != econ.size() ||
             (!rebuilt.empty() &&
-             std::memcmp(rebuilt.data(), slot->second.data(),
+             std::memcmp(rebuilt.data(), econ.data(),
                          rebuilt.size() * sizeof(double)) != 0)) {
           throw std::logic_error{
               "MipScheduler: patched econ coefficients diverged from "
@@ -412,7 +429,6 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
         }
       }
     }
-    const std::vector<double>& econ = slot->second;
 
     econ_saved_costs.resize(n_structural);
     std::vector<std::pair<int, double>> o1_terms;

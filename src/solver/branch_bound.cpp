@@ -424,66 +424,7 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
 }  // namespace
 
 MipEngine resolve_engine(const Model& model) {
-  const std::size_t nv = model.n_vars();
-  const std::size_t nc = model.n_constraints();
-  // Tiny models solve in microseconds on the monolithic path; any probing
-  // or decomposition bookkeeping would dominate.
-  if (nv < 24 || nc < 12) return MipEngine::revised;
-
-  // Block count: union-find over variables coupled by shared rows — the
-  // same notion of separability the decomposed engine uses, at O(nnz α).
-  std::vector<int> parent(nv);
-  for (std::size_t i = 0; i < nv; ++i) parent[i] = static_cast<int>(i);
-  const auto find = [&parent](int i) {
-    while (parent[static_cast<std::size_t>(i)] != i) {
-      parent[static_cast<std::size_t>(i)] =
-          parent[static_cast<std::size_t>(
-              parent[static_cast<std::size_t>(i)])];
-      i = parent[static_cast<std::size_t>(i)];
-    }
-    return i;
-  };
-  std::vector<char> constrained(nv, 0);
-  for (const Constraint& row : model.constraints()) {
-    if (row.terms.empty()) continue;
-    const int first = find(row.terms.front().first);
-    for (const auto& [idx, coeff] : row.terms) {
-      (void)coeff;
-      constrained[static_cast<std::size_t>(idx)] = 1;
-      parent[static_cast<std::size_t>(find(idx))] = first;
-    }
-  }
-  std::size_t blocks = 0;
-  for (std::size_t i = 0; i < nv; ++i) {
-    if (constrained[i] && find(static_cast<int>(i)) == static_cast<int>(i)) {
-      ++blocks;
-    }
-  }
-
-  // Chain signature (necessary conditions only — decomposed verifies the
-  // real thing and falls back if the probe guessed wrong): assignment-style
-  // eq rows with all-unit coefficients over binaries, every other row a
-  // short coupling row. That is the trajectory family's shape.
-  bool chainish = true;
-  std::size_t eq_unit_rows = 0;
-  for (const Constraint& row : model.constraints()) {
-    if (!chainish) break;
-    if (row.rel == Rel::eq) {
-      for (const auto& [idx, coeff] : row.terms) {
-        const Variable& var = model.vars()[static_cast<std::size_t>(idx)];
-        if (coeff != 1.0 || !var.integer || var.lb != 0.0 || var.ub != 1.0) {
-          chainish = false;
-          break;
-        }
-      }
-      ++eq_unit_rows;
-    } else if (row.terms.size() > 3) {
-      chainish = false;
-    }
-  }
-  chainish = chainish && eq_unit_rows >= 2;
-
-  return blocks > 1 || chainish ? MipEngine::decomposed : MipEngine::revised;
+  return CompiledModel{model}.engine(model);
 }
 
 const char* engine_name(MipEngine engine) noexcept {
@@ -500,18 +441,27 @@ const char* engine_name(MipEngine engine) noexcept {
 
 MipResult solve_mip(const Model& model, const MipOptions& options,
                     const MipWarmStart* warm, MipBasisHint* hint) {
-  switch (options.engine) {
-    case MipEngine::revised:
-      return solve_mip_impl(model, options, warm, hint);
-    case MipEngine::decomposed:
-      return solve_mip_decomposed(model, options, warm, hint);
-    case MipEngine::auto_select: {
-      MipOptions resolved = options;
-      resolved.engine = resolve_engine(model);
-      return solve_mip(model, resolved, warm, hint);
-    }
+  if (options.engine == MipEngine::revised) {
+    return solve_mip_impl(model, options, warm, hint);
   }
-  return solve_mip_impl(model, options, warm, hint);  // unreachable
+  CompiledModel plan{model};
+  return solve_mip(model, plan, options, warm, hint);
+}
+
+MipResult solve_mip(const Model& model, CompiledModel& plan,
+                    const MipOptions& options, const MipWarmStart* warm,
+                    MipBasisHint* hint) {
+  if (options.engine == MipEngine::revised) {
+    return solve_mip_impl(model, options, warm, hint);
+  }
+  plan.refresh(model);
+  const MipEngine engine = options.engine == MipEngine::auto_select
+                               ? plan.engine(model)
+                               : options.engine;
+  if (engine == MipEngine::revised) {
+    return solve_mip_impl(model, options, warm, hint);
+  }
+  return solve_mip_decomposed(model, plan, options, warm, hint);
 }
 
 MipResult solve_lexicographic(Model& model,

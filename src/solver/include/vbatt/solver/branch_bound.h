@@ -45,8 +45,11 @@ enum class MipEngine {
   decomposed,
 };
 
+struct CompiledModel;  // decompose.h
+
 /// The engine auto_select dispatches `model` to: a deterministic, pure
-/// function of model shape.
+/// function of model shape, read from the same compile (CompiledModel)
+/// that the decomposed engine runs on.
 ///
 ///   - tiny models (few vars or rows): revised — the decomposition probe
 ///     costs more than it saves;
@@ -154,8 +157,21 @@ struct MipResult {
 };
 
 /// Solve `model` honoring integrality flags. `hint` (optional, in-out)
-/// carries a cross-solve basis warm start; see MipBasisHint.
+/// carries a cross-solve basis warm start; see MipBasisHint. Under
+/// auto_select and decomposed this compiles the model's structure, then
+/// runs; callers that re-solve one model with patched data keep the
+/// compile across solves with the overload below.
 MipResult solve_mip(const Model& model, const MipOptions& options = {},
+                    const MipWarmStart* warm = nullptr,
+                    MipBasisHint* hint = nullptr);
+
+/// Same solve, reusing `plan` (in-out): it is recompiled only when it is
+/// not current for `model` (a structural edit since it was compiled, or a
+/// changed integrality flag), so between patch-only solves the engine
+/// choice, block partition and chain plans are paid for once. The result
+/// is bit-identical to solve_mip(model, options, warm, hint).
+MipResult solve_mip(const Model& model, CompiledModel& plan,
+                    const MipOptions& options = {},
                     const MipWarmStart* warm = nullptr,
                     MipBasisHint* hint = nullptr);
 

@@ -17,13 +17,18 @@
 // solver.delta_model_identity fuzz property and MipSchedulerConfig::
 // verify_incremental_build, and the cache is dropped whole on
 // topology-epoch bumps.
+//
+// Each entry also holds the model's CompiledModel (engine choice, block
+// partition, chain plans — decompose.h), so patch-only solves skip every
+// structure cost, and the family's econ-stage cost vector.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "vbatt/solver/decompose.h"
 #include "vbatt/solver/model.h"
 
 namespace vbatt::solver {
@@ -45,19 +50,36 @@ class ModelCache {
     }
   };
 
-  /// Return the cached model for `key`, building it via `build` on a
+  /// One structural family's cached state.
+  struct Entry {
+    Model model;
+    /// Compiled from `model` by the first solve that passes it to
+    /// solve_mip; recompiled automatically after structural edits.
+    CompiledModel plan;
+    /// Secondary-objective costs for the family (empty until a caller
+    /// fills it; MipScheduler's econ stage patches it like the model).
+    std::vector<double> econ;
+  };
+
+  /// Return the entry for `key`, building its model via `build()` on a
   /// miss. `*fresh` (optional) reports whether `build` ran — on a hit the
   /// caller must patch stale costs/rhs before solving.
-  Model& get(const Key& key, const std::function<Model()>& build,
-             bool* fresh = nullptr);
+  template <typename Build>
+  Entry& get(const Key& key, const Build& build, bool* fresh = nullptr) {
+    auto it = cache_.find(key);
+    const bool miss = it == cache_.end();
+    if (miss) it = cache_.emplace(key, Entry{build(), {}, {}}).first;
+    if (fresh != nullptr) *fresh = miss;
+    return it->second;
+  }
 
-  /// Drop every cached model (topology-epoch invalidation).
+  /// Drop every entry (topology-epoch invalidation).
   void clear() { cache_.clear(); }
 
   std::size_t size() const noexcept { return cache_.size(); }
 
  private:
-  std::map<Key, Model> cache_;
+  std::map<Key, Entry> cache_;
 };
 
 /// True when the two models are indistinguishable to the solver at the

@@ -6,6 +6,8 @@
 // Minimization only — negate costs to maximize.
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -42,6 +44,7 @@ class Model {
               double ub = kInf, bool integer = false) {
     if (!(lb <= ub)) throw std::invalid_argument{"add_var: lb > ub"};
     vars_.push_back(Variable{std::move(name), cost, lb, ub, integer});
+    restamp();
     return static_cast<int>(vars_.size()) - 1;
   }
 
@@ -59,6 +62,7 @@ class Model {
       }
     }
     constraints_.push_back(Constraint{std::move(terms), rel, rhs});
+    restamp();
   }
 
   /// Remove the most recently added constraint. Lets callers append a
@@ -69,6 +73,7 @@ class Model {
       throw std::logic_error{"pop_constraint: no constraints"};
     }
     constraints_.pop_back();
+    restamp();
   }
 
   /// Remove the most recently added variable. The caller must first pop any
@@ -85,6 +90,7 @@ class Model {
       }
     }
     vars_.pop_back();
+    restamp();
   }
 
   /// Overwrite one row's right-hand side in place. The structural patch
@@ -96,6 +102,14 @@ class Model {
     }
     constraints_[row].rhs = rhs;
   }
+
+  /// Identifies the model's structure: variable count, row terms and
+  /// relations. add_var, add_constraint, pop_var and pop_constraint each
+  /// draw a fresh process-wide stamp, so two models share a stamp only
+  /// when one is a copy of the other with no structural edit since. Data
+  /// edits (costs, bounds, set_rhs) keep it. A CompiledModel (decompose.h)
+  /// is only reused while the stamp it was compiled at is current.
+  std::uint64_t structure_stamp() const noexcept { return stamp_; }
 
   std::size_t n_vars() const noexcept { return vars_.size(); }
   std::size_t n_constraints() const noexcept { return constraints_.size(); }
@@ -116,8 +130,14 @@ class Model {
   }
 
  private:
+  void restamp() noexcept {
+    static std::atomic<std::uint64_t> next{1};
+    stamp_ = next.fetch_add(1, std::memory_order_relaxed);
+  }
+
   std::vector<Variable> vars_;
   std::vector<Constraint> constraints_;
+  std::uint64_t stamp_ = 0;
 };
 
 }  // namespace vbatt::solver

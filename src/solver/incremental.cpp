@@ -18,18 +18,6 @@ bool same_bits(double x, double y) { return bits_of(x) == bits_of(y); }
 
 }  // namespace
 
-Model& ModelCache::get(const Key& key, const std::function<Model()>& build,
-                       bool* fresh) {
-  auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    it = cache_.emplace(key, build()).first;
-    if (fresh != nullptr) *fresh = true;
-  } else if (fresh != nullptr) {
-    *fresh = false;
-  }
-  return it->second;
-}
-
 bool models_bitwise_equal(const Model& a, const Model& b) {
   return diff_models_bitwise(a, b).empty();
 }

@@ -36,6 +36,11 @@ class RunningStats {
   /// Returns +inf for zero mean with nonzero spread, 0 for empty input.
   double cov() const noexcept;
 
+  /// cov() of an accumulator holding `count` samples with Welford state
+  /// (`mean`, `m2`), for kernels that run add()'s arithmetic on their own
+  /// lanes and must finish exactly as RunningStats would.
+  static double cov_of(std::uint64_t count, double mean, double m2) noexcept;
+
   /// Merge another accumulator (parallel reduction support).
   void merge(const RunningStats& other) noexcept;
 

@@ -7,13 +7,18 @@ namespace vbatt::stats {
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
 
 double RunningStats::cov() const noexcept {
-  if (count_ == 0) return 0.0;
-  const double m = mean();
-  const double s = stddev();
-  if (m == 0.0) {
+  return cov_of(count_, mean_, m2_);
+}
+
+double RunningStats::cov_of(std::uint64_t count, double mean,
+                            double m2) noexcept {
+  if (count == 0) return 0.0;
+  const double s =
+      std::sqrt(count > 1 ? m2 / static_cast<double>(count) : 0.0);
+  if (mean == 0.0) {
     return s == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
   }
-  return s / m;
+  return s / mean;
 }
 
 void RunningStats::merge(const RunningStats& other) noexcept {

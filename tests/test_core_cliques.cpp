@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "vbatt/energy/site.h"
+#include "vbatt/stats/running_stats.h"
 #include "vbatt/util/rng.h"
 
 namespace vbatt::core {
@@ -102,6 +105,78 @@ TEST(RankSubgraphs, SortedByCovAndComplementaryFirst) {
   }
   ASSERT_GE(solar_pair_cov, 0.0);
   EXPECT_LT(ranked.front().cov, solar_pair_cov);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The lane kernel against one RunningStats per clique, bit for bit, for
+/// every clique count from empty through two full groups plus a tail.
+void expect_lanes_match_running_stats(
+    const std::vector<std::vector<int>>& sites, std::size_t n_ticks) {
+  std::vector<const int*> series;
+  for (const std::vector<int>& s : sites) series.push_back(s.data());
+  // Mixed sizes and repeated members: lanes must not assume equal k.
+  std::vector<std::vector<std::size_t>> all;
+  for (std::size_t c = 0; c < 9; ++c) {
+    std::vector<std::size_t> clique;
+    for (std::size_t m = 0; m <= c % 3; ++m) {
+      clique.push_back((c + 2 * m) % sites.size());
+    }
+    all.push_back(clique);
+  }
+  for (const std::size_t count : {0u, 1u, 3u, 4u, 5u, 9u}) {
+    const std::vector<std::vector<std::size_t>> cliques(
+        all.begin(), all.begin() + static_cast<std::ptrdiff_t>(count));
+    std::vector<CliqueStats> got(count);
+    combined_series_stats(cliques, series, n_ticks, 0, count, got);
+    for (std::size_t c = 0; c < count; ++c) {
+      stats::RunningStats rs;
+      for (std::size_t i = 0; i < n_ticks; ++i) {
+        double cores = 0.0;
+        for (const std::size_t s : cliques[c]) cores += series[s][i];
+        rs.add(cores);
+      }
+      EXPECT_TRUE(same_bits(got[c].cov, rs.cov()))
+          << "count " << count << " clique " << c << ": " << got[c].cov
+          << " vs " << rs.cov();
+      EXPECT_TRUE(same_bits(got[c].mean, rs.mean()))
+          << "count " << count << " clique " << c << ": " << got[c].mean
+          << " vs " << rs.mean();
+    }
+  }
+}
+
+TEST(CliqueStatsLanes, MatchRunningStatsOnRandomSeries) {
+  util::Rng rng{17};
+  std::vector<std::vector<int>> sites(6, std::vector<int>(200));
+  for (std::vector<int>& s : sites) {
+    for (int& v : s) v = static_cast<int>(rng.below(5000));
+  }
+  expect_lanes_match_running_stats(sites, 200);
+  expect_lanes_match_running_stats(sites, 1);  // one sample: variance 0
+  expect_lanes_match_running_stats(sites, 0);  // empty window
+}
+
+TEST(CliqueStatsLanes, ConstantSeriesHaveZeroCov) {
+  std::vector<std::vector<int>> sites(4, std::vector<int>(96, 37));
+  expect_lanes_match_running_stats(sites, 96);
+  std::vector<const int*> series{sites[0].data(), sites[1].data()};
+  std::vector<CliqueStats> got(1);
+  combined_series_stats({{0, 1}}, series, 96, 0, 1, got);
+  EXPECT_EQ(got[0].cov, 0.0);
+  EXPECT_EQ(got[0].mean, 74.0);
+}
+
+TEST(CliqueStatsLanes, AllZeroSeriesTakeTheZeroMeanBranch) {
+  std::vector<std::vector<int>> sites(3, std::vector<int>(50, 0));
+  expect_lanes_match_running_stats(sites, 50);
+  std::vector<const int*> series{sites[0].data()};
+  std::vector<CliqueStats> got(1);
+  combined_series_stats({{0}}, series, 50, 0, 1, got);
+  EXPECT_EQ(got[0].cov, 0.0);
+  EXPECT_EQ(got[0].mean, 0.0);
 }
 
 TEST(RankSubgraphs, WindowValidation) {

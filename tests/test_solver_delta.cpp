@@ -1,6 +1,7 @@
-// Incremental (delta) MIP model build: ModelCache semantics, the bitwise
-// model diff it is audited with, and MipScheduler's patch-vs-scratch
-// identity across replans and topology-epoch invalidations.
+// Incremental (delta) MIP model build: ModelCache semantics, compiled plan
+// reuse and staleness, the bitwise model diff it is audited with, and
+// MipScheduler's patch-vs-scratch identity across replans and
+// topology-epoch invalidations.
 //
 // The load-bearing claim is bitwise: a patched model must equal the
 // from-scratch build down to the last mantissa bit, because every solver
@@ -9,13 +10,18 @@
 // bit); these tests pin the cache mechanics around it.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/energy/site.h"
+#include "vbatt/solver/branch_bound.h"
+#include "vbatt/solver/decompose.h"
 #include "vbatt/solver/incremental.h"
 #include "vbatt/solver/model.h"
+#include "vbatt/util/rng.h"
 
 namespace vbatt::core {
 namespace {
@@ -30,6 +36,39 @@ solver::Model tiny_model(double cost, double rhs) {
   return model;
 }
 
+/// The scheduler's trajectory family for one app with a current site:
+/// binary x[k][s] (k-major), continuous move slacks y[k][s], one
+/// assignment row per bucket, each followed by its move rows.
+solver::Model chain_model(int sites, int buckets, std::uint64_t seed) {
+  util::Rng rng{seed};
+  solver::Model model;
+  for (int v = 0; v < sites * buckets; ++v) {
+    model.add_binary("x", rng.uniform(0.0, 50.0));
+  }
+  for (int k = 0; k < buckets; ++k) {
+    for (int s = 0; s < sites; ++s) {
+      model.add_var("y", 20.0 + static_cast<double>(k), 0.0, 1.0);
+    }
+  }
+  const auto x = [sites](int k, int s) { return k * sites + s; };
+  const auto y = [sites, buckets](int k, int s) {
+    return sites * buckets + k * sites + s;
+  };
+  for (int k = 0; k < buckets; ++k) {
+    std::vector<std::pair<int, double>> one;
+    for (int s = 0; s < sites; ++s) one.emplace_back(x(k, s), 1.0);
+    model.add_constraint(std::move(one), solver::Rel::eq, 1.0);
+    for (int s = 0; s < sites; ++s) {
+      std::vector<std::pair<int, double>> terms{{x(k, s), 1.0}};
+      if (k > 0) terms.emplace_back(x(k - 1, s), -1.0);
+      terms.emplace_back(y(k, s), -1.0);
+      model.add_constraint(std::move(terms), solver::Rel::le,
+                           k == 0 && s == 0 ? 1.0 : 0.0);
+    }
+  }
+  return model;
+}
+
 TEST(ModelCache, BuildsOncePerKeyThenHits) {
   solver::ModelCache cache;
   int builds = 0;
@@ -39,12 +78,12 @@ TEST(ModelCache, BuildsOncePerKeyThenHits) {
   };
 
   bool fresh = false;
-  solver::Model& first = cache.get({4, 7, 1}, build, &fresh);
+  solver::Model& first = cache.get({4, 7, 1}, build, &fresh).model;
   EXPECT_TRUE(fresh);
   EXPECT_EQ(builds, 1);
   EXPECT_EQ(cache.size(), 1u);
 
-  solver::Model& again = cache.get({4, 7, 1}, build, &fresh);
+  solver::Model& again = cache.get({4, 7, 1}, build, &fresh).model;
   EXPECT_FALSE(fresh);
   EXPECT_EQ(builds, 1);  // no rebuild on a hit
   EXPECT_EQ(&first, &again);  // the cached object itself, patchable in place
@@ -59,6 +98,139 @@ TEST(ModelCache, BuildsOncePerKeyThenHits) {
   (void)cache.get({4, 7, 1}, build, &fresh);
   EXPECT_TRUE(fresh);
   EXPECT_EQ(builds, 3);
+}
+
+TEST(ModelCache, ClearDropsCompiledPlans) {
+  solver::ModelCache cache;
+  const auto build = [] { return chain_model(3, 4, 1); };
+  solver::ModelCache::Entry& entry = cache.get({1, 2, 3}, build);
+  (void)solver::solve_mip(entry.model, entry.plan);
+  EXPECT_TRUE(entry.plan.compiled);
+  EXPECT_TRUE(entry.plan.current_for(entry.model));
+
+  // Topology invalidation clears the cache: the next get rebuilds the
+  // model and starts from an uncompiled plan.
+  cache.clear();
+  bool fresh = false;
+  solver::ModelCache::Entry& rebuilt = cache.get({1, 2, 3}, build, &fresh);
+  EXPECT_TRUE(fresh);
+  EXPECT_FALSE(rebuilt.plan.compiled);
+  EXPECT_FALSE(rebuilt.plan.current_for(rebuilt.model));
+  EXPECT_TRUE(rebuilt.econ.empty());
+}
+
+// --- compiled plans ------------------------------------------------------
+
+/// Bitwise equality on every MipResult field a caller can observe.
+void expect_same_result(const solver::MipResult& got,
+                        const solver::MipResult& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.objective),
+            std::bit_cast<std::uint64_t>(want.objective));
+  ASSERT_EQ(got.x.size(), want.x.size());
+  for (std::size_t i = 0; i < got.x.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.x[i]),
+              std::bit_cast<std::uint64_t>(want.x[i]))
+        << "x[" << i << "]";
+  }
+  EXPECT_EQ(got.nodes_explored, want.nodes_explored);
+  EXPECT_EQ(got.pivots, want.pivots);
+  EXPECT_EQ(got.blocks, want.blocks);
+  EXPECT_EQ(got.chain_blocks, want.chain_blocks);
+  EXPECT_EQ(got.master_iterations, want.master_iterations);
+  EXPECT_EQ(got.monolithic_fallback, want.monolithic_fallback);
+}
+
+TEST(CompiledPlan, StructuralEditsNeverSolveOnAStalePlan) {
+  solver::Model model = chain_model(3, 5, 7);
+  solver::CompiledModel plan{model};
+  const solver::MipResult chain = solver::solve_mip(model, plan);
+  expect_same_result(chain, solver::solve_mip(model));
+  EXPECT_EQ(chain.chain_blocks, 1);
+
+  // A cap row over every x couples the chain: the plan goes stale, the
+  // planned solve recompiles and matches a fresh solve (no chain DP).
+  std::vector<std::pair<int, double>> cap;
+  for (std::size_t v = 0; v < model.n_vars(); ++v) {
+    if (model.vars()[v].integer) cap.emplace_back(static_cast<int>(v), 1.0);
+  }
+  model.add_constraint(std::move(cap), solver::Rel::le, 5.0);
+  EXPECT_FALSE(plan.current_for(model));
+  const solver::MipResult capped = solver::solve_mip(model, plan);
+  expect_same_result(capped, solver::solve_mip(model));
+  EXPECT_EQ(capped.chain_blocks, 0);
+  EXPECT_TRUE(plan.current_for(model));
+
+  // Popping the row restores the structure but not the stamp: recompile,
+  // and the chain DP answer comes back bit for bit.
+  model.pop_constraint();
+  EXPECT_FALSE(plan.current_for(model));
+  expect_same_result(solver::solve_mip(model, plan), chain);
+
+  // Same row count, different structure: swapping the last move row for
+  // a non-unit variant is caught by the stamp alone.
+  solver::Constraint last = model.constraints().back();
+  last.terms.front().second = 2.0;
+  model.pop_constraint();
+  model.add_constraint(last.terms, last.rel, last.rhs);
+  EXPECT_FALSE(plan.current_for(model));
+  const solver::MipResult swapped = solver::solve_mip(model, plan);
+  expect_same_result(swapped, solver::solve_mip(model));
+  EXPECT_EQ(swapped.chain_blocks, 0);
+
+  // An integrality flip is structure to the plan, too.
+  solver::CompiledModel flipped_plan{model};
+  model.vars()[0].integer = false;
+  EXPECT_FALSE(flipped_plan.current_for(model));
+}
+
+TEST(CompiledPlan, DataPatchesKeepThePlanAndMatchFreshSolves) {
+  solver::Model model = chain_model(3, 5, 11);
+  solver::CompiledModel plan{model};
+  const std::uint64_t stamp = model.structure_stamp();
+  for (int round = 0; round < 4; ++round) {
+    for (std::size_t v = 0; v < model.n_vars(); ++v) {
+      model.vars()[v].cost += static_cast<double>((v * 7 + round) % 5);
+    }
+    model.set_rhs(1, round % 2 == 0 ? 1.0 : 0.0);
+    EXPECT_TRUE(plan.current_for(model));
+    expect_same_result(solver::solve_mip(model, plan),
+                       solver::solve_mip(model));
+  }
+  EXPECT_EQ(model.structure_stamp(), stamp);
+  // A planned solve is also the same whatever its plan's history: equal
+  // to a recompile of the patched model.
+  EXPECT_TRUE(plan == solver::CompiledModel{model});
+}
+
+TEST(CompiledPlan, SpentNodeBudgetStillFails) {
+  solver::Model model = chain_model(3, 5, 3);
+  solver::CompiledModel plan{model};
+  (void)solver::solve_mip(model, plan);  // compile + warm the scratch
+  solver::MipOptions options;
+  options.max_nodes = 0;
+  const solver::MipResult got = solver::solve_mip(model, plan, options);
+  EXPECT_EQ(got.status, solver::LpStatus::iteration_limit);
+  EXPECT_FALSE(got.proven_optimal);
+  expect_same_result(got, solver::solve_mip(model, options));
+}
+
+TEST(CompiledPlan, TwoForcedStatesStayInfeasible) {
+  solver::Model model = chain_model(3, 5, 5);
+  solver::CompiledModel plan{model};
+  (void)solver::solve_mip(model, plan);
+  // Stage 1's first two sites both forced on (x layout is k-major).
+  model.vars()[3].lb = 1.0;
+  model.vars()[4].lb = 1.0;
+  for (const solver::MipEngine engine :
+       {solver::MipEngine::auto_select, solver::MipEngine::decomposed}) {
+    solver::MipOptions options;
+    options.engine = engine;
+    const solver::MipResult got = solver::solve_mip(model, plan, options);
+    EXPECT_EQ(got.status, solver::LpStatus::infeasible)
+        << solver::engine_name(engine);
+    expect_same_result(got, solver::solve_mip(model, options));
+  }
 }
 
 // --- bitwise model diff --------------------------------------------------

@@ -174,8 +174,8 @@ TEST(EconDeltaBuild, TopologyEpochInvalidationDropsTheEconCache) {
   MipScheduler invalidated{econ_delta_config(&price)};
   const std::vector<Move> after_fault =
       drive(invalidated, graph, /*invalidate=*/true);
-  // Both caches were populated (model families + econ vectors), and the
-  // epoch bump dropped them all.
+  // The cache was populated (model families, each with its econ
+  // vector), and the epoch bump dropped every entry.
   EXPECT_GE(invalidated.model_cache_invalidations(), 2);
   EXPECT_GE(invalidated.model_build_count(), 2);
 
