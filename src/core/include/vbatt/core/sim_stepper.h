@@ -71,7 +71,7 @@ class SimStepper {
   void enforce_and_meter();
 
   /// Dynamic batch submissions (BatchJob / HarvestTask service events).
-  /// Entities join the overlay's admission scan on the next
+  /// Entities are admitted to the overlay on the next
   /// enforce_and_meter whose tick has reached their arrival.
   void submit_batch_job(const workload::DeadlineJob& job);
   void submit_harvest_task(const workload::HarvestTask& task);

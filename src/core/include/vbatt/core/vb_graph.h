@@ -53,6 +53,9 @@ struct VbGraphConfig {
 /// Immutable scheduling substrate built from a generated fleet.
 class VbGraph {
  public:
+  /// The per-site forecasts fan over util::ThreadPool::shared(), so a
+  /// VbGraph must not be built inside one of that pool's tasks
+  /// (parallel_for throws when called from the pool's own workers).
   VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config);
 
   std::size_t n_sites() const noexcept { return sites_.size(); }

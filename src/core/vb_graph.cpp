@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "vbatt/util/thread_pool.h"
+
 namespace vbatt::core {
 
 namespace {
@@ -38,11 +40,12 @@ VbGraph::VbGraph(const energy::Fleet& fleet, const VbGraphConfig& config)
   }
 
   // Every site's forecasts at every lead in one bulk call, which shares
-  // the per-site and per-(source, lead) work across the leads and sites.
+  // the per-site and per-(source, lead) work across the leads and sites
+  // and fans the per-site work over the shared pool.
   std::vector<std::vector<std::vector<double>>> forecasts;
   if (!config.oracle_forecasts) {
     forecasts = energy::Forecaster{config.forecaster}.forecast(
-        fleet.traces, leads_hours_);
+        fleet.traces, leads_hours_, &util::ThreadPool::shared());
   }
   sites_.reserve(fleet.specs.size());
   for (std::size_t i = 0; i < fleet.specs.size(); ++i) {

@@ -160,6 +160,9 @@ class SiteBlock {
   std::vector<std::int32_t> free_cores_;
   std::vector<double> free_memory_gb_;
   std::vector<std::int32_t> vm_count_;
+  /// One bit per server of the block (at server_base + local id), set
+  /// while vm_count_ > 0, so shrink_to visits only occupied servers.
+  std::vector<std::uint64_t> occupied_;
   std::vector<std::uint8_t> failed_;
   std::vector<std::vector<Victim>> victims_;
 
@@ -185,6 +188,13 @@ class SiteBlock {
       bucket_mask_[w] &= ~bit;
     }
   }
+  /// Lowest occupied local server id of `site` in [from, limit), or
+  /// `limit` if none.
+  int next_occupied(const SiteState& site, int from, int limit) const;
+  /// Evict `server`'s residents (victim order) into `out` while the site
+  /// is over `available_cores`.
+  void evict_from(SiteState& site, int server, int available_cores,
+                  std::vector<Evicted>& out);
   /// Lowest nonempty bucket id in [from, limit), or `limit` if none.
   int next_nonempty(std::size_t s_index, int from, int limit) const;
   /// Highest nonempty bucket id in [limit, from], or limit - 1 if none.

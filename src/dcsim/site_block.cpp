@@ -49,6 +49,7 @@ SiteBlock::SiteBlock(const std::vector<SiteConfig>& configs) {
   free_cores_.assign(total_servers, top_);
   free_memory_gb_.assign(total_servers, spec.memory_gb);
   vm_count_.assign(total_servers, 0);
+  occupied_.assign((total_servers + kWordBits - 1) / kWordBits, 0);
   failed_.assign(total_servers, 0);
   victims_.assign(total_servers, {});
   bucket_words_.assign(total_words, 0);
@@ -134,7 +135,10 @@ void SiteBlock::attach(SiteState& site, int server, std::int64_t vm_id,
   const bool was_top_used = old_free == top_ && vm_count_[idx] > 0;
   free_cores_[idx] -= cores;
   free_memory_gb_[idx] -= memory_gb;
-  if (++vm_count_[idx] == 1) ++site.powered_servers;
+  if (++vm_count_[idx] == 1) {
+    ++site.powered_servers;
+    occupied_[idx / kWordBits] |= std::uint64_t{1} << (idx % kWordBits);
+  }
   site.top_used +=
       static_cast<int>(free_cores_[idx] == top_ && vm_count_[idx] > 0) -
       static_cast<int>(was_top_used);
@@ -156,7 +160,10 @@ void SiteBlock::detach(SiteState& site, int server, const Victim& entry) {
   const bool was_top_used = old_free == top_ && vm_count_[idx] > 0;
   free_cores_[idx] += entry.cores;
   free_memory_gb_[idx] += entry.memory_gb;
-  if (--vm_count_[idx] == 0) --site.powered_servers;
+  if (--vm_count_[idx] == 0) {
+    --site.powered_servers;
+    occupied_[idx / kWordBits] &= ~(std::uint64_t{1} << (idx % kWordBits));
+  }
   site.top_used +=
       static_cast<int>(free_cores_[idx] == top_ && vm_count_[idx] > 0) -
       static_cast<int>(was_top_used);
@@ -197,28 +204,58 @@ void SiteBlock::remove(std::size_t s, int server, std::int64_t vm_id,
                                    memory_gb});
 }
 
+int SiteBlock::next_occupied(const SiteState& site, int from,
+                             int limit) const {
+  if (from >= limit) return limit;
+  const std::size_t base = site.server_base;
+  const std::size_t end = base + static_cast<std::size_t>(limit);
+  std::size_t i = base + static_cast<std::size_t>(from);
+  std::size_t w = i / kWordBits;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (i % kWordBits));
+  for (;;) {
+    if (bits != 0) {
+      i = w * kWordBits + static_cast<std::size_t>(std::countr_zero(bits));
+      return i < end ? static_cast<int>(i - base) : limit;
+    }
+    if (++w * kWordBits >= end) return limit;
+    bits = occupied_[w];
+  }
+}
+
+void SiteBlock::evict_from(SiteState& site, int server, int available_cores,
+                           std::vector<Evicted>& out) {
+  std::vector<Victim>& order =
+      victims_[site.server_base + static_cast<std::size_t>(server)];
+  while (!order.empty() && site.allocated_cores > available_cores) {
+    const Victim entry = order.front();
+    out.push_back(Evicted{entry.vm_id, entry.cores, entry.memory_gb, server,
+                          entry.rank == 0});
+    detach(site, server, entry);  // also pops the victim entry
+  }
+}
+
 void SiteBlock::shrink_to(std::size_t s, int available_cores,
                           std::vector<Evicted>& out) {
   SiteState& site = sites_[s];
   if (site.allocated_cores <= available_cores) return;
 
-  // Round-robin over servers from the persistent cursor; within a server
-  // the victim order (degradable first, then vm_id) is already maintained
-  // by attach/detach.
+  // Round-robin over servers from the persistent cursor — [cursor, n),
+  // then [0, cursor) — visiting only occupied ones (an empty server has
+  // nothing to evict); within a server the victim order (degradable
+  // first, then vm_id) is already maintained by attach/detach.
   const int n = site.n_servers;
-  for (int step = 0; step < n && site.allocated_cores > available_cores;
-       ++step) {
-    const int server = (site.eviction_cursor + step) % n;
-    std::vector<Victim>& order =
-        victims_[site.server_base + static_cast<std::size_t>(server)];
-    while (!order.empty() && site.allocated_cores > available_cores) {
-      const Victim entry = order.front();
-      out.push_back(Evicted{entry.vm_id, entry.cores, entry.memory_gb,
-                            server, entry.rank == 0});
-      detach(site, server, entry);  // also pops the victim entry
-    }
+  const int cursor = site.eviction_cursor;
+  for (int server = next_occupied(site, cursor, n);
+       server < n && site.allocated_cores > available_cores;
+       server = next_occupied(site, server + 1, n)) {
+    evict_from(site, server, available_cores, out);
   }
-  site.eviction_cursor = (site.eviction_cursor + 1) % n;
+  for (int server = next_occupied(site, 0, cursor);
+       server < cursor && site.allocated_cores > available_cores;
+       server = next_occupied(site, server + 1, cursor)) {
+    evict_from(site, server, available_cores, out);
+  }
+  site.eviction_cursor = (cursor + 1) % n;
 }
 
 void SiteBlock::fail_servers(std::size_t s, int count,

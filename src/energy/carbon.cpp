@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 #include "vbatt/util/rng.h"
 
@@ -51,15 +52,18 @@ SiteSeries make_carbon_series(const CarbonSeriesConfig& config,
     throw std::invalid_argument{"CarbonSeriesConfig: negative spread"};
   }
   SiteSeries series{n_sites, n_ticks};
+  // One grid curve for every site; each site adds its offset to it.
+  std::vector<double> curve(n_ticks);
+  for (std::size_t t = 0; t < n_ticks; ++t) {
+    curve[t] =
+        grid_intensity_gco2(config.grid, axis, static_cast<util::Tick>(t));
+  }
   for (std::size_t s = 0; s < n_sites; ++s) {
     util::Rng rng{util::seed_for(config.seed, "carbon-site", s)};
     const double offset = rng.uniform(-config.site_spread_gco2_per_kwh,
                                       config.site_spread_gco2_per_kwh);
     for (std::size_t t = 0; t < n_ticks; ++t) {
-      const double intensity =
-          grid_intensity_gco2(config.grid, axis, static_cast<util::Tick>(t)) +
-          offset;
-      series.at(s, t) = std::max(0.0, intensity);
+      series.at(s, t) = std::max(0.0, curve[t] + offset);
     }
   }
   return series;

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 #include "vbatt/util/rng.h"
 
@@ -34,18 +35,23 @@ SiteSeries make_price_series(const PriceSeriesConfig& config,
     throw std::invalid_argument{"PriceSeriesConfig: negative swing or spread"};
   }
   SiteSeries series{n_sites, n_ticks};
+  // The diurnal curve is the same at every site: compute it once, then add
+  // each site's offset (the sum is (base + swing * cos) + offset, as if
+  // written out per site).
+  std::vector<double> curve(n_ticks);
+  for (std::size_t t = 0; t < n_ticks; ++t) {
+    const double hour = axis.hour_of_day(static_cast<util::Tick>(t));
+    curve[t] = config.base_usd_per_mwh +
+               config.swing_usd_per_mwh *
+                   std::cos(2.0 * std::numbers::pi *
+                            (hour - config.peak_hour) / 24.0);
+  }
   for (std::size_t s = 0; s < n_sites; ++s) {
     util::Rng rng{util::seed_for(config.seed, "price-site", s)};
     const double offset = rng.uniform(-config.site_spread_usd_per_mwh,
                                       config.site_spread_usd_per_mwh);
     for (std::size_t t = 0; t < n_ticks; ++t) {
-      const double hour = axis.hour_of_day(static_cast<util::Tick>(t));
-      series.at(s, t) =
-          config.base_usd_per_mwh +
-          config.swing_usd_per_mwh *
-              std::cos(2.0 * std::numbers::pi *
-                       (hour - config.peak_hour) / 24.0) +
-          offset;
+      series.at(s, t) = curve[t] + offset;
     }
   }
   return series;

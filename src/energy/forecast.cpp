@@ -7,6 +7,7 @@
 
 #include "vbatt/stats/series.h"
 #include "vbatt/util/rng.h"
+#include "vbatt/util/thread_pool.h"
 
 namespace vbatt::energy {
 
@@ -40,7 +41,8 @@ std::vector<double> Forecaster::forecast(const PowerTrace& actual,
 }
 
 std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
-    std::span<const PowerTrace> traces, std::span<const double> leads) const {
+    std::span<const PowerTrace> traces, std::span<const double> leads,
+    util::ThreadPool* pool) const {
   for (const double lead : leads) {
     if (lead < 0.0) throw std::invalid_argument{"forecast: negative lead"};
   }
@@ -52,7 +54,6 @@ std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
   // that source shows up. Sharing it is exact because the stream is keyed
   // without the site (see forecast.h).
   std::array<std::vector<std::vector<double>>, 2> noise_by_source;
-  out.reserve(traces.size());
   for (const PowerTrace& trace : traces) {
     if (trace.axis() != axis || trace.size() != n) {
       throw std::invalid_argument{
@@ -65,7 +66,25 @@ std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
         table.push_back(noise_series(trace.source(), lead, axis, n));
       }
     }
-    out.push_back(forecast_leads(trace, leads, table));
+  }
+  // Every output buffer is allocated here, on the calling thread, so a
+  // worker only fills memory the caller owns: buffers a worker allocated
+  // would return to that worker's malloc arena when the caller frees them
+  // and stay stranded there.
+  out.assign(traces.size(), std::vector<std::vector<double>>(
+                                leads.size(), std::vector<double>(n)));
+  const auto run = [&](std::size_t first, std::size_t last) {
+    for (std::size_t s = first; s < last; ++s) {
+      const PowerTrace& trace = traces[s];
+      forecast_leads(trace, leads,
+                     noise_by_source[trace.source() == Source::solar ? 0 : 1],
+                     out[s]);
+    }
+  };
+  if (pool != nullptr && pool->size() > 0) {
+    pool->parallel_for(traces.size(), run);
+  } else {
+    run(0, traces.size());
   }
   return out;
 }
@@ -97,13 +116,13 @@ std::vector<double> Forecaster::noise_series(Source source,
   return out;
 }
 
-std::vector<std::vector<double>> Forecaster::forecast_leads(
+void Forecaster::forecast_leads(
     const PowerTrace& actual, std::span<const double> leads,
-    const std::vector<std::vector<double>>& noise_table) const {
+    const std::vector<std::vector<double>>& noise_table,
+    std::vector<std::vector<double>>& out) const {
   const auto& series = actual.normalized_series();
   const std::size_t n = series.size();
-  std::vector<std::vector<double>> out(leads.size());
-  if (n == 0) return out;
+  if (n == 0) return;
   const util::TimeAxis& axis = actual.axis();
   const bool solar = actual.source() == Source::solar;
 
@@ -154,7 +173,6 @@ std::vector<std::vector<double>> Forecaster::forecast_leads(
     // 3. Apply the (source, lead) noise stream.
     const std::vector<double>& lead_noise = noise_table[l];
     std::vector<double>& fc = out[l];
-    fc.resize(n);
     // k = i % per_day, advanced without a division per tick.
     for (std::size_t i = 0, k = 0; i < n;
          ++i, k = k + 1 == per_day ? 0 : k + 1) {
@@ -175,7 +193,6 @@ std::vector<std::vector<double>> Forecaster::forecast_leads(
       fc[i] = std::clamp(c * r_hat * (1.0 + lead_noise[i]), 0.0, 1.0);
     }
   }
-  return out;
 }
 
 double Forecaster::measured_mape(const PowerTrace& actual, double lead_hours,

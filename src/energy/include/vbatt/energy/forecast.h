@@ -27,6 +27,10 @@
 
 #include "vbatt/energy/trace.h"
 
+namespace vbatt::util {
+class ThreadPool;
+}
+
 namespace vbatt::energy {
 
 struct ForecastConfig {
@@ -66,9 +70,13 @@ class Forecaster {
   /// Bulk form: out[s][l] is forecast(traces[s], leads[l]), bit for bit.
   /// Climatology and the ratio/mask are computed once per trace, and the
   /// noise once per (source, lead) for all traces. The traces must share
-  /// one axis and length.
+  /// one axis and length. The noise tables are drawn and every output
+  /// buffer is sized on the calling thread; the per-trace work then fans
+  /// over `pool` (serial when null or workerless). Each trace writes only
+  /// its own presized slot, so the result is the same at any lane count.
   std::vector<std::vector<std::vector<double>>> forecast(
-      std::span<const PowerTrace> traces, std::span<const double> leads) const;
+      std::span<const PowerTrace> traces, std::span<const double> leads,
+      util::ThreadPool* pool = nullptr) const;
 
   /// Empirical climatology of a trace: mean normalized power per
   /// tick-of-day. Returned series has ticks_per_day entries.
@@ -87,11 +95,11 @@ class Forecaster {
                                    const util::TimeAxis& axis,
                                    std::size_t n) const;
 
-  /// All leads of one trace; noise_table[l] is noise_series(source,
-  /// leads[l], ...).
-  std::vector<std::vector<double>> forecast_leads(
-      const PowerTrace& actual, std::span<const double> leads,
-      const std::vector<std::vector<double>>& noise_table) const;
+  /// All leads of one trace into `out` (out[l] presized to the trace
+  /// length); noise_table[l] is noise_series(source, leads[l], ...).
+  void forecast_leads(const PowerTrace& actual, std::span<const double> leads,
+                      const std::vector<std::vector<double>>& noise_table,
+                      std::vector<std::vector<double>>& out) const;
 
   ForecastConfig config_;
 };

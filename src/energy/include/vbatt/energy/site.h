@@ -17,6 +17,10 @@
 #include "vbatt/util/geo.h"
 #include "vbatt/util/time.h"
 
+namespace vbatt::util {
+class ThreadPool;
+}
+
 namespace vbatt::energy {
 
 /// Identity + generation parameters of one VB site. The full model config
@@ -61,7 +65,16 @@ struct Fleet {
   std::size_t size() const noexcept { return specs.size(); }
 };
 
-/// Deterministically generate a fleet per the config.
+/// Deterministically generate a fleet per the config. Site layout and
+/// the shared wind fronts are drawn on the calling thread; the per-site
+/// traces then fan over `pool` (serial when null or workerless) into
+/// buffers the caller allocated. Every site's trace depends only on its
+/// own spec and front, so the fleet is the same at any lane count.
+Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
+                     std::size_t n_ticks, util::ThreadPool* pool);
+
+/// generate_fleet on util::ThreadPool::shared(); like any user of that
+/// pool, not to be called from inside one of its tasks.
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
                      std::size_t n_ticks);
 

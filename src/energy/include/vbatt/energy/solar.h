@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
 #include "vbatt/energy/trace.h"
 #include "vbatt/energy/weather.h"
@@ -59,6 +60,10 @@ class SolarModel {
 
   /// Generate `n_ticks` samples on `axis` starting at tick 0.
   PowerTrace generate(const util::TimeAxis& axis, std::size_t n_ticks) const;
+
+  /// The normalized samples of generate(axis, out.size()), written into
+  /// caller-owned storage.
+  void generate_into(const util::TimeAxis& axis, std::span<double> out) const;
 
   /// Clear-sky (cloud-free) normalized output at a tick — the envelope the
   /// stochastic model modulates. Exposed for tests and climatology.

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "vbatt/energy/trace.h"
@@ -77,11 +78,14 @@ class WindModel {
 
   PowerTrace generate(const util::TimeAxis& axis, std::size_t n_ticks) const;
 
-  /// The same trace, with the front path supplied by the caller: `front`
-  /// must be generate_front(config().front, axis, n_ticks). Sites loading
-  /// on one shared front can then generate it once between them.
-  PowerTrace generate(const util::TimeAxis& axis, std::size_t n_ticks,
-                      const std::vector<double>& front) const;
+  /// The normalized samples of generate(axis, out.size()), written into
+  /// caller-owned storage, with the front path supplied by the caller:
+  /// `front` must be generate_front(config().front, axis, out.size()).
+  /// Sites loading on one shared front can then generate it once between
+  /// them. Throws std::invalid_argument when the lengths differ.
+  void generate_into(const util::TimeAxis& axis,
+                     const std::vector<double>& front,
+                     std::span<double> out) const;
 
   /// Deterministic (noise-free) speed component at a tick; for tests.
   double mean_speed(const util::TimeAxis& axis, util::Tick t) const noexcept;

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "vbatt/util/rng.h"
+#include "vbatt/util/thread_pool.h"
 
 namespace vbatt::energy {
 
@@ -16,6 +17,11 @@ PowerTrace SiteSpec::generate(const util::TimeAxis& axis,
 
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
                      std::size_t n_ticks) {
+  return generate_fleet(config, axis, n_ticks, &util::ThreadPool::shared());
+}
+
+Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
+                     std::size_t n_ticks, util::ThreadPool* pool) {
   if (config.n_solar < 0 || config.n_wind < 0 ||
       config.n_solar + config.n_wind == 0) {
     throw std::invalid_argument{"FleetConfig: need at least one site"};
@@ -30,7 +36,6 @@ Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
   const auto n_sites = static_cast<std::size_t>(config.n_solar) +
                        static_cast<std::size_t>(config.n_wind);
   fleet.specs.reserve(n_sites);
-  fleet.traces.reserve(n_sites);
   int id = 0;
 
   for (int i = 0; i < config.n_solar; ++i, ++id) {
@@ -48,13 +53,13 @@ Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
         12.5 + 2.5 * (spec.location.x_km / config.region_km - 0.5);
     spec.solar.seed = util::seed_for(config.seed, "fleet-solar",
                                      static_cast<std::uint64_t>(i));
-    fleet.traces.push_back(spec.generate(axis, n_ticks));
     fleet.specs.push_back(spec);
   }
 
-  // One path per regional front, generated by the first site loading on
-  // it. Fleet wind sites differ in their front config only by its seed,
-  // which depends on the front id alone, so later sites reuse the path.
+  // One path per regional front, generated when the first site loading
+  // on it is laid out. Fleet wind sites differ in their front config only
+  // by its seed, which depends on the front id alone, so later sites
+  // reuse the path.
   std::vector<std::vector<double>> fronts;
 
   for (int i = 0; i < config.n_wind; ++i, ++id) {
@@ -85,9 +90,39 @@ Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
     if (static_cast<std::size_t>(front_id) == fronts.size()) {
       fronts.push_back(generate_front(spec.wind.front, axis, n_ticks));
     }
-    fleet.traces.push_back(WindModel{spec.wind}.generate(
-        axis, n_ticks, fronts[static_cast<std::size_t>(front_id)]));
     fleet.specs.push_back(spec);
+  }
+
+  // Every sample buffer is allocated here, on the calling thread, for the
+  // reason Forecaster::forecast gives: a buffer a worker allocated would
+  // go back to that worker's malloc arena when the fleet is freed.
+  std::vector<std::vector<double>> samples(n_sites,
+                                           std::vector<double>(n_ticks));
+  const auto run = [&](std::size_t first, std::size_t last) {
+    for (std::size_t s = first; s < last; ++s) {
+      const SiteSpec& spec = fleet.specs[s];
+      if (spec.source == Source::solar) {
+        SolarModel{spec.solar}.generate_into(axis, samples[s]);
+      } else {
+        const std::size_t wind_index = s - static_cast<std::size_t>(
+                                               config.n_solar);
+        WindModel{spec.wind}.generate_into(
+            axis,
+            fronts[wind_index % static_cast<std::size_t>(config.n_fronts)],
+            samples[s]);
+      }
+    }
+  };
+  if (pool != nullptr && pool->size() > 0) {
+    pool->parallel_for(n_sites, run);
+  } else {
+    run(0, n_sites);
+  }
+  fleet.traces.reserve(n_sites);
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    const SiteSpec& spec = fleet.specs[s];
+    fleet.traces.emplace_back(axis, spec.peak_mw, std::move(samples[s]),
+                              spec.source);
   }
   return fleet;
 }

@@ -44,6 +44,14 @@ double SolarModel::clear_sky(const util::TimeAxis& axis,
 
 PowerTrace SolarModel::generate(const util::TimeAxis& axis,
                                 std::size_t n_ticks) const {
+  std::vector<double> out(n_ticks);
+  generate_into(axis, out);
+  return PowerTrace{axis, config_.peak_mw, std::move(out), Source::solar};
+}
+
+void SolarModel::generate_into(const util::TimeAxis& axis,
+                               std::span<double> out) const {
+  const std::size_t n_ticks = out.size();
   const int days =
       static_cast<int>((n_ticks + static_cast<std::size_t>(axis.ticks_per_day()) - 1) /
                        static_cast<std::size_t>(axis.ticks_per_day()));
@@ -64,7 +72,6 @@ PowerTrace SolarModel::generate(const util::TimeAxis& axis,
     day_scale[d] = 1.0 + 0.08 * day_rng.normal();
   }
 
-  std::vector<double> out(n_ticks);
   for (std::size_t i = 0; i < n_ticks; ++i) {
     const auto t = static_cast<util::Tick>(i);
     const auto day = static_cast<std::size_t>(axis.day_index(t));
@@ -89,7 +96,6 @@ PowerTrace SolarModel::generate(const util::TimeAxis& axis,
                            0.0, 1.0);
     out[i] = std::clamp(clear_sky(axis, t) * clearness, 0.0, 1.0);
   }
-  return PowerTrace{axis, config_.peak_mw, std::move(out), Source::solar};
 }
 
 }  // namespace vbatt::energy

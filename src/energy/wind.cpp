@@ -43,11 +43,15 @@ double WindModel::mean_speed(const util::TimeAxis& axis,
 
 PowerTrace WindModel::generate(const util::TimeAxis& axis,
                                std::size_t n_ticks) const {
-  return generate(axis, n_ticks, generate_front(config_.front, axis, n_ticks));
+  std::vector<double> out(n_ticks);
+  generate_into(axis, generate_front(config_.front, axis, n_ticks), out);
+  return PowerTrace{axis, config_.peak_mw, std::move(out), Source::wind};
 }
 
-PowerTrace WindModel::generate(const util::TimeAxis& axis, std::size_t n_ticks,
-                               const std::vector<double>& front) const {
+void WindModel::generate_into(const util::TimeAxis& axis,
+                              const std::vector<double>& front,
+                              std::span<double> out) const {
+  const std::size_t n_ticks = out.size();
   if (front.size() != n_ticks) {
     throw std::invalid_argument{"WindModel: front length mismatch"};
   }
@@ -86,7 +90,6 @@ PowerTrace WindModel::generate(const util::TimeAxis& axis, std::size_t n_ticks,
     }
   }
 
-  std::vector<double> out(n_ticks);
   for (std::size_t i = 0; i < n_ticks; ++i) {
     const auto t = static_cast<util::Tick>(i);
     const double v = mean_speed(axis, t) +
@@ -94,7 +97,6 @@ PowerTrace WindModel::generate(const util::TimeAxis& axis, std::size_t n_ticks,
                      surge[i];
     out[i] = config_.curve.power(std::max(0.0, v));
   }
-  return PowerTrace{axis, config_.peak_mw, std::move(out), Source::wind};
 }
 
 }  // namespace vbatt::energy

@@ -37,6 +37,22 @@ std::vector<double> synth_series(const std::string& kind, std::size_t n_ticks,
 
 }  // namespace
 
+energy::FleetConfig make_model_fleet_config(const Spec& spec) {
+  const auto sites =
+      static_cast<int>(std::max<std::int64_t>(1, spec.get("sites", 2)));
+  const int wind = static_cast<int>(
+      std::clamp<std::int64_t>(spec.get("wind", 1), 0, sites));
+  energy::FleetConfig config;
+  config.n_solar = sites - wind;
+  config.n_wind = wind;
+  config.region_km =
+      static_cast<double>(std::max<std::int64_t>(10, spec.get("region", 400)));
+  config.peak_mw =
+      static_cast<double>(std::max<std::int64_t>(1, spec.get("peak", 6)));
+  config.seed = spec.child_seed("fleet");
+  return config;
+}
+
 energy::Fleet make_fleet(const Spec& spec) {
   const auto sites =
       static_cast<int>(std::max<std::int64_t>(1, spec.get("sites", 2)));
@@ -53,13 +69,8 @@ energy::Fleet make_fleet(const Spec& spec) {
       static_cast<std::size_t>(days * axis.ticks_per_day());
 
   if (kind == "model") {
-    energy::FleetConfig config;
-    config.n_solar = sites - wind;
-    config.n_wind = wind;
-    config.region_km = region_km;
-    config.peak_mw = peak_mw;
-    config.seed = spec.child_seed("fleet");
-    return energy::generate_fleet(config, axis, n_ticks);
+    return energy::generate_fleet(make_model_fleet_config(spec), axis,
+                                  n_ticks);
   }
   energy::Fleet fleet;
   const double amp =

@@ -45,6 +45,9 @@ namespace vbatt::testkit {
 /// under-sample.
 energy::Fleet make_fleet(const Spec& spec);
 
+/// The generate_fleet config make_fleet uses under trace=model.
+energy::FleetConfig make_model_fleet_config(const Spec& spec);
+
 /// Graph config a spec describes (oracle forecasts, forecaster knobs).
 core::VbGraphConfig make_graph_config(const Spec& spec);
 

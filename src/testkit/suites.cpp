@@ -31,6 +31,7 @@
 #include "vbatt/svc/service.h"
 #include "vbatt/solver/decompose.h"
 #include "vbatt/solver/reference.h"
+#include "vbatt/testkit/batch_reference.h"
 #include "vbatt/testkit/forecast_reference.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/vm_reference.h"
@@ -1512,6 +1513,39 @@ CaseResult eval_forecast_identity(const Spec& spec) {
   const core::VbGraphConfig config = make_graph_config(spec);
   const core::VbGraph graph{fleet, config};
   const bool model = spec.get("trace", std::string{"square"}) == "model";
+  // The bulk forecast and generate_fleet fan their per-site work over a
+  // pool; no pool, a zero-worker pool, one worker and three workers must
+  // all give the same bytes.
+  const std::vector<std::vector<std::vector<double>>> serial =
+      energy::Forecaster{config.forecaster}.forecast(
+          fleet.traces, config.forecast_leads_hours);
+  const energy::FleetConfig fleet_config = make_model_fleet_config(spec);
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    util::ThreadPool pool{workers};
+    const std::string lanes = std::to_string(workers) + " workers";
+    const auto pooled = energy::Forecaster{config.forecaster}.forecast(
+        fleet.traces, config.forecast_leads_hours, &pool);
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      for (std::size_t l = 0; l < serial[s].size(); ++l) {
+        if (first_byte_diff(pooled[s][l], serial[s][l]) != std::string::npos) {
+          return fail_str("site " + std::to_string(s) + " lead " +
+                          std::to_string(l) + ": forecast on " + lanes +
+                          " differs from the serial call");
+        }
+      }
+    }
+    if (!model) continue;
+    const energy::Fleet again = energy::generate_fleet(
+        fleet_config, fleet.axis, fleet.traces.front().size(), &pool);
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      if (first_byte_diff(again.traces[s].normalized_series(),
+                          fleet.traces[s].normalized_series()) !=
+          std::string::npos) {
+        return fail_str("site " + std::to_string(s) + ": generate_fleet on " +
+                        lanes + " differs from the shared-pool fleet");
+      }
+    }
+  }
   for (std::size_t s = 0; s < fleet.size(); ++s) {
     const energy::PowerTrace& trace = fleet.traces[s];
     const std::string where = "site " + std::to_string(s);
@@ -1551,6 +1585,120 @@ CaseResult eval_forecast_identity(const Spec& spec) {
       }
     }
   }
+  return CaseResult::pass();
+}
+
+/// Empty when both overlays hold the same stats and save_state bytes
+/// (which carry every field of every job and task record); otherwise
+/// what differs first.
+std::string diff_overlays(const workload::BatchOverlay& got,
+                          const ReferenceOverlay& want) {
+  if (!(got.stats() == want.stats())) return "stats differ";
+  util::wire::Writer a;
+  util::wire::Writer b;
+  got.save_state(a);
+  want.save_state(b);
+  if (a.data() != b.data()) return "job/task state (save_state bytes) differs";
+  return {};
+}
+
+CaseResult eval_overlay_identity(const Spec& spec) {
+  // One stream per component, so shrinking one key leaves the others'
+  // draws alone.
+  util::Rng entity_rng{spec.child_seed("entities")};
+  util::Rng dyn_rng{spec.child_seed("dynamic")};
+  util::Rng free_rng{spec.child_seed("free")};
+  const auto n_sites = static_cast<std::size_t>(spec.get("sites", 1));
+  const util::Tick steps = spec.get("steps", 1);
+  // Small id ranges make (deadline, id) ties, whose order the EDF sort
+  // must resolve from the same input order as the scan did.
+  const auto id_range =
+      static_cast<std::uint64_t>(std::max<std::int64_t>(1, spec.get("ids", 1)));
+  const auto draw_job = [&](util::Rng& rng, util::Tick arrival) {
+    workload::DeadlineJob job;
+    job.job_id = 1 + static_cast<std::int64_t>(rng.below(id_range));
+    job.arrival = arrival;
+    job.cores = 1 + static_cast<int>(rng.below(8));
+    const auto run = 1 + static_cast<std::int64_t>(rng.below(12));
+    job.work_core_ticks = std::max<std::int64_t>(
+        1, job.cores * run - static_cast<std::int64_t>(rng.below(
+                                 static_cast<std::uint64_t>(job.cores))));
+    job.deadline = arrival + 1 + static_cast<util::Tick>(rng.below(
+                                     static_cast<std::uint64_t>(3 * run)));
+    return job;
+  };
+  const auto draw_task = [&](util::Rng& rng, util::Tick arrival) {
+    workload::HarvestTask task;
+    task.task_id = 1 + static_cast<std::int64_t>(rng.below(id_range));
+    task.arrival = arrival;
+    task.cores = 1 + static_cast<int>(rng.below(8));
+    const auto run = 1 + static_cast<std::int64_t>(rng.below(12));
+    task.work_core_ticks = task.cores * run;
+    task.resume_latency_ticks = static_cast<util::Tick>(rng.below(4));
+    task.deadline = arrival + 1 + static_cast<util::Tick>(rng.below(
+                                      static_cast<std::uint64_t>(4 * run)));
+    return task;
+  };
+  const auto draw_arrival = [&] {
+    return static_cast<util::Tick>(
+        entity_rng.below(static_cast<std::uint64_t>(steps)));
+  };
+
+  workload::BatchWorkload workload;
+  for (std::int64_t i = 0; i < spec.get("jobs", 0); ++i) {
+    workload.jobs.push_back(draw_job(entity_rng, draw_arrival()));
+  }
+  for (std::int64_t i = 0; i < spec.get("tasks", 0); ++i) {
+    workload.tasks.push_back(draw_task(entity_rng, draw_arrival()));
+  }
+  workload::BatchOverlay got{workload};
+  ReferenceOverlay want;
+  for (const workload::DeadlineJob& job : workload.jobs) want.submit(job);
+  for (const workload::HarvestTask& task : workload.tasks) want.submit(task);
+
+  const std::int64_t dyn_pct = spec.get("dyn", 0);
+  const util::Tick cut = spec.get("cut", -1);
+  std::vector<std::int64_t> free(n_sites);
+  for (util::Tick t = 0; t < steps; ++t) {
+    if (t == cut) {
+      util::wire::Writer w;
+      got.save_state(w);
+      workload::BatchOverlay restored;
+      util::wire::Reader r{w.data()};
+      restored.restore_state(r);
+      got = std::move(restored);
+    }
+    // Dynamic submissions between steps, as control-plane events arrive:
+    // already due (even overdue) or for a later tick.
+    if (static_cast<std::int64_t>(dyn_rng.below(100)) < dyn_pct) {
+      const util::Tick arrival = std::max<util::Tick>(
+          0, t - 3 + static_cast<util::Tick>(dyn_rng.below(12)));
+      if (dyn_rng.chance(0.5)) {
+        const workload::DeadlineJob job = draw_job(dyn_rng, arrival);
+        got.submit(job);
+        want.submit(job);
+      } else {
+        const workload::HarvestTask task = draw_task(dyn_rng, arrival);
+        got.submit(task);
+        want.submit(task);
+      }
+    }
+    for (std::int64_t& f : free) {
+      f = free_rng.chance(0.2)
+              ? 0
+              : static_cast<std::int64_t>(free_rng.below(24));
+    }
+    got.step(t, free);
+    want.step(t, free);
+    const std::string diff = diff_overlays(got, want);
+    if (!diff.empty()) {
+      return fail_str("after step " + std::to_string(t) + ": " + diff);
+    }
+  }
+  got.finalize();
+  want.finalize();
+  const std::string diff = diff_overlays(got, want);
+  if (!diff.empty()) return fail_str("after finalize: " + diff);
   return CaseResult::pass();
 }
 
@@ -1980,6 +2128,39 @@ std::vector<Property> all_properties() {
                        {"period", 1},
                        {"fwin", 1},
                        {"fseed", 0}}});
+  registry.push_back({"workload", "overlay_identity",
+                      [](util::Rng& rng) {
+                        Spec spec;
+                        spec.set("seed",
+                                 static_cast<std::int64_t>(rng.next() >> 1));
+                        spec.set("sites",
+                                 1 + static_cast<std::int64_t>(rng.below(6)));
+                        const auto steps =
+                            1 + static_cast<std::int64_t>(rng.below(120));
+                        spec.set("steps", steps);
+                        spec.set("jobs", static_cast<std::int64_t>(rng.below(40)));
+                        spec.set("tasks",
+                                 static_cast<std::int64_t>(rng.below(40)));
+                        spec.set("ids",
+                                 rng.chance(0.3)
+                                     ? 1 + static_cast<std::int64_t>(rng.below(4))
+                                     : 1000000);
+                        spec.set("dyn", static_cast<std::int64_t>(rng.below(60)));
+                        spec.set("cut",
+                                 rng.chance(0.75)
+                                     ? static_cast<std::int64_t>(rng.below(
+                                           static_cast<std::uint64_t>(steps)))
+                                     : -1);
+                        return spec;
+                      },
+                      eval_overlay_identity,
+                      {{"sites", 1},
+                       {"steps", 1},
+                       {"jobs", 0},
+                       {"tasks", 0},
+                       {"ids", 1},
+                       {"dyn", 0},
+                       {"cut", -1}}});
   registry.push_back({"energy", "stable_monotone", gen_fleet_spec,
                       eval_stable_monotone,
                       {{"days", 1}, {"solar", 0}, {"wind", 0}}});

@@ -1,11 +1,42 @@
 #include "vbatt/workload/batch.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 
 #include "vbatt/util/rng.h"
 
 namespace vbatt::workload {
+
+namespace {
+
+using Pending = std::pair<util::Tick, std::size_t>;
+
+void push_pending(std::vector<Pending>& heap, util::Tick arrival,
+                  std::size_t index) {
+  heap.emplace_back(arrival, index);
+  std::push_heap(heap.begin(), heap.end(), std::greater<>{});
+}
+
+/// Pop every entity with arrival <= t off the min-heap, call admit(index)
+/// on each, and merge the indices it reports open (true) into the
+/// ascending `live` list.
+template <class Admit>
+void admit_due(std::vector<Pending>& heap, std::vector<std::size_t>& live,
+               util::Tick t, Admit admit) {
+  const std::size_t old_size = live.size();
+  while (!heap.empty() && heap.front().first <= t) {
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    const std::size_t index = heap.back().second;
+    heap.pop_back();
+    if (admit(index)) live.push_back(index);
+  }
+  const auto mid = live.begin() + static_cast<std::ptrdiff_t>(old_size);
+  std::sort(mid, live.end());
+  std::inplace_merge(live.begin(), mid, live.end());
+}
+
+}  // namespace
 
 void BatchOverlay::validate(const DeadlineJob& job) {
   if (job.cores <= 0 || job.work_core_ticks <= 0 || job.arrival < 0 ||
@@ -35,6 +66,7 @@ void BatchOverlay::submit(const DeadlineJob& job) {
   JobState state;
   state.job = job;
   state.remaining = job.work_core_ticks;
+  push_pending(pending_jobs_, job.arrival, jobs_.size());
   jobs_.push_back(state);
 }
 
@@ -43,7 +75,31 @@ void BatchOverlay::submit(const HarvestTask& task) {
   TaskState state;
   state.task = task;
   state.remaining = task.work_core_ticks;
+  push_pending(pending_tasks_, task.arrival, tasks_.size());
   tasks_.push_back(state);
+}
+
+void BatchOverlay::rebuild_index() {
+  pending_jobs_.clear();
+  pending_tasks_.clear();
+  live_jobs_.clear();
+  live_tasks_.clear();
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    const JobState& job = jobs_[i];
+    if (!job.admitted) {
+      push_pending(pending_jobs_, job.job.arrival, i);
+    } else if (!job.completed && !job.missed) {
+      live_jobs_.push_back(i);
+    }
+  }
+  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+    const TaskState& task = tasks_[i];
+    if (!task.admitted) {
+      push_pending(pending_tasks_, task.task.arrival, i);
+    } else if (!task.completed && !task.missed) {
+      live_tasks_.push_back(i);
+    }
+  }
 }
 
 void BatchOverlay::step(util::Tick t,
@@ -54,41 +110,47 @@ void BatchOverlay::step(util::Tick t,
   std::vector<std::int64_t> free = free_cores;
 
   // 1. Admission: everything that has arrived by t joins the pool.
-  for (JobState& job : jobs_) {
-    if (!job.admitted && job.job.arrival <= t) job.admitted = true;
-  }
-  for (TaskState& task : tasks_) {
-    if (!task.admitted && task.task.arrival <= t) {
-      task.admitted = true;
-      stats_.harvest_offered_core_ticks += task.task.work_core_ticks;
-    }
-  }
+  admit_due(pending_jobs_, live_jobs_, t, [this](std::size_t i) {
+    JobState& job = jobs_[i];
+    job.admitted = true;
+    return !job.completed && !job.missed;
+  });
+  admit_due(pending_tasks_, live_tasks_, t, [this](std::size_t i) {
+    TaskState& task = tasks_[i];
+    task.admitted = true;
+    stats_.harvest_offered_core_ticks += task.task.work_core_ticks;
+    return !task.completed && !task.missed;
+  });
 
   // 2. Slack exhaustion: an entity that cannot finish even running its
   // full gang every remaining tick before the deadline is marked missed
   // now (never later, never earlier — the conservation fuzz property pins
-  // exactly this rule).
-  for (JobState& job : jobs_) {
-    if (!job.admitted || job.completed || job.missed) continue;
+  // exactly this rule). Missed entities leave the live lists.
+  std::erase_if(live_jobs_, [&](std::size_t i) {
+    JobState& job = jobs_[i];
     const util::Tick ticks_left = job.job.deadline - t;
-    if (job.remaining >
+    if (job.remaining <=
         static_cast<std::int64_t>(job.job.cores) * ticks_left) {
-      job.missed = true;
-      job.site = -1;
-      ++stats_.deadline_jobs_missed;
+      return false;
     }
-  }
-  for (TaskState& task : tasks_) {
-    if (!task.admitted || task.completed || task.missed) continue;
+    job.missed = true;
+    job.site = -1;
+    ++stats_.deadline_jobs_missed;
+    return true;
+  });
+  std::erase_if(live_tasks_, [&](std::size_t i) {
+    TaskState& task = tasks_[i];
     const util::Tick ticks_left = task.task.deadline - t;
-    if (task.remaining >
+    if (task.remaining <=
         static_cast<std::int64_t>(task.task.cores) * ticks_left) {
-      task.missed = true;
-      task.site = -1;  // a kill, not a checkpoint: no suspend episode
-      ++stats_.harvest_deadline_misses;
-      stats_.harvest_lost_core_ticks += task.remaining;
+      return false;
     }
-  }
+    task.missed = true;
+    task.site = -1;  // a kill, not a checkpoint: no suspend episode
+    ++stats_.harvest_deadline_misses;
+    stats_.harvest_lost_core_ticks += task.remaining;
+    return true;
+  });
 
   // Gang placement with site stickiness: keep the current site while it
   // still fits, else take the emptiest site (ties to the lowest index).
@@ -110,12 +172,9 @@ void BatchOverlay::step(util::Tick t,
   };
 
   // 3. EDF over deadline jobs — strictly ahead of every harvest filler.
-  std::vector<std::size_t> order;
-  order.reserve(jobs_.size());
-  for (std::size_t i = 0; i < jobs_.size(); ++i) {
-    const JobState& job = jobs_[i];
-    if (job.admitted && !job.completed && !job.missed) order.push_back(i);
-  }
+  // The sort starts from the open entities in index order, so ties (equal
+  // deadline and id) resolve exactly as a scan over every entity would.
+  std::vector<std::size_t> order = live_jobs_;
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     if (jobs_[a].job.deadline != jobs_[b].job.deadline) {
       return jobs_[a].job.deadline < jobs_[b].job.deadline;
@@ -145,11 +204,7 @@ void BatchOverlay::step(util::Tick t,
   }
 
   // 4. EDF over harvest fillers on whatever is left.
-  order.clear();
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
-    const TaskState& task = tasks_[i];
-    if (task.admitted && !task.completed && !task.missed) order.push_back(i);
-  }
+  order.assign(live_tasks_.begin(), live_tasks_.end());
   std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
     if (tasks_[a].task.deadline != tasks_[b].task.deadline) {
       return tasks_[a].task.deadline < tasks_[b].task.deadline;
@@ -203,6 +258,11 @@ void BatchOverlay::step(util::Tick t,
       ++stats_.harvest_tasks_completed;
     }
   }
+
+  std::erase_if(live_jobs_,
+                [this](std::size_t i) { return jobs_[i].completed; });
+  std::erase_if(live_tasks_,
+                [this](std::size_t i) { return tasks_[i].completed; });
 }
 
 void BatchOverlay::finalize() {
@@ -345,6 +405,7 @@ void BatchOverlay::restore_state(util::wire::Reader& r) {
     task.resumes = r.i64();
     tasks_.push_back(task);
   }
+  rebuild_index();
 }
 
 BatchWorkload generate_batch(const BatchGeneratorConfig& config,

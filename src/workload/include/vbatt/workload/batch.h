@@ -23,7 +23,9 @@
 // agree bit-for-bit on every batch counter.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "vbatt/util/time.h"
@@ -102,8 +104,8 @@ class BatchOverlay {
   /// and throws std::invalid_argument on the first violation.
   explicit BatchOverlay(const BatchWorkload& workload);
 
-  /// Dynamic submission (control-plane events). The entity joins the
-  /// admission scan on the next step() whose tick >= its arrival.
+  /// Dynamic submission (control-plane events). The entity is admitted on
+  /// the next step() whose tick >= its arrival.
   void submit(const DeadlineJob& job);
   void submit(const HarvestTask& task);
 
@@ -173,13 +175,29 @@ class BatchOverlay {
     std::int64_t resumes = 0;
   };
 
+  /// (arrival, index) of an entity not yet admitted.
+  using Pending = std::pair<util::Tick, std::size_t>;
+
   static void validate(const DeadlineJob& job);
   static void validate(const HarvestTask& task);
+  /// Rebuild the admission heaps and live lists from jobs_/tasks_.
+  void rebuild_index();
 
   std::vector<JobState> jobs_;
   std::vector<TaskState> tasks_;
   BatchStats stats_;
   bool finalized_ = false;
+
+  // Derived index (never serialized; restore_state rebuilds it) that
+  // keeps step() O(open entities) instead of O(every entity ever
+  // submitted): min-heaps on (arrival, index) of the entities still
+  // waiting for admission, and the admitted, open (neither completed nor
+  // missed) entities in ascending index order — the order the EDF sort
+  // has always started from.
+  std::vector<Pending> pending_jobs_;
+  std::vector<Pending> pending_tasks_;
+  std::vector<std::size_t> live_jobs_;
+  std::vector<std::size_t> live_tasks_;
 };
 
 /// Deterministic synthetic batch trace (the CLI's --workload scenarios and

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
@@ -48,10 +49,35 @@ AllocationPolicy* site_policy(BlockPolicy policy, FirstFitPolicy& first,
   return &first;
 }
 
-TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
-  // Different server counts per site so base offsets and bitset word
-  // counts differ across the block.
-  const std::vector<int> server_counts{24, 7, 65, 1};
+/// Op mix of one differential stream: cumulative roll thresholds for
+/// place / remove / shrink / fail (the rest repairs), and how a shrink
+/// picks its budget.
+struct OpMix {
+  double place = 0.50;
+  double remove = 0.75;
+  double shrink = 0.90;
+  double fail = 0.95;
+  /// Budget = allocated cores minus up to this many cores (a near miss
+  /// that evicts a VM or two), or -1 for uniform in [0, total cores].
+  int shave = -1;
+};
+
+/// Per site: shrink calls that started over budget (each advances the
+/// eviction cursor by one), and the occupied share of the site's servers
+/// summed over those calls.
+struct ShrinkTally {
+  std::vector<int> over_budget;
+  std::vector<double> occupied_share;
+};
+
+/// Drive a SiteBlock and one Site per entry of `server_counts` through
+/// the same random op stream and demand identical answers throughout.
+/// (void so the ASSERTs can return; the tally comes back through `tally`.)
+void run_differential(const std::vector<int>& server_counts,
+                      const char* seed_name, int steps, const OpMix& mix,
+                      ShrinkTally& tally) {
+  tally.over_budget.assign(server_counts.size(), 0);
+  tally.occupied_share.assign(server_counts.size(), 0.0);
   std::vector<SiteConfig> configs;
   std::vector<Site> sites;
   for (const int n : server_counts) {
@@ -67,18 +93,18 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
   FirstFitPolicy first;
   BestFitPolicy best;
   WorstFitPolicy worst;
-  util::Rng rng{util::seed_for(2026, "site-block-differential")};
+  util::Rng rng{util::seed_for(2026, seed_name)};
   std::vector<std::vector<Resident>> residents(sites.size());
   std::int64_t next_id = 0;
   std::vector<SiteBlock::Evicted> evicted;
 
-  for (int step = 0; step < 8000; ++step) {
+  for (int step = 0; step < steps; ++step) {
     const auto s = static_cast<std::size_t>(rng.below(sites.size()));
     Site& site = sites[s];
     std::vector<Resident>& live = residents[s];
     const double roll = rng.uniform();
 
-    if (roll < 0.50) {
+    if (roll < mix.place) {
       // Place with a random policy; both containers must agree on the
       // server (or both refuse).
       const int cores =
@@ -102,7 +128,7 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
         ASSERT_EQ(got, -1) << "step " << step << " site " << s;
       }
       ++next_id;
-    } else if (roll < 0.75 && !live.empty()) {
+    } else if (roll < mix.remove && !live.empty()) {
       const std::size_t pick = rng.below(live.size());
       const Resident r = live[pick];
       const std::optional<VmInstance> gone = site.remove(r.vm_id);
@@ -110,9 +136,20 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
       block.remove(s, r.server, r.vm_id, r.cores, r.memory_gb, r.degradable);
       live[pick] = live.back();
       live.pop_back();
-    } else if (roll < 0.90) {
-      const int budget = static_cast<int>(
-          rng.below(static_cast<std::uint64_t>(site.total_cores()) + 1));
+    } else if (roll < mix.shrink) {
+      const int budget =
+          mix.shave < 0
+              ? static_cast<int>(rng.below(
+                    static_cast<std::uint64_t>(site.total_cores()) + 1))
+              : std::max(0, site.allocated_cores() -
+                                static_cast<int>(rng.below(
+                                    static_cast<std::uint64_t>(mix.shave) +
+                                    1)));
+      if (site.allocated_cores() > budget) {
+        ++tally.over_budget[s];
+        tally.occupied_share[s] += static_cast<double>(site.powered_servers()) /
+                                   static_cast<double>(server_counts[s]);
+      }
       const std::vector<VmInstance> site_evicted = site.shrink_to(budget);
       evicted.clear();
       block.shrink_to(s, budget, evicted);
@@ -129,7 +166,7 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
           return r.vm_id == evicted[i].vm_id;
         });
       }
-    } else if (roll < 0.95) {
+    } else if (roll < mix.fail) {
       const int count = 1 + static_cast<int>(rng.below(2));
       const std::vector<VmInstance> site_evicted = site.fail_servers(count);
       evicted.clear();
@@ -158,6 +195,38 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
       ASSERT_EQ(block.powered_servers(k), sites[k].powered_servers());
       ASSERT_EQ(block.active_cores(k), sites[k].active_cores());
       ASSERT_EQ(block.failed_servers(k), sites[k].failed_servers());
+    }
+  }
+}
+
+TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
+  // Different server counts per site so base offsets and bitset word
+  // counts differ across the block.
+  ShrinkTally tally;
+  run_differential({24, 7, 65, 1}, "site-block-differential", 8000, {},
+                   tally);
+}
+
+TEST(SiteBlockDifferential, MatchesSiteOnSparseSitesAcrossCursorWrap) {
+  // Few residents on many servers, so most servers a shrink walks past
+  // are empty, and near-miss budgets that evict a VM or two per call, so
+  // the eviction cursor advances on almost every shrink and wraps every
+  // site several times. Sites straddle 64-server word boundaries.
+  OpMix sparse;
+  sparse.place = 0.35;
+  sparse.remove = 0.55;
+  sparse.shrink = 0.97;
+  sparse.fail = 0.985;
+  sparse.shave = 6;
+  const std::vector<int> servers{130, 64, 3, 200, 65};
+  ShrinkTally tally;
+  run_differential(servers, "site-block-sparse", 12000, sparse, tally);
+  ASSERT_FALSE(HasFatalFailure());
+  for (std::size_t k = 0; k < servers.size(); ++k) {
+    EXPECT_GT(tally.over_budget[k], 2 * servers[k]) << "site " << k;
+    if (servers[k] >= 64) {
+      EXPECT_LT(tally.occupied_share[k] / tally.over_budget[k], 0.25)
+          << "site " << k;
     }
   }
 }

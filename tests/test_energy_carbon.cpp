@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numbers>
 #include <string>
+
+#include "vbatt/util/rng.h"
 
 namespace vbatt::energy {
 namespace {
@@ -93,6 +100,41 @@ TEST(CarbonSeries, DeterministicNonNegativeAndBounded) {
   bad.site_spread_gco2_per_kwh = -1.0;
   EXPECT_THROW(make_carbon_series(bad, axis15(), 1, 4),
                std::invalid_argument);
+}
+
+// One grid curve plus each site's offset, clamped at zero: every sample
+// must equal the per-site formula written out, bit for bit, with the
+// spread wide enough that the clamp engages.
+TEST(CarbonSeries, MatchesPerSiteFormulaBitForBit) {
+  const util::TimeAxis axis{5};
+  CarbonSeriesConfig config;
+  config.seed = 91;
+  config.grid.grid_peak_hour = 6.5;
+  config.site_spread_gco2_per_kwh = 450.0;
+  const std::size_t n_sites = 6;
+  const std::size_t n_ticks = 288 * 2 + 13;
+  const SiteSeries series = make_carbon_series(config, axis, n_sites, n_ticks);
+  std::size_t clamped = 0;
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    util::Rng rng{util::seed_for(config.seed, "carbon-site", s)};
+    const double offset = rng.uniform(-config.site_spread_gco2_per_kwh,
+                                      config.site_spread_gco2_per_kwh);
+    for (std::size_t t = 0; t < n_ticks; ++t) {
+      const double hour = axis.hour_of_day(static_cast<util::Tick>(t));
+      const double intensity =
+          config.grid.grid_base_gco2_per_kwh +
+          config.grid.grid_swing_gco2_per_kwh *
+              std::cos(2.0 * std::numbers::pi *
+                       (hour - config.grid.grid_peak_hour) / 24.0) +
+          offset;
+      const double want = std::max(0.0, intensity);
+      clamped += intensity < 0.0 ? 1 : 0;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(series.at(s, t)),
+                std::bit_cast<std::uint64_t>(want))
+          << "site " << s << " tick " << t;
+    }
+  }
+  EXPECT_GT(clamped, 0u);  // the clamp was exercised
 }
 
 TEST(CarbonSeries, CsvRoundTripIsBitExact) {

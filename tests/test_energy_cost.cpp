@@ -2,9 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <numbers>
 #include <string>
+
+#include "vbatt/util/rng.h"
 
 namespace vbatt::energy {
 namespace {
@@ -71,6 +78,37 @@ TEST(PriceSeries, DeterministicAndBoundedBySpread) {
   }
   // The per-site basis offset separates sites at any fixed tick.
   EXPECT_NE(a.at(0, 0), a.at(1, 0));
+}
+
+// The series computes the diurnal curve once and adds each site's
+// offset; every sample must equal the formula written out per site and
+// tick, bit for bit.
+TEST(PriceSeries, MatchesPerSiteFormulaBitForBit) {
+  const util::TimeAxis axis{5};
+  PriceSeriesConfig config;
+  config.seed = 77;
+  config.peak_hour = 17.25;
+  config.site_spread_usd_per_mwh = 31.0;
+  const std::size_t n_sites = 5;
+  const std::size_t n_ticks = 288 * 2 + 11;
+  const SiteSeries series = make_price_series(config, axis, n_sites, n_ticks);
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    util::Rng rng{util::seed_for(config.seed, "price-site", s)};
+    const double offset = rng.uniform(-config.site_spread_usd_per_mwh,
+                                      config.site_spread_usd_per_mwh);
+    for (std::size_t t = 0; t < n_ticks; ++t) {
+      const double hour = axis.hour_of_day(static_cast<util::Tick>(t));
+      const double want =
+          config.base_usd_per_mwh +
+          config.swing_usd_per_mwh *
+              std::cos(2.0 * std::numbers::pi *
+                       (hour - config.peak_hour) / 24.0) +
+          offset;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(series.at(s, t)),
+                std::bit_cast<std::uint64_t>(want))
+          << "site " << s << " tick " << t;
+    }
+  }
 }
 
 TEST(SiteSeries, InterpolationClampsAndHitsSamplesExactly) {

@@ -9,6 +9,7 @@
 #include "vbatt/energy/wind.h"
 #include "vbatt/stats/series.h"
 #include "vbatt/testkit/forecast_reference.h"
+#include "vbatt/util/thread_pool.h"
 
 namespace vbatt::energy {
 namespace {
@@ -164,6 +165,35 @@ TEST(Forecaster, MatchesFrozenReferenceOverAYear) {
   }
 }
 
+// The bulk forecast fans its per-trace work over a pool; any lane count
+// (none, a zero-worker pool, one worker, three) must give the serial bytes.
+TEST(Forecaster, BulkIsTheSameOnAnyPool) {
+  const Forecaster fc;
+  std::vector<PowerTrace> traces;
+  for (std::uint64_t i = 0; i < 7; ++i) {
+    SolarConfig solar;
+    solar.seed = 100 + i;
+    WindConfig wind;
+    wind.seed = 200 + i;
+    traces.push_back(i % 3 == 0 ? SolarModel{solar}.generate(axis15(), 96u * 9u)
+                                : WindModel{wind}.generate(axis15(), 96u * 9u));
+  }
+  const std::vector<double> leads{0.0, 3.0, 24.0, 96.0, 168.0};
+  const auto serial = fc.forecast(traces, leads);
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    util::ThreadPool pool{workers};
+    const auto pooled = fc.forecast(traces, leads, &pool);
+    ASSERT_EQ(pooled.size(), serial.size());
+    for (std::size_t s = 0; s < traces.size(); ++s) {
+      ASSERT_EQ(pooled[s].size(), leads.size());
+      for (std::size_t l = 0; l < leads.size(); ++l) {
+        EXPECT_TRUE(same_bytes(pooled[s][l], serial[s][l]))
+            << workers << " workers, trace " << s << " lead " << leads[l];
+      }
+    }
+  }
+}
+
 TEST(Forecaster, BulkValidatesInputs) {
   const Forecaster fc;
   const std::vector<double> leads{3.0, 24.0};
@@ -173,6 +203,8 @@ TEST(Forecaster, BulkValidatesInputs) {
   std::vector<PowerTrace> traces{WindModel{wind}.generate(axis15(), 96u),
                                  WindModel{wind}.generate(axis15(), 97u)};
   EXPECT_THROW(fc.forecast(traces, leads), std::invalid_argument);
+  util::ThreadPool pool{2};
+  EXPECT_THROW(fc.forecast(traces, leads, &pool), std::invalid_argument);
   traces.pop_back();
   EXPECT_THROW(fc.forecast(traces, std::vector<double>{3.0, -1.0}),
                std::invalid_argument);

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include "vbatt/stats/series.h"
+#include "vbatt/util/thread_pool.h"
 
 namespace vbatt::energy {
 namespace {
@@ -70,6 +75,40 @@ TEST(Fleet, SharedFrontsMatchPerSiteGeneration) {
               fleet.specs[s].generate(axis15(), 96 * 6).normalized_series())
         << fleet.specs[s].name;
   }
+}
+
+// generate_fleet fans the per-site traces over a pool; any lane count
+// (serial, a zero-worker pool, one worker, three, the shared pool) must
+// give the serial bytes.
+TEST(Fleet, SameOnAnyPool) {
+  FleetConfig config;
+  config.n_solar = 4;
+  config.n_wind = 9;
+  config.n_fronts = 3;
+  config.enable_storms = true;
+  const std::size_t n = 96 * 5 + 7;
+  const Fleet serial = generate_fleet(config, axis15(), n, nullptr);
+  const auto same = [&](const Fleet& fleet, const std::string& label) {
+    ASSERT_EQ(fleet.size(), serial.size()) << label;
+    for (std::size_t s = 0; s < fleet.size(); ++s) {
+      const PowerTrace& a = fleet.traces[s];
+      const PowerTrace& b = serial.traces[s];
+      EXPECT_EQ(a.source(), b.source()) << label << " site " << s;
+      EXPECT_EQ(a.peak_mw(), b.peak_mw()) << label << " site " << s;
+      ASSERT_EQ(a.size(), n) << label << " site " << s;
+      for (std::size_t t = 0; t < n; ++t) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a.normalized_series()[t]),
+                  std::bit_cast<std::uint64_t>(b.normalized_series()[t]))
+            << label << " site " << s << " tick " << t;
+      }
+    }
+  };
+  for (const std::size_t workers : {0u, 1u, 3u}) {
+    util::ThreadPool pool{workers};
+    same(generate_fleet(config, axis15(), n, &pool),
+         std::to_string(workers) + " workers");
+  }
+  same(generate_fleet(config, axis15(), n), "shared pool");
 }
 
 TEST(Fleet, SolarNoonVariesWithLongitude) {

@@ -52,9 +52,12 @@ TEST(WindModel, SuppliedFrontMatchesOwnFront) {
   const WindModel model{config};
   const std::vector<double> front =
       generate_front(config.front, axis15(), 2000);
-  EXPECT_EQ(model.generate(axis15(), 2000, front).normalized_series(),
-            model.generate(axis15(), 2000).normalized_series());
-  EXPECT_THROW(model.generate(axis15(), 1999, front), std::invalid_argument);
+  std::vector<double> out(2000);
+  model.generate_into(axis15(), front, out);
+  EXPECT_EQ(out, model.generate(axis15(), 2000).normalized_series());
+  std::vector<double> short_out(1999);
+  EXPECT_THROW(model.generate_into(axis15(), front, short_out),
+               std::invalid_argument);
 }
 
 // Fig. 2b calibration: median <= ~20% of peak, rarely exactly zero,
