@@ -37,8 +37,7 @@ dcsim::SiteSimResult run(const energy::PowerTrace& power) {
   const auto vms =
       workload::VmTraceGenerator{workload_config()}.generate(power.axis(),
                                                              power.size());
-  dcsim::BestFitPolicy policy;
-  return dcsim::simulate_site(power, vms, dcsim::SiteSimConfig{}, policy);
+  return dcsim::simulate_site(power, vms, dcsim::SiteSimConfig{});
 }
 
 void report_cdf(const char* label, const dcsim::SiteSimResult& result,
@@ -129,10 +128,9 @@ void bm_site_sim_week(benchmark::State& state) {
       energy::WindModel{config}.generate(axis, 96 * 7);
   const auto vms =
       workload::VmTraceGenerator{workload_config()}.generate(axis, 96 * 7);
-  dcsim::BestFitPolicy policy;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        dcsim::simulate_site(wind, vms, dcsim::SiteSimConfig{}, policy));
+        dcsim::simulate_site(wind, vms, dcsim::SiteSimConfig{}));
   }
   state.counters["sim_ticks/s"] = benchmark::Counter(
       static_cast<double>(96 * 7) * state.iterations(),

@@ -92,28 +92,18 @@ int main() {
   dcsim::SiteConfig site_config;
   site_config.n_servers = 12;
   site_config.server = {40, 512.0};
-  site_config.utilization_cap = 1.0;
-  dcsim::Site site{site_config};
-  dcsim::ProteanLikePolicy protean;
-  std::printf("\nStep 4 — packing %d VMs onto %s's servers (Protean-like "
+  dcsim::SiteBlock site{{site_config}};
+  std::printf("\nStep 4 — packing %d VMs onto %s's servers (best-fit "
               "consolidation):\n", app.total_vms(),
               fleet.specs[placement.site].name.c_str());
   for (int v = 0; v < app.total_vms(); ++v) {
-    dcsim::VmInstance vm;
-    vm.vm_id = v;
-    vm.app_id = app.app_id;
-    vm.shape = app.shape;
-    vm.vm_class = v < app.n_stable ? workload::VmClass::stable
-                                   : workload::VmClass::degradable;
-    site.place(vm, protean);
+    site.place(0, v, app.shape.cores, app.shape.memory_gb,
+               /*degradable=*/v >= app.n_stable, dcsim::BlockPolicy::best_fit);
   }
-  int powered = 0;
-  for (const dcsim::ServerState& server : site.servers()) {
-    if (server.vm_count > 0) ++powered;
-  }
+  const int powered = site.powered_servers(0);
   std::printf("  %d of %d servers powered (%d cores allocated); the other "
               "%d stay dark — §3.1's energy goal in action.\n", powered,
-              site_config.n_servers, site.allocated_cores(),
+              site_config.n_servers, site.allocated_cores(0),
               site_config.n_servers - powered);
   return 0;
 }

@@ -116,7 +116,6 @@ VmLevelResult run_fleet_simulation(
         site_config.n_servers =
             std::max(1, graph.site(s).capacity_cores / config.server.cores);
         site_config.server = config.server;
-        site_config.utilization_cap = 1.0;  // the scheduler owns admission
         configs.push_back(site_config);
         site_shard[s] = static_cast<std::int32_t>(k);
       }

@@ -37,7 +37,7 @@
 
 #include "vbatt/core/scheduler.h"
 #include "vbatt/core/simulation.h"
-#include "vbatt/dcsim/site.h"
+#include "vbatt/dcsim/site_block.h"
 #include "vbatt/util/thread_pool.h"
 
 namespace vbatt::core {

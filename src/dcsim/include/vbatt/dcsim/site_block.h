@@ -1,35 +1,37 @@
-// SoA container for a contiguous block of sites — one simulation shard.
+// SoA container for a contiguous block of sites — the one site container.
+// The fleet engine runs one block per shard; simulate_site (site_sim.h)
+// runs a one-site block. It models §3's site: power down unallocated cores
+// first, then evict VMs from servers in round-robin order.
 //
-// Site keeps each VM as a node in a per-site unordered_map and each
-// server's bookkeeping behind two levels of vector indirection; at fleet
-// scale (1000 sites, millions of VMs) that scatters the hot state of a
-// shard across the heap and pays a hash or an allocation per placement.
-// SiteBlock stores the same state as flat parallel arrays shared by every
-// site in the block — server free-resource columns, one contiguous
-// free-cores bucket-bitset region, per-server victim lists that carry the
-// victim's shape inline — so a shard's tick touches a few dense arrays
-// instead of chasing pointers.
-//
-// Semantics are a field-for-field port of Site: choose_first/best/worst
-// fit answer with the exact server id Site would pick, shrink_to uses the
-// same persistent round-robin cursor (advanced by one only when the call
-// had to evict), and fail/repair walk servers lowest-index-first. The
-// differential test in tests/test_dcsim_site_block.cpp drives both
-// containers through identical op streams and demands identical answers.
-// What SiteBlock deliberately does not replicate: Site's internal
-// departure calendar (the VM-level engines keep their own app-level
-// calendar and never call collect_departures) and per-VM instance storage
-// (the engine owns VM identity in its own SoA arrays; SiteBlock only
-// needs each resident's shape, which its victim entries carry).
+// State lives in flat parallel arrays shared by every site in the block —
+// server free-resource columns, one contiguous free-cores bucket-bitset
+// region, per-server victim lists (degradable first, then vm_id) that
+// carry the victim's shape inline — so a shard's tick touches a few dense
+// arrays instead of chasing pointers, and shrink_to never rebuilds or
+// sorts. testkit::RefSite (vbatt/testkit/ref_site.h) is the frozen
+// linear-scan oracle: tests/test_dcsim_site_block.cpp and the
+// dcsim.placement_diff fuzz property demand identical answers from both.
+// SiteBlock keeps no departure calendar and no per-VM records: callers own
+// VM identity (the fleet engine in its SoA arrays, simulate_site in its VM
+// table) and their own calendars; SiteBlock only needs each resident's
+// shape, which its victim entries carry.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "vbatt/dcsim/site.h"
-
 namespace vbatt::dcsim {
+
+struct ServerSpec {
+  int cores = 40;
+  double memory_gb = 512.0;
+};
+
+struct SiteConfig {
+  int n_servers = 700;
+  ServerSpec server{};
+};
 
 /// The allocation policies the VM-level engines use (a strategy object is
 /// pointless here: the block answers choose queries itself).
@@ -59,13 +61,16 @@ class SiteBlock {
     return sites_[s].allocated_memory_gb;
   }
   int powered_servers(std::size_t s) const { return sites_[s].powered_servers; }
-  /// Equals allocated cores — see Site::active_cores.
+  /// Cores in use on powered servers — equals allocated cores, since only
+  /// VMs allocate and only VM-hosting servers are powered.
   int active_cores(std::size_t s) const { return sites_[s].allocated_cores; }
   int failed_servers(std::size_t s) const { return sites_[s].failed_servers; }
 
   /// Choose a server under `policy` and commit the placement. Returns the
-  /// hosting server id (identical to Site::place via the matching
-  /// AllocationPolicy) or -1 when no server fits.
+  /// hosting server id or -1 when no healthy server fits. Best fit prefers
+  /// a server already hosting VMs over an empty one (zero-core VMs can
+  /// leave a used server with every core free), then the least free cores;
+  /// every policy breaks remaining ties to the lowest index.
   int place(std::size_t s, std::int64_t vm_id, int cores, double memory_gb,
             bool degradable, BlockPolicy policy);
 
@@ -75,14 +80,16 @@ class SiteBlock {
               double memory_gb, bool degradable);
 
   /// Evict round-robin until allocated cores <= available_cores,
-  /// appending victims to `out` in eviction order (Site::shrink_to's
-  /// order: degradable first, then vm_id, per server). The persistent
-  /// cursor advances only when the site was over budget on entry.
+  /// appending victims to `out` in eviction order (servers from the
+  /// cursor onward, wrapping; per server degradable first, then vm_id —
+  /// degradable VMs absorb the hit, per §3.1). The persistent cursor
+  /// advances only when the site was over budget on entry.
   void shrink_to(std::size_t s, int available_cores,
                  std::vector<Evicted>& out);
 
   /// Take `count` healthy servers offline (lowest index first), evicting
-  /// their residents into `out` in Site::fail_servers order.
+  /// their residents into `out` in per-server victim order. No policy can
+  /// choose a failed server until repair.
   void fail_servers(std::size_t s, int count, std::vector<Evicted>& out);
 
   /// Return `count` failed servers to service (lowest index first).

@@ -6,7 +6,10 @@
 // the budget, VMs are evicted server-by-server round-robin and their
 // memory footprint is charged as outbound migration traffic. Rejected or
 // evicted VMs are relaunched when power returns, charged as inbound
-// traffic (the paper's accounting).
+// traffic (the paper's accounting). Servers are a one-site SiteBlock
+// packed best-fit (Protean-style consolidation, which is what produces
+// the paper's ">80% of power changes cause no migration"); the simulator
+// keeps its own VM table and departure calendar next to the block.
 #pragma once
 
 #include <cstdint>
@@ -14,14 +17,33 @@
 
 #include "vbatt/energy/trace.h"
 #include "vbatt/net/ledger.h"
-#include "vbatt/dcsim/site.h"
+#include "vbatt/dcsim/site_block.h"
+#include "vbatt/util/time.h"
 #include "vbatt/workload/batch.h"
 #include "vbatt/workload/vm.h"
 
 namespace vbatt::dcsim {
 
+/// A VM resident on (or pending for) a site.
+struct VmInstance {
+  std::int64_t vm_id = 0;
+  std::int64_t app_id = -1;
+  workload::VmShape shape{};
+  workload::VmClass vm_class = workload::VmClass::stable;
+  /// Tick at which the VM departs (exclusive); <0 = runs forever.
+  util::Tick end_tick = -1;
+  /// Server currently hosting the VM (meaningful for placed VMs only).
+  int server = -1;
+};
+
 struct SiteSimConfig {
   SiteConfig site{};
+  /// Admission control rejects VMs that would push allocated cores above
+  /// this fraction of the *currently powered* capacity (the paper's 70%);
+  /// must lie in (0, 1]. The 30% headroom is exactly what lets minor power
+  /// dips be absorbed by powering down unallocated cores (Fig. 4a: >80% of
+  /// power changes cause no migration).
+  double utilization_cap = 0.70;
   /// If true (Fig. 4 accounting), evicted VMs re-enter the pending queue
   /// and are relaunched ("migrated in") when power returns.
   bool relaunch_evicted = true;
@@ -73,9 +95,11 @@ struct SiteSimResult {
 
 /// Run the simulation: `power` supplies one normalized sample per tick and
 /// `vms` must be sorted by arrival tick (as the generator emits them).
+/// Throws std::invalid_argument on an empty trace, a non-positive site
+/// capacity, a utilization cap outside (0, 1], or a VM placed while
+/// another VM with its vm_id is resident.
 SiteSimResult simulate_site(const energy::PowerTrace& power,
                             const std::vector<workload::VmRequest>& vms,
-                            const SiteSimConfig& config,
-                            AllocationPolicy& policy);
+                            const SiteSimConfig& config);
 
 }  // namespace vbatt::dcsim

@@ -109,8 +109,8 @@ int SiteBlock::prev_nonempty(std::size_t s_index, int from, int limit) const {
 
 void SiteBlock::move_bucket(const SiteState& site, int server, int old_free,
                             int new_free) {
-  // Clamp defensively, as Site does: a shape larger than a server must
-  // not index out of range.
+  // Clamp defensively: a shape larger than a server must not index out
+  // of range.
   const auto from = std::clamp(old_free, 0, top_);
   const auto to = std::clamp(new_free, 0, top_);
   if (from == to) return;

@@ -1,8 +1,13 @@
 #include "vbatt/dcsim/site_sim.h"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
+#include <queue>
 #include <stdexcept>
+#include <unordered_map>
+#include <utility>
 
 namespace vbatt::dcsim {
 
@@ -16,17 +21,96 @@ struct PendingVm {
   util::Tick queued_at = 0;
 };
 
+/// The site's servers — a one-site SiteBlock packed best-fit — plus what
+/// the block does not keep: the resident VM table and a departure calendar.
+class Cluster {
+ public:
+  explicit Cluster(const SiteConfig& config) : block_{{config}} {}
+
+  int allocated_cores() const { return block_.allocated_cores(0); }
+  int powered_servers() const { return block_.powered_servers(0); }
+  int active_cores() const { return block_.active_cores(0); }
+
+  /// Best-fit placement; false when no server fits (admission is the
+  /// caller's check).
+  bool place(VmInstance vm) {
+    if (vms_.contains(vm.vm_id)) {
+      throw std::invalid_argument{"simulate_site: duplicate vm_id"};
+    }
+    vm.server = block_.place(0, vm.vm_id, vm.shape.cores, vm.shape.memory_gb,
+                             degradable(vm), BlockPolicy::best_fit);
+    if (vm.server < 0) return false;
+    if (vm.end_tick >= 0) departures_.emplace(vm.end_tick, vm.vm_id);
+    vms_.emplace(vm.vm_id, vm);
+    return true;
+  }
+
+  /// Remove every VM whose end_tick <= t, in (end_tick, vm_id) order.
+  /// Calendar entries are lazily invalidated: one whose VM left earlier
+  /// (evicted) or was relaunched with a different end_tick is skipped.
+  void depart(util::Tick t) {
+    while (!departures_.empty() && departures_.top().first <= t) {
+      const auto [end_tick, vm_id] = departures_.top();
+      departures_.pop();
+      const auto it = vms_.find(vm_id);
+      if (it == vms_.end() || it->second.end_tick != end_tick) continue;
+      const VmInstance& vm = it->second;
+      block_.remove(0, vm.server, vm.vm_id, vm.shape.cores,
+                    vm.shape.memory_gb, degradable(vm));
+      vms_.erase(it);
+    }
+  }
+
+  /// Evict round-robin until allocated cores <= available; returns the
+  /// victims in eviction order.
+  std::vector<VmInstance> shrink_to(int available) {
+    std::vector<SiteBlock::Evicted> evicted;
+    block_.shrink_to(0, available, evicted);
+    std::vector<VmInstance> victims;
+    victims.reserve(evicted.size());
+    for (const SiteBlock::Evicted& e : evicted) {
+      const auto it = vms_.find(e.vm_id);
+      victims.push_back(it->second);
+      vms_.erase(it);
+    }
+    return victims;
+  }
+
+ private:
+  static bool degradable(const VmInstance& vm) {
+    return vm.vm_class == workload::VmClass::degradable;
+  }
+
+  SiteBlock block_;
+  std::unordered_map<std::int64_t, VmInstance> vms_;
+  using Departure = std::pair<util::Tick, std::int64_t>;
+  std::priority_queue<Departure, std::vector<Departure>,
+                      std::greater<Departure>>
+      departures_;
+};
+
 }  // namespace
 
 SiteSimResult simulate_site(const energy::PowerTrace& power,
                             const std::vector<workload::VmRequest>& vms,
-                            const SiteSimConfig& config,
-                            AllocationPolicy& policy) {
+                            const SiteSimConfig& config) {
   const std::size_t n_ticks = power.size();
   if (n_ticks == 0) throw std::invalid_argument{"simulate_site: empty trace"};
+  if (config.utilization_cap <= 0.0 || config.utilization_cap > 1.0) {
+    throw std::invalid_argument{
+        "simulate_site: utilization_cap out of (0, 1]"};
+  }
 
-  Site site{config.site};
-  const int total_cores = site.total_cores();
+  Cluster site{config.site};
+  const int total_cores = config.site.n_servers * config.site.server.cores;
+  // Admission control: allocated cores stay within the cap's share of the
+  // powered capacity.
+  const auto admits = [&](const workload::VmShape& shape, int available) {
+    const int after = site.allocated_cores() + shape.cores;
+    return static_cast<double>(after) <=
+           config.utilization_cap *
+               static_cast<double>(std::min(available, total_cores));
+  };
 
   SiteSimResult result;
   result.out_gb.assign(n_ticks, 0.0);
@@ -56,7 +140,7 @@ SiteSimResult simulate_site(const energy::PowerTrace& power,
     if (i > 0 && available != prev_available) ++result.power_change_ticks;
 
     // 1. Departures free resources.
-    (void)site.collect_departures(t);
+    site.depart(t);
 
     // 2. Power shrink: idle cores absorb the dip for free; evict past that.
     if (site.allocated_cores() > available) {
@@ -84,7 +168,7 @@ SiteSimResult simulate_site(const energy::PowerTrace& power,
       vm.shape = req.shape;
       vm.vm_class = req.vm_class;
       vm.end_tick = req.lifetime_ticks < 0 ? -1 : t + req.lifetime_ticks;
-      if (site.admits(vm.shape, available) && site.place(vm, policy)) {
+      if (admits(vm.shape, available) && site.place(vm)) {
         // Admitted fresh arrivals are not migration traffic.
       } else {
         ++result.vms_rejected;
@@ -106,14 +190,14 @@ SiteSimResult simulate_site(const energy::PowerTrace& power,
           waited > retry_ticks) {
         continue;
       }
-      if (!site.admits(entry.vm.shape, available)) {
+      if (!admits(entry.vm.shape, available)) {
         pending.push_back(entry);
         continue;
       }
       VmInstance vm = entry.vm;
       vm.end_tick =
           entry.lifetime_ticks < 0 ? -1 : t + entry.lifetime_ticks;
-      if (site.place(vm, policy)) {
+      if (site.place(vm)) {
         result.in_gb[i] += vm.shape.memory_gb;
         ++result.vms_relaunched;
       } else {
@@ -132,7 +216,7 @@ SiteSimResult simulate_site(const energy::PowerTrace& power,
 
     // Energy: powered servers (those hosting VMs) draw idle + active-core
     // power for this tick. Both counts are maintained incrementally by the
-    // site, so this is O(1) instead of a server sweep.
+    // block, so this is O(1) instead of a server sweep.
     const int powered = site.powered_servers();
     const int active_cores = site.active_cores();
     result.powered_server_ticks += powered;

@@ -1,8 +1,8 @@
 // Frozen seed solver (dense two-phase tableau simplex + best-first branch
 // & bound), retained verbatim as the correctness oracle for the revised
-// engine — the same role dcsim's `scan_reference.h` plays for the indexed
-// site queries. Tests and `bench_solver` cross-check every LP/MIP objective
-// against this implementation; it is never used on the production path.
+// engine — the same role testkit's `RefSite` plays for dcsim's SiteBlock.
+// Tests and `bench_solver` cross-check every LP/MIP objective against this
+// implementation; it is never used on the production path.
 #pragma once
 
 #include "vbatt/solver/branch_bound.h"

@@ -4,8 +4,8 @@
 //   sim     conservation laws on VmLevelResult, thread-count invariance,
 //           empty-chaos identity, and the event-driven engine vs the
 //           frozen seed engine (vm_reference.h)
-//   dcsim   indexed Site::choose_* vs the retained linear scans
-//           (scan_reference.h) on random reachable site states
+//   dcsim   SiteBlock vs the frozen linear-scan RefSite (ref_site.h):
+//           place / shrink / outage answers under all three policies
 //   solver  revised engine vs frozen seed solver (objective + feasibility
 //           audit), decomposed vs revised and the default engine vs seed,
 //           MIP dominance over sampled feasible points,

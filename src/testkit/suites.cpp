@@ -16,8 +16,7 @@
 
 #include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
-#include "vbatt/dcsim/scan_reference.h"
-#include "vbatt/dcsim/site.h"
+#include "vbatt/dcsim/site_block.h"
 #include "vbatt/energy/aggregate.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/core/simulation.h"
@@ -34,6 +33,7 @@
 #include "vbatt/testkit/batch_reference.h"
 #include "vbatt/testkit/forecast_reference.h"
 #include "vbatt/testkit/generators.h"
+#include "vbatt/testkit/ref_site.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
 
@@ -650,20 +650,22 @@ CaseResult eval_placement_diff(const Spec& spec) {
   config.n_servers = static_cast<int>(
       std::clamp<std::int64_t>(spec.get("servers", 6), 1, 24));
   config.server = {8, 32.0};
-  config.utilization_cap = 1.0;
-  dcsim::Site site{config};
+  // One lane per policy: block site k and RefSite k run policy k, and every
+  // op is applied to all three lanes.
+  constexpr dcsim::BlockPolicy kPolicies[] = {dcsim::BlockPolicy::first_fit,
+                                              dcsim::BlockPolicy::best_fit,
+                                              dcsim::BlockPolicy::worst_fit};
+  constexpr const char* kNames[] = {"first_fit", "best_fit", "worst_fit"};
+  constexpr std::size_t kLanes = 3;
+  dcsim::SiteBlock block{std::vector<dcsim::SiteConfig>(kLanes, config)};
+  std::vector<RefSite> refs(kLanes, RefSite{config.n_servers, config.server});
+  std::vector<std::vector<dcsim::VmInstance>> live(kLanes);
 
   const auto ops = static_cast<std::uint64_t>(
       std::max<std::int64_t>(1, spec.get("ops", 40)));
   util::Rng rng{spec.child_seed("ops")};
-  dcsim::FirstFitPolicy first_fit;
-  dcsim::BestFitPolicy best_fit;
-  dcsim::WorstFitPolicy worst_fit;
-  dcsim::ProteanLikePolicy protean;
-  dcsim::AllocationPolicy* const policies[] = {&first_fit, &best_fit,
-                                               &worst_fit, &protean};
-  std::vector<std::int64_t> placed_ids;
   std::int64_t next_id = 0;
+  std::vector<dcsim::SiteBlock::Evicted> evicted;
 
   const auto draw_shape = [&] {
     // Zero-core shapes are legal and exercise the best-fit vm_count
@@ -673,100 +675,127 @@ CaseResult eval_placement_diff(const Spec& spec) {
     shape.memory_gb = static_cast<double>(rng.below(5)) * 8.0;
     return shape;
   };
-  const auto check_all = [&](std::uint64_t op) -> std::string {
-    const workload::VmShape probe = draw_shape();
-    const std::pair<const char*, std::pair<std::optional<int>,
-                                           std::optional<int>>>
-        checks[] = {
-            {"first_fit",
-             {site.choose_first_fit(probe),
-              dcsim::scan_reference::first_fit(site, probe)}},
-            {"best_fit",
-             {site.choose_best_fit(probe),
-              dcsim::scan_reference::best_fit(site, probe)}},
-            {"worst_fit",
-             {site.choose_worst_fit(probe),
-              dcsim::scan_reference::worst_fit(site, probe)}},
-            {"protean",
-             {site.choose_protean(probe),
-              dcsim::scan_reference::protean(site, probe)}},
-        };
-    for (const auto& [name, pair] : checks) {
-      if (pair.first != pair.second) {
-        return "op " + std::to_string(op) + ": " + name + " chose " +
-               (pair.first ? std::to_string(*pair.first) : "none") +
-               ", scan reference chose " +
-               (pair.second ? std::to_string(*pair.second) : "none") +
-               " (probe " + std::to_string(probe.cores) + "c/" +
-               std::to_string(probe.memory_gb) + "gb)";
+  // Both eviction lists must match entry for entry; the victims leave the
+  // lane's resident list.
+  const auto diff_evictions =
+      [&](std::uint64_t op, std::size_t k, const char* what,
+          const std::vector<dcsim::VmInstance>& want) -> std::string {
+    const std::string where = "op " + std::to_string(op) + ": " + kNames[k] +
+                              " " + what + " ";
+    if (evicted.size() != want.size()) {
+      return where + "evicted " + std::to_string(evicted.size()) +
+             " VMs, RefSite " + std::to_string(want.size());
+    }
+    for (std::size_t i = 0; i < evicted.size(); ++i) {
+      const dcsim::SiteBlock::Evicted& got = evicted[i];
+      const dcsim::VmInstance& ref = want[i];
+      if (got.vm_id != ref.vm_id || got.server != ref.server ||
+          got.cores != ref.shape.cores ||
+          got.memory_gb != ref.shape.memory_gb ||
+          got.degradable != (ref.vm_class == workload::VmClass::degradable)) {
+        return where + "eviction " + std::to_string(i) + " was vm " +
+               std::to_string(got.vm_id) + " on server " +
+               std::to_string(got.server) + ", RefSite vm " +
+               std::to_string(ref.vm_id) + " on server " +
+               std::to_string(ref.server);
       }
+      std::erase_if(live[k], [&](const dcsim::VmInstance& vm) {
+        return vm.vm_id == got.vm_id;
+      });
     }
     return {};
   };
 
   for (std::uint64_t op = 0; op < ops; ++op) {
-    if (std::string diff = check_all(op); !diff.empty()) {
-      return fail_str(std::move(diff));
-    }
-    switch (rng.below(8)) {
+    switch (rng.below(7)) {
       case 0:
       case 1:
       case 2: {  // place (weighted: states with residents matter most)
         dcsim::VmInstance vm;
         vm.vm_id = next_id++;
-        vm.app_id = 0;
         vm.shape = draw_shape();
         vm.vm_class = rng.chance(0.4) ? workload::VmClass::degradable
                                       : workload::VmClass::stable;
-        vm.end_tick = static_cast<util::Tick>(rng.below(ops + 1));
-        if (site.place(vm, *policies[rng.below(4)])) {
-          placed_ids.push_back(vm.vm_id);
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          const int got =
+              block.place(k, vm.vm_id, vm.shape.cores, vm.shape.memory_gb,
+                          vm.vm_class == workload::VmClass::degradable,
+                          kPolicies[k]);
+          const dcsim::VmInstance* placed =
+              refs[k].place(vm, kPolicies[k]) ? refs[k].find(vm.vm_id)
+                                              : nullptr;
+          const int want = placed != nullptr ? placed->server : -1;
+          if (got != want) {
+            return fail_str("op " + std::to_string(op) + ": " + kNames[k] +
+                            " chose " + std::to_string(got) +
+                            ", RefSite chose " + std::to_string(want) +
+                            " (shape " + std::to_string(vm.shape.cores) +
+                            "c/" + std::to_string(vm.shape.memory_gb) +
+                            "gb)");
+          }
+          if (placed != nullptr) live[k].push_back(*placed);
         }
         break;
       }
-      case 3: {  // remove
-        if (placed_ids.empty()) break;
-        const std::size_t at = rng.below(placed_ids.size());
-        site.remove(placed_ids[at]);
-        placed_ids.erase(placed_ids.begin() +
-                         static_cast<std::ptrdiff_t>(at));
+      case 3:  // remove
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          if (live[k].empty()) continue;
+          const std::size_t at = rng.below(live[k].size());
+          const dcsim::VmInstance vm = live[k][at];
+          block.remove(k, vm.server, vm.vm_id, vm.shape.cores,
+                       vm.shape.memory_gb,
+                       vm.vm_class == workload::VmClass::degradable);
+          refs[k].remove(vm.vm_id);
+          live[k].erase(live[k].begin() + static_cast<std::ptrdiff_t>(at));
+        }
         break;
-      }
       case 4: {  // power shrink
-        const int cap = site.total_cores();
-        const auto evicted = site.shrink_to(
-            static_cast<int>(rng.below(static_cast<std::uint64_t>(cap) + 1)));
-        for (const dcsim::VmInstance& vm : evicted) {
-          placed_ids.erase(
-              std::find(placed_ids.begin(), placed_ids.end(), vm.vm_id));
+        const int budget = static_cast<int>(rng.below(
+            static_cast<std::uint64_t>(config.n_servers) *
+                static_cast<std::uint64_t>(config.server.cores) +
+            1));
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          evicted.clear();
+          block.shrink_to(k, budget, evicted);
+          if (std::string diff = diff_evictions(op, k, "shrink",
+                                                refs[k].shrink_to(budget));
+              !diff.empty()) {
+            return fail_str(std::move(diff));
+          }
         }
         break;
       }
-      case 5: {  // departures
-        const auto departed = site.collect_departures(
-            static_cast<util::Tick>(rng.below(ops + 1)));
-        for (const dcsim::VmInstance& vm : departed) {
-          placed_ids.erase(
-              std::find(placed_ids.begin(), placed_ids.end(), vm.vm_id));
+      case 5: {  // server failure
+        const int count = 1 + static_cast<int>(rng.below(2));
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          evicted.clear();
+          block.fail_servers(k, count, evicted);
+          if (std::string diff = diff_evictions(op, k, "outage",
+                                                refs[k].fail_servers(count));
+              !diff.empty()) {
+            return fail_str(std::move(diff));
+          }
         }
         break;
       }
-      case 6: {  // server failure
-        const auto failed =
-            site.fail_servers(1 + static_cast<int>(rng.below(2)));
-        for (const dcsim::VmInstance& vm : failed) {
-          placed_ids.erase(
-              std::find(placed_ids.begin(), placed_ids.end(), vm.vm_id));
+      case 6: {  // repair
+        const int count = 1 + static_cast<int>(rng.below(2));
+        for (std::size_t k = 0; k < kLanes; ++k) {
+          block.repair_servers(k, count);
+          refs[k].repair_servers(count);
         }
         break;
       }
-      case 7:  // repair
-        site.repair_servers(1 + static_cast<int>(rng.below(2)));
-        break;
     }
-  }
-  if (std::string diff = check_all(ops); !diff.empty()) {
-    return fail_str(std::move(diff));
+    for (std::size_t k = 0; k < kLanes; ++k) {
+      if (block.allocated_cores(k) != refs[k].allocated_cores() ||
+          block.allocated_memory_gb(k) != refs[k].allocated_memory_gb() ||
+          block.powered_servers(k) != refs[k].powered_servers() ||
+          block.failed_servers(k) != refs[k].failed_servers()) {
+        return fail_str("op " + std::to_string(op) + ": " + kNames[k] +
+                        " counters diverge from RefSite");
+      }
+    }
   }
   return CaseResult::pass();
 }

@@ -8,169 +8,25 @@
 #include <unordered_map>
 #include <utility>
 
+#include "vbatt/testkit/ref_site.h"
+
 namespace vbatt::testkit {
 
 namespace {
 
 using namespace vbatt;
 
-// The pre-index dcsim::Site: flat server array, linear-scan placement,
-// shrink_to that rebuilds and sorts a by-server table on every call.
-
-struct RefServer {
-  int free_cores = 0;
-  double free_memory_gb = 0.0;
-  int vm_count = 0;
-  bool failed = false;  // offline (server outage) until repaired
-};
-
-/// Eviction order within a server: degradable before stable, then vm_id.
-bool victim_before(const dcsim::VmInstance* a, const dcsim::VmInstance* b) {
-  if (a->vm_class != b->vm_class) {
-    return a->vm_class == workload::VmClass::degradable;
+dcsim::BlockPolicy block_policy(core::VmLevelConfig::Placement placement) {
+  switch (placement) {
+    case core::VmLevelConfig::Placement::first_fit:
+      return dcsim::BlockPolicy::first_fit;
+    case core::VmLevelConfig::Placement::worst_fit:
+      return dcsim::BlockPolicy::worst_fit;
+    case core::VmLevelConfig::Placement::best_fit:
+      break;
   }
-  return a->vm_id < b->vm_id;
+  return dcsim::BlockPolicy::best_fit;
 }
-
-class RefSite {
- public:
-  RefSite(int n_servers, const dcsim::ServerSpec& server,
-          core::VmLevelConfig::Placement placement)
-      : placement_{placement} {
-    servers_.assign(static_cast<std::size_t>(n_servers),
-                    RefServer{server.cores, server.memory_gb, 0, false});
-  }
-
-  int allocated_cores() const { return allocated_cores_; }
-  const std::vector<RefServer>& servers() const { return servers_; }
-
-  bool place(const dcsim::VmInstance& vm) {
-    // One scan for every policy: first fit takes the first healthy server
-    // with room; best fit the least free cores, worst fit the most, ties
-    // to the lowest index.
-    std::optional<int> best;
-    int best_free = 0;
-    for (std::size_t i = 0; i < servers_.size(); ++i) {
-      const RefServer& s = servers_[i];
-      if (s.failed || s.free_cores < vm.shape.cores ||
-          s.free_memory_gb < vm.shape.memory_gb) {
-        continue;
-      }
-      const bool better =
-          !best ||
-          (placement_ == core::VmLevelConfig::Placement::best_fit &&
-           s.free_cores < best_free) ||
-          (placement_ == core::VmLevelConfig::Placement::worst_fit &&
-           s.free_cores > best_free);
-      if (better) {
-        best = static_cast<int>(i);
-        best_free = s.free_cores;
-      }
-      if (placement_ == core::VmLevelConfig::Placement::first_fit) break;
-    }
-    if (!best) return false;
-    RefServer& s = servers_[static_cast<std::size_t>(*best)];
-    s.free_cores -= vm.shape.cores;
-    s.free_memory_gb -= vm.shape.memory_gb;
-    ++s.vm_count;
-    allocated_cores_ += vm.shape.cores;
-    dcsim::VmInstance placed = vm;
-    placed.server = *best;
-    vms_.emplace(vm.vm_id, placed);
-    return true;
-  }
-
-  std::optional<dcsim::VmInstance> remove(std::int64_t vm_id) {
-    const auto it = vms_.find(vm_id);
-    if (it == vms_.end()) return std::nullopt;
-    const dcsim::VmInstance vm = it->second;
-    detach(vm);
-    vms_.erase(it);
-    return vm;
-  }
-
-  std::vector<dcsim::VmInstance> shrink_to(int available_cores) {
-    std::vector<dcsim::VmInstance> evicted;
-    if (allocated_cores_ <= available_cores) return evicted;
-    std::vector<std::vector<const dcsim::VmInstance*>> by_server =
-        residents_by_server();
-    const int n = static_cast<int>(servers_.size());
-    std::vector<std::int64_t> victim_ids;
-    for (int step = 0; step < n && allocated_cores_ > available_cores;
-         ++step) {
-      const auto server =
-          static_cast<std::size_t>((eviction_cursor_ + step) % n);
-      for (const dcsim::VmInstance* vm : by_server[server]) {
-        if (allocated_cores_ <= available_cores) break;
-        victim_ids.push_back(vm->vm_id);
-        evicted.push_back(*vm);
-        detach(*vm);
-      }
-      by_server[server].clear();
-    }
-    eviction_cursor_ = (eviction_cursor_ + 1) % n;
-    for (const std::int64_t id : victim_ids) vms_.erase(id);
-    return evicted;
-  }
-
-  /// Take `count` healthy servers offline, lowest index first, evicting
-  /// every resident in victim order.
-  std::vector<dcsim::VmInstance> fail_servers(int count) {
-    std::vector<dcsim::VmInstance> evicted;
-    const std::vector<std::vector<const dcsim::VmInstance*>> by_server =
-        residents_by_server();
-    std::vector<std::int64_t> victim_ids;
-    for (std::size_t i = 0; i < servers_.size() && count > 0; ++i) {
-      if (servers_[i].failed) continue;
-      --count;
-      for (const dcsim::VmInstance* vm : by_server[i]) {
-        victim_ids.push_back(vm->vm_id);
-        evicted.push_back(*vm);
-        detach(*vm);
-      }
-      servers_[i].failed = true;
-    }
-    for (const std::int64_t id : victim_ids) vms_.erase(id);
-    return evicted;
-  }
-
-  /// Return `count` failed servers to service, lowest index first.
-  void repair_servers(int count) {
-    for (std::size_t i = 0; i < servers_.size() && count > 0; ++i) {
-      if (!servers_[i].failed) continue;
-      --count;
-      servers_[i].failed = false;
-    }
-  }
-
- private:
-  std::vector<std::vector<const dcsim::VmInstance*>> residents_by_server()
-      const {
-    std::vector<std::vector<const dcsim::VmInstance*>> by_server(
-        servers_.size());
-    for (const auto& [id, vm] : vms_) {
-      by_server[static_cast<std::size_t>(vm.server)].push_back(&vm);
-    }
-    for (auto& list : by_server) {
-      std::sort(list.begin(), list.end(), victim_before);
-    }
-    return by_server;
-  }
-
-  void detach(const dcsim::VmInstance& vm) {
-    RefServer& s = servers_[static_cast<std::size_t>(vm.server)];
-    s.free_cores += vm.shape.cores;
-    s.free_memory_gb += vm.shape.memory_gb;
-    --s.vm_count;
-    allocated_cores_ -= vm.shape.cores;
-  }
-
-  core::VmLevelConfig::Placement placement_;
-  std::vector<RefServer> servers_;
-  std::unordered_map<std::int64_t, dcsim::VmInstance> vms_;
-  int allocated_cores_ = 0;
-  int eviction_cursor_ = 0;
-};
 
 struct RefTrackedApp {
   workload::Application app;
@@ -216,12 +72,13 @@ core::VmLevelResult reference_vm_run(
   const std::size_t n_ticks = graph.n_ticks();
   core::VmLevelResult result{n_sites, n_ticks};
 
+  const dcsim::BlockPolicy policy = block_policy(config.placement);
   std::vector<RefSite> sites;
   sites.reserve(n_sites);
   for (std::size_t s = 0; s < n_sites; ++s) {
     sites.emplace_back(
         std::max(1, graph.site(s).capacity_cores / config.server.cores),
-        config.server, config.placement);
+        config.server);
   }
 
   std::map<std::int64_t, RefTrackedApp> live;
@@ -255,7 +112,7 @@ core::VmLevelResult reference_vm_run(
   const energy::SiteSeries* carbon = ext != nullptr ? ext->carbon : nullptr;
 
   const auto place_vm = [&](dcsim::VmInstance vm, std::size_t s) -> bool {
-    if (!sites[s].place(vm)) return false;
+    if (!sites[s].place(vm, policy)) return false;
     if (vm.vm_class == workload::VmClass::stable) {
       state.stable_cores[s] += vm.shape.cores;
     } else {

@@ -1,270 +1,201 @@
-#include "vbatt/dcsim/site.h"
+// One-site behaviour of dcsim::SiteBlock: placement, power shrink, server
+// outages and repair.
+#include "vbatt/dcsim/site_block.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 namespace vbatt::dcsim {
 namespace {
 
-SiteConfig small_site(int servers = 4, int cores = 8, double mem = 32.0) {
+SiteBlock small_site(int servers = 4, int cores = 8, double mem = 32.0) {
   SiteConfig config;
   config.n_servers = servers;
   config.server = {cores, mem};
-  return config;
+  return SiteBlock{{config}};
 }
 
-VmInstance vm(std::int64_t id, int cores = 2, double mem = 8.0,
-              workload::VmClass cls = workload::VmClass::stable) {
-  VmInstance v;
-  v.vm_id = id;
-  v.shape = {cores, mem};
-  v.vm_class = cls;
-  return v;
+/// Place vm `id` on site 0; returns the server id or -1.
+int place(SiteBlock& site, std::int64_t id, int cores = 2, double mem = 8.0,
+          bool degradable = false,
+          BlockPolicy policy = BlockPolicy::first_fit) {
+  return site.place(0, id, cores, mem, degradable, policy);
 }
 
-TEST(Site, ValidatesConfig) {
-  EXPECT_THROW(Site{small_site(0)}, std::invalid_argument);
-  SiteConfig cap = small_site();
-  cap.utilization_cap = 0.0;
-  EXPECT_THROW(Site{cap}, std::invalid_argument);
-  cap.utilization_cap = 1.5;
-  EXPECT_THROW(Site{cap}, std::invalid_argument);
+std::vector<SiteBlock::Evicted> shrink(SiteBlock& site, int available) {
+  std::vector<SiteBlock::Evicted> out;
+  site.shrink_to(0, available, out);
+  return out;
 }
 
-TEST(Site, PlaceAndRemove) {
-  Site site{small_site()};
-  FirstFitPolicy policy;
-  EXPECT_TRUE(site.place(vm(1), policy));
-  EXPECT_EQ(site.allocated_cores(), 2);
-  EXPECT_DOUBLE_EQ(site.allocated_memory_gb(), 8.0);
-  EXPECT_EQ(site.vm_count(), 1u);
-  ASSERT_NE(site.find(1), nullptr);
-
-  const auto removed = site.remove(1);
-  ASSERT_TRUE(removed.has_value());
-  EXPECT_EQ(site.allocated_cores(), 0);
-  EXPECT_EQ(site.find(1), nullptr);
-  EXPECT_FALSE(site.remove(1).has_value());
+std::vector<SiteBlock::Evicted> fail(SiteBlock& site, int count) {
+  std::vector<SiteBlock::Evicted> out;
+  site.fail_servers(0, count, out);
+  return out;
 }
 
-TEST(Site, DuplicateIdThrows) {
-  Site site{small_site()};
-  FirstFitPolicy policy;
-  EXPECT_TRUE(site.place(vm(1), policy));
-  EXPECT_THROW(site.place(vm(1), policy), std::invalid_argument);
+TEST(OneSiteBlock, ValidatesConfig) {
+  EXPECT_THROW(small_site(0), std::invalid_argument);
+  EXPECT_THROW(small_site(4, 0), std::invalid_argument);
+  EXPECT_THROW(small_site(4, 8, 0.0), std::invalid_argument);
 }
 
-TEST(Site, PlacementFailsWhenFull) {
-  Site site{small_site(1, 4)};
-  FirstFitPolicy policy;
-  EXPECT_TRUE(site.place(vm(1, 4), policy));
-  EXPECT_FALSE(site.place(vm(2, 1), policy));
+TEST(OneSiteBlock, PlaceAndRemove) {
+  SiteBlock site = small_site();
+  EXPECT_EQ(place(site, 1), 0);
+  EXPECT_EQ(site.allocated_cores(0), 2);
+  EXPECT_DOUBLE_EQ(site.allocated_memory_gb(0), 8.0);
+  EXPECT_EQ(site.powered_servers(0), 1);
+
+  site.remove(0, 0, 1, 2, 8.0, false);
+  EXPECT_EQ(site.allocated_cores(0), 0);
+  EXPECT_DOUBLE_EQ(site.allocated_memory_gb(0), 0.0);
+  EXPECT_EQ(site.powered_servers(0), 0);
 }
 
-TEST(Site, MemoryConstrainsPlacement) {
-  Site site{small_site(1, 8, 16.0)};
-  FirstFitPolicy policy;
-  EXPECT_TRUE(site.place(vm(1, 1, 12.0), policy));
-  EXPECT_FALSE(site.place(vm(2, 1, 8.0), policy));  // cores fit, memory not
+TEST(OneSiteBlock, PlacementFailsWhenFull) {
+  SiteBlock site = small_site(1, 4);
+  EXPECT_EQ(place(site, 1, 4), 0);
+  EXPECT_EQ(place(site, 2, 1), -1);
 }
 
-TEST(Site, AdmissionCapRelativeToPoweredCores) {
-  // 70% cap of 16 available cores = 11.2 -> a VM pushing to 12 is rejected.
-  Site site{small_site(4, 8)};  // 32 total
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(vm(1, 8), policy));
-  EXPECT_TRUE(site.admits({3, 8.0}, 16));    // 11 <= 11.2
-  EXPECT_FALSE(site.admits({4, 8.0}, 16));   // 12 > 11.2
-  EXPECT_TRUE(site.admits({4, 8.0}, 32));    // 12 <= 22.4
+TEST(OneSiteBlock, MemoryConstrainsPlacement) {
+  SiteBlock site = small_site(1, 8, 16.0);
+  EXPECT_EQ(place(site, 1, 1, 12.0), 0);
+  EXPECT_EQ(place(site, 2, 1, 8.0), -1);  // cores fit, memory not
 }
 
-TEST(Site, ShrinkPowersDownIdleCoresFirst) {
-  Site site{small_site(4, 8)};
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(vm(1, 4), policy));
+TEST(OneSiteBlock, ShrinkPowersDownIdleCoresFirst) {
+  SiteBlock site = small_site(4, 8);
+  ASSERT_GE(place(site, 1, 4), 0);
   // Plenty of allocated headroom: shrinking to 4 evicts nothing.
-  EXPECT_TRUE(site.shrink_to(4).empty());
-  EXPECT_EQ(site.allocated_cores(), 4);
+  EXPECT_TRUE(shrink(site, 4).empty());
+  EXPECT_EQ(site.allocated_cores(0), 4);
 }
 
-TEST(Site, ShrinkEvictsWhenNeeded) {
-  Site site{small_site(2, 8)};
-  BestFitPolicy policy;
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE(site.place(vm(i, 4), policy));
-  ASSERT_EQ(site.allocated_cores(), 16);
-  const auto evicted = site.shrink_to(8);
-  EXPECT_EQ(site.allocated_cores(), 8);
+TEST(OneSiteBlock, ShrinkEvictsWhenNeeded) {
+  SiteBlock site = small_site(2, 8);
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_GE(place(site, i, 4, 8.0, false, BlockPolicy::best_fit), 0);
+  }
+  ASSERT_EQ(site.allocated_cores(0), 16);
+  const auto evicted = shrink(site, 8);
+  EXPECT_EQ(site.allocated_cores(0), 8);
   EXPECT_EQ(evicted.size(), 2u);
 }
 
-TEST(Site, ShrinkEvictsDegradableFirst) {
-  Site site{small_site(1, 8)};
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(vm(1, 4, 8.0, workload::VmClass::stable), policy));
-  ASSERT_TRUE(site.place(vm(2, 4, 8.0, workload::VmClass::degradable), policy));
-  const auto evicted = site.shrink_to(4);
+TEST(OneSiteBlock, ShrinkEvictsDegradableFirst) {
+  SiteBlock site = small_site(1, 8);
+  ASSERT_GE(place(site, 1, 4, 8.0, false), 0);
+  ASSERT_GE(place(site, 2, 4, 8.0, true), 0);
+  const auto evicted = shrink(site, 4);
   ASSERT_EQ(evicted.size(), 1u);
   EXPECT_EQ(evicted[0].vm_id, 2);  // degradable went first
-  EXPECT_NE(site.find(1), nullptr);
+  EXPECT_TRUE(evicted[0].degradable);
+  EXPECT_EQ(site.allocated_cores(0), 4);
 }
 
-TEST(Site, ShrinkToZeroEvictsEverything) {
-  Site site{small_site()};
-  FirstFitPolicy policy;
-  for (int i = 0; i < 6; ++i) ASSERT_TRUE(site.place(vm(i), policy));
-  const auto evicted = site.shrink_to(0);
+TEST(OneSiteBlock, ShrinkToZeroEvictsEverything) {
+  SiteBlock site = small_site();
+  for (int i = 0; i < 6; ++i) ASSERT_GE(place(site, i), 0);
+  const auto evicted = shrink(site, 0);
   EXPECT_EQ(evicted.size(), 6u);
-  EXPECT_EQ(site.allocated_cores(), 0);
-  EXPECT_EQ(site.vm_count(), 0u);
+  EXPECT_EQ(site.allocated_cores(0), 0);
+  EXPECT_EQ(site.powered_servers(0), 0);
 }
 
-TEST(Site, CollectDeparturesRemovesEndedVms) {
-  Site site{small_site()};
-  FirstFitPolicy policy;
-  VmInstance a = vm(1);
-  a.end_tick = 5;
-  VmInstance b = vm(2);
-  b.end_tick = 10;
-  VmInstance forever = vm(3);
-  forever.end_tick = -1;
-  ASSERT_TRUE(site.place(a, policy));
-  ASSERT_TRUE(site.place(b, policy));
-  ASSERT_TRUE(site.place(forever, policy));
+TEST(OneSiteBlock, FailServersEvictsResidentsDegradableFirst) {
+  SiteBlock site = small_site(2, 8);
+  ASSERT_EQ(place(site, 1, 4, 8.0, false), 0);
+  ASSERT_EQ(place(site, 2, 4, 8.0, true), 0);
+  ASSERT_EQ(place(site, 3, 4), 1);
 
-  EXPECT_TRUE(site.collect_departures(4).empty());
-  const auto gone = site.collect_departures(5);
-  ASSERT_EQ(gone.size(), 1u);
-  EXPECT_EQ(gone[0].vm_id, 1);
-  const auto gone2 = site.collect_departures(100);
-  ASSERT_EQ(gone2.size(), 1u);
-  EXPECT_EQ(gone2[0].vm_id, 2);
-  EXPECT_EQ(site.vm_count(), 1u);  // the immortal one
-}
-
-TEST(Site, FailServersEvictsResidentsDegradableFirst) {
-  Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(vm(1, 4, 8.0, workload::VmClass::stable), policy));
-  ASSERT_TRUE(site.place(vm(2, 4, 8.0, workload::VmClass::degradable), policy));
-  ASSERT_TRUE(site.place(vm(3, 4), policy));  // lands on server 1
-
-  const auto evicted = site.fail_servers(1);  // server 0 (lowest index)
+  const auto evicted = fail(site, 1);  // server 0 (lowest index)
   ASSERT_EQ(evicted.size(), 2u);
   EXPECT_EQ(evicted[0].vm_id, 2);  // degradable first
   EXPECT_EQ(evicted[1].vm_id, 1);
-  EXPECT_EQ(site.failed_servers(), 1);
-  EXPECT_EQ(site.online_cores(), 8);
-  EXPECT_EQ(site.vm_count(), 1u);
-  EXPECT_NE(site.find(3), nullptr);
+  EXPECT_EQ(evicted[0].server, 0);
+  EXPECT_EQ(site.failed_servers(0), 1);
+  EXPECT_EQ(site.allocated_cores(0), 4);  // vm 3 still resident
 }
 
-TEST(Site, FailedServersAreNotPlaceable) {
-  Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
-  site.fail_servers(1);
+TEST(OneSiteBlock, FailedServersAreNotPlaceable) {
+  SiteBlock site = small_site(2, 8);
+  (void)fail(site, 1);
   // Only server 1 can host anything now; the 8-core VM fills it and the
   // next placement must fail even though server 0 looks empty.
-  ASSERT_TRUE(site.place(vm(1, 8), policy));
-  EXPECT_EQ(site.find(1)->server, 1);
-  EXPECT_FALSE(site.place(vm(2, 1), policy));
+  EXPECT_EQ(place(site, 1, 8), 1);
+  EXPECT_EQ(place(site, 2, 1), -1);
 }
 
-TEST(Site, RepairReturnsServersToService) {
-  Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
-  site.fail_servers(2);
-  EXPECT_EQ(site.failed_servers(), 2);
-  EXPECT_EQ(site.online_cores(), 0);
-  EXPECT_FALSE(site.place(vm(1, 1), policy));
+TEST(OneSiteBlock, RepairReturnsServersToService) {
+  SiteBlock site = small_site(2, 8);
+  (void)fail(site, 2);
+  EXPECT_EQ(site.failed_servers(0), 2);
+  EXPECT_EQ(place(site, 1, 1), -1);
 
-  site.repair_servers(1);
-  EXPECT_EQ(site.failed_servers(), 1);
-  ASSERT_TRUE(site.place(vm(2, 2), policy));
-  EXPECT_EQ(site.find(2)->server, 0);
+  site.repair_servers(0, 1);
+  EXPECT_EQ(site.failed_servers(0), 1);
+  EXPECT_EQ(place(site, 2, 2), 0);
 
-  site.repair_servers(5);  // over-repair clamps to what is failed
-  EXPECT_EQ(site.failed_servers(), 0);
-  EXPECT_EQ(site.online_cores(), 16);
+  site.repair_servers(0, 5);  // over-repair clamps to what is failed
+  EXPECT_EQ(site.failed_servers(0), 0);
+  EXPECT_EQ(place(site, 3, 8), 1);
 }
 
-TEST(Site, FailMoreServersThanHealthyClamps) {
-  Site site{small_site(2, 8)};
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(vm(1, 2), policy));
-  const auto evicted = site.fail_servers(10);
+TEST(OneSiteBlock, FailMoreServersThanHealthyClamps) {
+  SiteBlock site = small_site(2, 8);
+  ASSERT_GE(place(site, 1, 2), 0);
+  const auto evicted = fail(site, 10);
   EXPECT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(site.failed_servers(), 2);
-  EXPECT_EQ(site.vm_count(), 0u);
+  EXPECT_EQ(site.failed_servers(0), 2);
+  EXPECT_EQ(site.allocated_cores(0), 0);
   // Idempotent: nothing healthy left to fail.
-  EXPECT_TRUE(site.fail_servers(1).empty());
-  EXPECT_EQ(site.failed_servers(), 2);
+  EXPECT_TRUE(fail(site, 1).empty());
+  EXPECT_EQ(site.failed_servers(0), 2);
 }
 
-TEST(Site, FailRepairKeepsDeparturesAndShrinkConsistent) {
-  Site site{small_site(3, 8)};
-  FirstFitPolicy policy;
-  VmInstance a = vm(1, 4);
-  a.end_tick = 5;
-  ASSERT_TRUE(site.place(a, policy));
-  const auto evicted = site.fail_servers(1);
-  ASSERT_EQ(evicted.size(), 1u);
-  // The evicted VM is gone from the site: its calendar entry must be
-  // lazily dropped, not double-returned.
-  EXPECT_TRUE(site.collect_departures(5).empty());
+TEST(OneSiteBlock, FailRepairKeepsShrinkConsistent) {
+  SiteBlock site = small_site(3, 8);
+  ASSERT_EQ(place(site, 1, 4), 0);
+  ASSERT_EQ(fail(site, 1).size(), 1u);
 
   // Shrink math still works with a failed server out of the index.
-  ASSERT_TRUE(site.place(vm(2, 4), policy));
-  ASSERT_TRUE(site.place(vm(3, 4), policy));
-  const auto shrunk = site.shrink_to(4);
+  ASSERT_EQ(place(site, 2, 4), 1);
+  ASSERT_EQ(place(site, 3, 4), 1);
+  const auto shrunk = shrink(site, 4);
   EXPECT_EQ(shrunk.size(), 1u);
-  EXPECT_EQ(site.allocated_cores(), 4);
+  EXPECT_EQ(site.allocated_cores(0), 4);
 
-  site.repair_servers(1);
-  EXPECT_EQ(site.failed_servers(), 0);
-  ASSERT_TRUE(site.place(vm(4, 8), policy));  // repaired server usable again
+  site.repair_servers(0, 1);
+  EXPECT_EQ(site.failed_servers(0), 0);
+  EXPECT_EQ(place(site, 4, 8), 0);  // repaired server usable again
 }
 
 TEST(AllocationPolicies, BestFitConsolidates) {
-  Site site{small_site(3, 8)};
-  BestFitPolicy best;
-  ASSERT_TRUE(site.place(vm(1, 4), best));
+  SiteBlock site = small_site(3, 8);
+  ASSERT_GE(place(site, 1, 4, 8.0, false, BlockPolicy::best_fit), 0);
   // Next VM should land on the same (fullest) server, not an empty one.
-  ASSERT_TRUE(site.place(vm(2, 2), best));
-  int used_servers = 0;
-  for (const ServerState& s : site.servers()) {
-    if (s.vm_count > 0) ++used_servers;
-  }
-  EXPECT_EQ(used_servers, 1);
+  ASSERT_GE(place(site, 2, 2, 8.0, false, BlockPolicy::best_fit), 0);
+  EXPECT_EQ(site.powered_servers(0), 1);
 }
 
 TEST(AllocationPolicies, WorstFitSpreads) {
-  Site site{small_site(3, 8)};
-  WorstFitPolicy worst;
-  ASSERT_TRUE(site.place(vm(1, 4), worst));
-  ASSERT_TRUE(site.place(vm(2, 4), worst));
-  int used_servers = 0;
-  for (const ServerState& s : site.servers()) {
-    if (s.vm_count > 0) ++used_servers;
-  }
-  EXPECT_EQ(used_servers, 2);
+  SiteBlock site = small_site(3, 8);
+  ASSERT_GE(place(site, 1, 4, 8.0, false, BlockPolicy::worst_fit), 0);
+  ASSERT_GE(place(site, 2, 4, 8.0, false, BlockPolicy::worst_fit), 0);
+  EXPECT_EQ(site.powered_servers(0), 2);
 }
 
 TEST(AllocationPolicies, AllRefuseWhenNothingFits) {
-  Site site{small_site(2, 2)};
-  FirstFitPolicy first;
-  BestFitPolicy best;
-  WorstFitPolicy worst;
-  const workload::VmShape huge{16, 8.0};
-  EXPECT_FALSE(first.choose(site, huge).has_value());
-  EXPECT_FALSE(best.choose(site, huge).has_value());
-  EXPECT_FALSE(worst.choose(site, huge).has_value());
-}
-
-TEST(Site, UtilizationTracking) {
-  Site site{small_site(4, 8)};  // 32 cores
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(vm(1, 8), policy));
-  EXPECT_DOUBLE_EQ(site.utilization(), 0.25);
-  EXPECT_EQ(site.required_cores(), 8);
+  SiteBlock site = small_site(2, 2);
+  for (const BlockPolicy policy : {BlockPolicy::first_fit,
+                                   BlockPolicy::best_fit,
+                                   BlockPolicy::worst_fit}) {
+    EXPECT_EQ(place(site, 1, 16, 8.0, false, policy), -1);
+  }
+  EXPECT_EQ(site.allocated_cores(0), 0);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
-// SiteBlock is a flat SoA re-encoding of Site used by the sharded fleet
-// engine; its contract is exact behavioral equality. These tests drive a
-// SiteBlock and a vector of Sites through identical randomized op streams
-// (place under all three policies, remove, shrink, fail, repair) and
-// demand identical server choices, eviction orders, and counters at every
-// step — including block-internal base-offset handling, which only shows
-// up when the block holds several sites of different sizes.
+// SiteBlock's contract is exact behavioral equality with the frozen
+// linear-scan testkit::RefSite. These tests drive a SiteBlock and one
+// RefSite per block site through identical randomized op streams (place
+// under all three policies, remove, shrink, fail, repair) and demand
+// identical server choices, eviction orders, and counters at every step —
+// including block-internal base-offset handling, which only shows up when
+// the block holds several sites of different sizes.
 #include "vbatt/dcsim/site_block.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +13,13 @@
 #include <optional>
 #include <vector>
 
-#include "vbatt/dcsim/site.h"
+#include "vbatt/testkit/ref_site.h"
 #include "vbatt/util/rng.h"
 
 namespace vbatt::dcsim {
 namespace {
+
+using testkit::RefSite;
 
 VmInstance make_vm(std::int64_t id, int cores, double mem,
                    workload::VmClass cls) {
@@ -35,19 +37,6 @@ struct Resident {
   bool degradable;
   int server;
 };
-
-AllocationPolicy* site_policy(BlockPolicy policy, FirstFitPolicy& first,
-                              BestFitPolicy& best, WorstFitPolicy& worst) {
-  switch (policy) {
-    case BlockPolicy::first_fit:
-      return &first;
-    case BlockPolicy::best_fit:
-      return &best;
-    case BlockPolicy::worst_fit:
-      return &worst;
-  }
-  return &first;
-}
 
 /// Op mix of one differential stream: cumulative roll thresholds for
 /// place / remove / shrink / fail (the rest repairs), and how a shrink
@@ -70,7 +59,7 @@ struct ShrinkTally {
   std::vector<double> occupied_share;
 };
 
-/// Drive a SiteBlock and one Site per entry of `server_counts` through
+/// Drive a SiteBlock and one RefSite per entry of `server_counts` through
 /// the same random op stream and demand identical answers throughout.
 /// (void so the ASSERTs can return; the tally comes back through `tally`.)
 void run_differential(const std::vector<int>& server_counts,
@@ -79,20 +68,17 @@ void run_differential(const std::vector<int>& server_counts,
   tally.over_budget.assign(server_counts.size(), 0);
   tally.occupied_share.assign(server_counts.size(), 0.0);
   std::vector<SiteConfig> configs;
-  std::vector<Site> sites;
+  std::vector<RefSite> sites;
   for (const int n : server_counts) {
     SiteConfig config;
     config.n_servers = n;
     config.server = {16, 64.0};
     configs.push_back(config);
-    sites.emplace_back(config);
+    sites.emplace_back(n, config.server);
   }
   SiteBlock block{configs};
   ASSERT_EQ(block.n_sites(), sites.size());
 
-  FirstFitPolicy first;
-  BestFitPolicy best;
-  WorstFitPolicy worst;
   util::Rng rng{util::seed_for(2026, seed_name)};
   std::vector<std::vector<Resident>> residents(sites.size());
   std::int64_t next_id = 0;
@@ -100,7 +86,7 @@ void run_differential(const std::vector<int>& server_counts,
 
   for (int step = 0; step < steps; ++step) {
     const auto s = static_cast<std::size_t>(rng.below(sites.size()));
-    Site& site = sites[s];
+    RefSite& site = sites[s];
     std::vector<Resident>& live = residents[s];
     const double roll = rng.uniform();
 
@@ -118,7 +104,7 @@ void run_differential(const std::vector<int>& server_counts,
           make_vm(next_id, cores, mem,
                   degradable ? workload::VmClass::degradable
                              : workload::VmClass::stable),
-          *site_policy(policy, first, best, worst));
+          policy);
       if (placed) {
         const VmInstance* vm = site.find(next_id);
         ASSERT_NE(vm, nullptr);
@@ -140,7 +126,7 @@ void run_differential(const std::vector<int>& server_counts,
       const int budget =
           mix.shave < 0
               ? static_cast<int>(rng.below(
-                    static_cast<std::uint64_t>(site.total_cores()) + 1))
+                    static_cast<std::uint64_t>(server_counts[s] * 16) + 1))
               : std::max(0, site.allocated_cores() -
                                 static_cast<int>(rng.below(
                                     static_cast<std::uint64_t>(mix.shave) +
@@ -193,13 +179,13 @@ void run_differential(const std::vector<int>& server_counts,
       ASSERT_EQ(block.allocated_memory_gb(k),
                 sites[k].allocated_memory_gb());
       ASSERT_EQ(block.powered_servers(k), sites[k].powered_servers());
-      ASSERT_EQ(block.active_cores(k), sites[k].active_cores());
+      ASSERT_EQ(block.active_cores(k), sites[k].allocated_cores());
       ASSERT_EQ(block.failed_servers(k), sites[k].failed_servers());
     }
   }
 }
 
-TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
+TEST(SiteBlockDifferential, MatchesRefSiteUnderRandomChurn) {
   // Different server counts per site so base offsets and bitset word
   // counts differ across the block.
   ShrinkTally tally;
@@ -207,7 +193,7 @@ TEST(SiteBlockDifferential, MatchesSiteUnderRandomChurn) {
                    tally);
 }
 
-TEST(SiteBlockDifferential, MatchesSiteOnSparseSitesAcrossCursorWrap) {
+TEST(SiteBlockDifferential, MatchesRefSiteOnSparseSitesAcrossCursorWrap) {
   // Few residents on many servers, so most servers a shrink walks past
   // are empty, and near-miss budgets that evict a VM or two per call, so
   // the eviction cursor advances on almost every shrink and wraps every

@@ -1,27 +1,28 @@
-// The event-driven Site keeps three incremental indices (free-cores
-// buckets, per-server victim order, departure calendar queue). These tests
-// pin each of them to the behavior of the original full-scan code:
-//   * property test: every indexed choose returns the identical server id
-//     as the retained linear scan (scan_reference.h) across randomized
-//     place / remove / shrink sequences, for all four policies;
-//   * regression: shrink_to's eviction order is unchanged vs the seed's
+// SiteBlock answers placement queries from incremental indices (free-cores
+// buckets, per-server victim order). These tests pin them to the frozen
+// linear-scan testkit::RefSite:
+//   * property test: every placement lands on the identical server the
+//     scan picks across randomized place / remove / shrink sequences, for
+//     all three policies;
+//   * regression: shrink_to's eviction order matches the scan's
 //     rebuild-and-sort implementation;
-//   * BestFit's "never start an empty server if a partially-used one
-//     fits" now holds even for zero-core shapes (the only case where free
-//     cores alone could not tell an empty server from a used one).
+//   * best fit's "never start an empty server if a partially-used one
+//     fits" holds even for zero-core shapes (the only case where free
+//     cores alone cannot tell an empty server from a used one) — in
+//     SiteBlock and in the oracle.
 #include <algorithm>
-#include <map>
-#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "vbatt/dcsim/scan_reference.h"
-#include "vbatt/dcsim/site.h"
+#include "vbatt/dcsim/site_block.h"
+#include "vbatt/testkit/ref_site.h"
 #include "vbatt/util/rng.h"
 
 namespace vbatt::dcsim {
 namespace {
+
+using testkit::RefSite;
 
 SiteConfig site_config(int servers, int cores, double mem) {
   SiteConfig config;
@@ -31,127 +32,51 @@ SiteConfig site_config(int servers, int cores, double mem) {
 }
 
 VmInstance make_vm(std::int64_t id, int cores, double mem,
-                   workload::VmClass cls = workload::VmClass::stable,
-                   util::Tick end_tick = -1) {
+                   workload::VmClass cls = workload::VmClass::stable) {
   VmInstance v;
   v.vm_id = id;
   v.shape = {cores, mem};
   v.vm_class = cls;
-  v.end_tick = end_tick;
   return v;
 }
 
-/// The seed's shrink_to: rebuild a by-server table, sort each server's VMs
-/// (degradable first, then vm_id), evict round-robin from `cursor`.
-/// Operates on a shadow model so the test can predict eviction order.
-struct ShadowModel {
-  std::map<std::int64_t, VmInstance> vms;
-  int allocated_cores = 0;
-  int cursor = 0;
-
-  std::vector<std::int64_t> seed_shrink_order(int n_servers,
-                                              int available_cores) {
-    std::vector<std::int64_t> order;
-    if (allocated_cores <= available_cores) return order;
-    std::vector<std::vector<const VmInstance*>> by_server(
-        static_cast<std::size_t>(n_servers));
-    for (const auto& [id, vm] : vms) {
-      by_server[static_cast<std::size_t>(vm.server)].push_back(&vm);
-    }
-    for (auto& list : by_server) {
-      std::sort(list.begin(), list.end(),
-                [](const VmInstance* a, const VmInstance* b) {
-                  if (a->vm_class != b->vm_class) {
-                    return a->vm_class == workload::VmClass::degradable;
-                  }
-                  return a->vm_id < b->vm_id;
-                });
-    }
-    for (int step = 0;
-         step < n_servers && allocated_cores > available_cores; ++step) {
-      const auto server =
-          static_cast<std::size_t>((cursor + step) % n_servers);
-      for (const VmInstance* vm : by_server[server]) {
-        if (allocated_cores <= available_cores) break;
-        order.push_back(vm->vm_id);
-        allocated_cores -= vm->shape.cores;
-      }
-      by_server[server].clear();
-    }
-    cursor = (cursor + 1) % n_servers;
-    for (const std::int64_t id : order) vms.erase(id);
-    return order;
-  }
-};
-
-enum class PolicyKind { first_fit, best_fit, worst_fit, protean };
-
-std::optional<int> indexed_choose(const Site& site, PolicyKind kind,
-                                  const workload::VmShape& shape) {
-  switch (kind) {
-    case PolicyKind::first_fit:
-      return site.choose_first_fit(shape);
-    case PolicyKind::best_fit:
-      return site.choose_best_fit(shape);
-    case PolicyKind::worst_fit:
-      return site.choose_worst_fit(shape);
-    case PolicyKind::protean:
-      break;
-  }
-  return site.choose_protean(shape);
+bool degradable(const VmInstance& vm) {
+  return vm.vm_class == workload::VmClass::degradable;
 }
 
-std::optional<int> scan_choose(const Site& site, PolicyKind kind,
-                               const workload::VmShape& shape) {
-  switch (kind) {
-    case PolicyKind::first_fit:
-      return scan_reference::first_fit(site, shape);
-    case PolicyKind::best_fit:
-      return scan_reference::best_fit(site, shape);
-    case PolicyKind::worst_fit:
-      return scan_reference::worst_fit(site, shape);
-    case PolicyKind::protean:
-      break;
-  }
-  return scan_reference::protean(site, shape);
+/// Place on both containers; returns the block's server after checking
+/// the oracle chose the same one (or both refused).
+int place_both(SiteBlock& block, RefSite& ref, const VmInstance& vm,
+               BlockPolicy policy) {
+  const int got = block.place(0, vm.vm_id, vm.shape.cores, vm.shape.memory_gb,
+                              degradable(vm), policy);
+  const int want = ref.place(vm, policy) ? ref.find(vm.vm_id)->server : -1;
+  EXPECT_EQ(got, want) << "policy " << static_cast<int>(policy)
+                       << " diverged for vm " << vm.vm_id << " shape {"
+                       << vm.shape.cores << ", " << vm.shape.memory_gb
+                       << "}";
+  return got;
 }
-
-/// Forwards to the indexed choose but asserts scan agreement on every
-/// single query the site issues.
-class CheckedPolicy final : public AllocationPolicy {
- public:
-  explicit CheckedPolicy(PolicyKind kind) : kind_{kind} {}
-  std::optional<int> choose(const Site& site,
-                            const workload::VmShape& shape) override {
-    const std::optional<int> indexed = indexed_choose(site, kind_, shape);
-    const std::optional<int> scanned = scan_choose(site, kind_, shape);
-    EXPECT_EQ(indexed, scanned)
-        << "policy " << static_cast<int>(kind_) << " diverged for shape {"
-        << shape.cores << ", " << shape.memory_gb << "}";
-    ++queries;
-    return indexed;
-  }
-  PolicyKind kind_;
-  int queries = 0;
-};
 
 TEST(SiteIndexProperty, IndexedChooseMatchesScanUnderRandomChurn) {
-  for (const PolicyKind kind :
-       {PolicyKind::first_fit, PolicyKind::best_fit, PolicyKind::worst_fit,
-        PolicyKind::protean}) {
+  for (const BlockPolicy policy : {BlockPolicy::first_fit,
+                                   BlockPolicy::best_fit,
+                                   BlockPolicy::worst_fit}) {
     util::Rng rng{util::seed_for(2024, "site-index-property",
-                                 static_cast<std::uint64_t>(kind))};
-    Site site{site_config(24, 16, 64.0)};
-    CheckedPolicy policy{kind};
-    std::vector<std::int64_t> resident;
+                                 static_cast<std::uint64_t>(policy))};
+    const SiteConfig config = site_config(24, 16, 64.0);
+    SiteBlock block{{config}};
+    RefSite ref{config.n_servers, config.server};
+    std::vector<VmInstance> resident;
     std::int64_t next_id = 0;
+    int queries = 0;
 
     for (int step = 0; step < 4000; ++step) {
       const double roll = rng.uniform();
       if (roll < 0.55) {
         // Place: varied shapes, some memory-heavy so the memory constraint
         // (not just the core bucket) decides fits; occasional zero-core
-        // shapes exercise the BestFit tie-break.
+        // shapes exercise the best-fit tie-break.
         const int cores = rng.chance(0.05)
                               ? 0
                               : static_cast<int>(rng.below(8)) + 1;
@@ -159,141 +84,119 @@ TEST(SiteIndexProperty, IndexedChooseMatchesScanUnderRandomChurn) {
             rng.chance(0.2) ? 48.0 : static_cast<double>(rng.below(24) + 1);
         const auto cls = rng.chance(0.4) ? workload::VmClass::degradable
                                          : workload::VmClass::stable;
-        const VmInstance vm = make_vm(next_id, cores, mem, cls);
-        if (site.place(vm, policy)) resident.push_back(next_id);
-        ++next_id;
+        VmInstance vm = make_vm(next_id++, cores, mem, cls);
+        vm.server = place_both(block, ref, vm, policy);
+        ++queries;
+        if (vm.server >= 0) resident.push_back(vm);
       } else if (roll < 0.85 && !resident.empty()) {
         // Remove a random resident VM.
         const std::size_t pick = rng.below(resident.size());
-        ASSERT_TRUE(site.remove(resident[pick]).has_value());
+        const VmInstance vm = resident[pick];
+        block.remove(0, vm.server, vm.vm_id, vm.shape.cores,
+                     vm.shape.memory_gb, degradable(vm));
+        ASSERT_TRUE(ref.remove(vm.vm_id).has_value());
         resident[pick] = resident.back();
         resident.pop_back();
       } else {
         // Shrink to a random budget.
-        const int budget =
-            static_cast<int>(rng.below(
-                static_cast<std::uint64_t>(site.total_cores()) + 1));
-        for (const VmInstance& vm : site.shrink_to(budget)) {
-          const auto it =
-              std::find(resident.begin(), resident.end(), vm.vm_id);
+        const int budget = static_cast<int>(rng.below(
+            static_cast<std::uint64_t>(config.n_servers *
+                                       config.server.cores) +
+            1));
+        std::vector<SiteBlock::Evicted> evicted;
+        block.shrink_to(0, budget, evicted);
+        const std::vector<VmInstance> ref_evicted = ref.shrink_to(budget);
+        ASSERT_EQ(evicted.size(), ref_evicted.size()) << "step " << step;
+        for (const SiteBlock::Evicted& e : evicted) {
+          const auto it = std::find_if(
+              resident.begin(), resident.end(),
+              [&](const VmInstance& vm) { return vm.vm_id == e.vm_id; });
           ASSERT_NE(it, resident.end());
           *it = resident.back();
           resident.pop_back();
         }
       }
+      ASSERT_EQ(block.allocated_cores(0), ref.allocated_cores());
     }
-    EXPECT_GT(policy.queries, 1000);
-    EXPECT_EQ(site.vm_count(), resident.size());
+    EXPECT_GT(queries, 1000);
   }
 }
 
 TEST(SiteShrinkRegression, EvictionOrderMatchesSeedRebuildAndSort) {
   util::Rng rng{util::seed_for(2024, "shrink-order")};
-  Site site{site_config(8, 16, 64.0)};
-  FirstFitPolicy policy;
-  ShadowModel model;
+  const SiteConfig config = site_config(8, 16, 64.0);
+  SiteBlock block{{config}};
+  RefSite ref{config.n_servers, config.server};
   std::int64_t next_id = 0;
 
   for (int round = 0; round < 200; ++round) {
-    // Fill with a random mix, mirrored into the shadow model.
+    // Fill with a random mix, placed on both containers.
     for (int p = 0; p < 12; ++p) {
       const int cores = static_cast<int>(rng.below(6)) + 1;
       const auto cls = rng.chance(0.5) ? workload::VmClass::degradable
                                        : workload::VmClass::stable;
-      VmInstance vm = make_vm(next_id, cores, 4.0, cls);
-      if (site.place(vm, policy)) {
-        const VmInstance* placed = site.find(next_id);
-        ASSERT_NE(placed, nullptr);
-        vm.server = placed->server;
-        model.vms.emplace(vm.vm_id, vm);
-        model.allocated_cores += cores;
-      }
-      ++next_id;
+      (void)place_both(block, ref, make_vm(next_id++, cores, 4.0, cls),
+                       BlockPolicy::first_fit);
     }
     // Shrink to a random budget and compare the exact eviction order.
-    const int budget = static_cast<int>(
-        rng.below(static_cast<std::uint64_t>(site.total_cores()) + 1));
-    const std::vector<VmInstance> evicted = site.shrink_to(budget);
-    const std::vector<std::int64_t> expected =
-        model.seed_shrink_order(site.config().n_servers, budget);
+    const int budget = static_cast<int>(rng.below(
+        static_cast<std::uint64_t>(config.n_servers * config.server.cores) +
+        1));
+    std::vector<SiteBlock::Evicted> evicted;
+    block.shrink_to(0, budget, evicted);
+    const std::vector<VmInstance> expected = ref.shrink_to(budget);
     ASSERT_EQ(evicted.size(), expected.size()) << "round " << round;
     for (std::size_t i = 0; i < evicted.size(); ++i) {
-      EXPECT_EQ(evicted[i].vm_id, expected[i])
+      EXPECT_EQ(evicted[i].vm_id, expected[i].vm_id)
           << "round " << round << " position " << i;
+      EXPECT_EQ(evicted[i].server, expected[i].server);
     }
-    EXPECT_EQ(site.allocated_cores(), model.allocated_cores);
+    EXPECT_EQ(block.allocated_cores(0), ref.allocated_cores());
   }
 }
 
-TEST(BestFitPolicyTieBreak, NeverStartsAnEmptyServerIfUsedOneFits) {
+TEST(BestFitTieBreak, NeverStartsAnEmptyServerIfUsedOneFits) {
   // Zero-core VMs leave a used server with every core free — the one case
-  // where free cores cannot distinguish it from an empty server. The
-  // comment's promise must still hold.
-  Site site{site_config(4, 8, 32.0)};
-  BestFitPolicy best;
-  ASSERT_TRUE(site.place(make_vm(1, 0, 4.0), best));
-  const int used = site.find(1)->server;
-  EXPECT_EQ(used, 0);  // all-equal tie resolves to the lowest index
+  // where free cores cannot distinguish it from an empty server. Make
+  // server 1 such a server while server 0 is empty: a tie broken by index
+  // alone would start server 0.
+  const SiteConfig config = site_config(4, 8, 32.0);
+  SiteBlock block{{config}};
+  RefSite ref{config.n_servers, config.server};
+  ASSERT_EQ(
+      place_both(block, ref, make_vm(0, 1, 4.0), BlockPolicy::worst_fit), 0);
+  ASSERT_EQ(
+      place_both(block, ref, make_vm(1, 0, 4.0), BlockPolicy::worst_fit), 1);
+  block.remove(0, 0, 0, 1, 4.0, false);
+  ASSERT_TRUE(ref.remove(0).has_value());
 
-  // A zero-core follow-up must land on the used server, not server 0's
-  // empty neighbors.
-  ASSERT_TRUE(site.place(make_vm(2, 0, 4.0), best));
-  EXPECT_EQ(site.find(2)->server, used);
-
-  // A positive-core VM also prefers the used (but fully free-cored)
-  // server over the empty ones.
-  ASSERT_TRUE(site.place(make_vm(3, 2, 4.0), best));
-  EXPECT_EQ(site.find(3)->server, used);
-}
-
-TEST(SiteCalendarQueue, StaleEntriesAreSkippedAfterRemoveAndRelaunch) {
-  Site site{site_config(2, 8, 32.0)};
-  FirstFitPolicy policy;
-  // Place with end 5, remove, re-place the same id with end 9: the stale
-  // heap entry at 5 must not evict the relaunched instance.
-  ASSERT_TRUE(site.place(make_vm(1, 2, 4.0, workload::VmClass::stable, 5),
-                         policy));
-  ASSERT_TRUE(site.remove(1).has_value());
-  ASSERT_TRUE(site.place(make_vm(1, 2, 4.0, workload::VmClass::stable, 9),
-                         policy));
-  EXPECT_TRUE(site.collect_departures(5).empty());
-  ASSERT_NE(site.find(1), nullptr);
-  const auto gone = site.collect_departures(9);
-  ASSERT_EQ(gone.size(), 1u);
-  EXPECT_EQ(gone[0].vm_id, 1);
-}
-
-TEST(SiteCalendarQueue, SameEndTickRelaunchDepartsOnce) {
-  Site site{site_config(2, 8, 32.0)};
-  FirstFitPolicy policy;
-  ASSERT_TRUE(site.place(make_vm(7, 2, 4.0, workload::VmClass::stable, 5),
-                         policy));
-  ASSERT_TRUE(site.remove(7).has_value());
-  ASSERT_TRUE(site.place(make_vm(7, 2, 4.0, workload::VmClass::stable, 5),
-                         policy));
-  // Two heap entries, one live VM: exactly one departure.
-  const auto gone = site.collect_departures(5);
-  ASSERT_EQ(gone.size(), 1u);
-  EXPECT_EQ(site.vm_count(), 0u);
-  EXPECT_TRUE(site.collect_departures(100).empty());
+  // Every server now has all 8 cores free; only server 1 hosts a VM. A
+  // zero-core follow-up and a positive-core VM both land there.
+  EXPECT_EQ(
+      place_both(block, ref, make_vm(2, 0, 4.0), BlockPolicy::best_fit), 1);
+  EXPECT_EQ(
+      place_both(block, ref, make_vm(3, 2, 4.0), BlockPolicy::best_fit), 1);
+  EXPECT_EQ(block.powered_servers(0), 1);
+  EXPECT_EQ(ref.powered_servers(), 1);
 }
 
 TEST(SitePoweredCounters, TrackPlaceRemoveShrink) {
-  Site site{site_config(4, 8, 32.0)};
-  WorstFitPolicy spread;
-  EXPECT_EQ(site.powered_servers(), 0);
-  EXPECT_EQ(site.active_cores(), 0);
+  SiteBlock block{{site_config(4, 8, 32.0)}};
+  EXPECT_EQ(block.powered_servers(0), 0);
+  EXPECT_EQ(block.active_cores(0), 0);
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(site.place(make_vm(i, 2, 4.0), spread));
+    ASSERT_EQ(block.place(0, i, 2, 4.0, false, BlockPolicy::worst_fit), i);
   }
-  EXPECT_EQ(site.powered_servers(), 4);  // worst-fit spreads
-  EXPECT_EQ(site.active_cores(), 8);
-  ASSERT_TRUE(site.remove(0).has_value());
-  EXPECT_EQ(site.powered_servers(), 3);
-  EXPECT_EQ(site.active_cores(), 6);
-  (void)site.shrink_to(0);
-  EXPECT_EQ(site.powered_servers(), 0);
-  EXPECT_EQ(site.active_cores(), 0);
+  EXPECT_EQ(block.powered_servers(0), 4);  // worst-fit spreads
+  EXPECT_EQ(block.active_cores(0), 8);
+  block.remove(0, 0, 0, 2, 4.0, false);
+  EXPECT_EQ(block.powered_servers(0), 3);
+  EXPECT_EQ(block.active_cores(0), 6);
+  std::vector<SiteBlock::Evicted> evicted;
+  block.shrink_to(0, 0, evicted);
+  EXPECT_EQ(evicted.size(), 3u);
+  EXPECT_EQ(block.powered_servers(0), 0);
+  EXPECT_EQ(block.active_cores(0), 0);
 }
 
 }  // namespace

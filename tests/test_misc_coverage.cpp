@@ -4,9 +4,10 @@
 
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "vbatt/core/fleet_sim.h"
-#include "vbatt/dcsim/site.h"
+#include "vbatt/dcsim/site_block.h"
 #include "vbatt/util/time.h"
 
 namespace vbatt {
@@ -28,17 +29,16 @@ TEST(SiteEviction, RoundRobinCursorRotatesAcrossShrinks) {
   dcsim::SiteConfig config;
   config.n_servers = 4;
   config.server = {4, 16.0};
-  dcsim::Site site{config};
-  dcsim::WorstFitPolicy spread;
+  dcsim::SiteBlock site{{config}};
   for (int i = 0; i < 4; ++i) {
-    dcsim::VmInstance vm;
-    vm.vm_id = i;
-    vm.shape = {4, 8.0};
-    ASSERT_TRUE(site.place(vm, spread));
+    ASSERT_GE(site.place(0, i, 4, 8.0, false, dcsim::BlockPolicy::worst_fit),
+              0);
   }
   std::set<int> victim_servers;
+  std::vector<dcsim::SiteBlock::Evicted> evicted;
   for (int round = 0; round < 2; ++round) {
-    const auto evicted = site.shrink_to(site.allocated_cores() - 4);
+    evicted.clear();
+    site.shrink_to(0, site.allocated_cores(0) - 4, evicted);
     ASSERT_EQ(evicted.size(), 1u);
     victim_servers.insert(evicted[0].server);
   }

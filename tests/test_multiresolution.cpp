@@ -69,8 +69,7 @@ TEST_P(MultiResolution, SiteSimConserves) {
   const auto vms = workload::VmTraceGenerator{gen}.generate(axis(), power.size());
   dcsim::SiteSimConfig config;
   config.site.n_servers = 60;
-  dcsim::BestFitPolicy policy;
-  const auto r = dcsim::simulate_site(power, vms, config, policy);
+  const auto r = dcsim::simulate_site(power, vms, config);
   EXPECT_EQ(r.out_gb.size(), power.size());
   for (std::size_t i = 0; i < power.size(); ++i) {
     EXPECT_LE(r.allocated_cores[i], 60 * 40);
@@ -113,32 +112,6 @@ TEST_P(MultiResolution, FullSchedulingPipelineRuns) {
 
 INSTANTIATE_TEST_SUITE_P(Resolutions, MultiResolution,
                          ::testing::Values(30, 60));
-
-TEST(ProteanPolicy, PacksBothDimensions) {
-  dcsim::SiteConfig config;
-  config.n_servers = 3;
-  config.server = {8, 32.0};
-  dcsim::Site site{config};
-  dcsim::ProteanLikePolicy protean;
-  // Two servers end up with equal free cores but different free memory;
-  // the next VM must go to the memory-tighter one.
-  dcsim::VmInstance a;
-  a.vm_id = 1;
-  a.shape = {4, 24.0};
-  ASSERT_TRUE(site.place(a, protean));
-  dcsim::VmInstance b;
-  b.vm_id = 2;
-  b.shape = {4, 8.0};
-  // Best-fit would pick server 0 (4 cores free); protean does too.
-  ASSERT_TRUE(site.place(b, protean));
-  EXPECT_EQ(site.servers()[0].vm_count, 2);
-  // A large-memory VM still finds an untouched server.
-  dcsim::VmInstance c;
-  c.vm_id = 3;
-  c.shape = {2, 30.0};
-  ASSERT_TRUE(site.place(c, protean));
-  EXPECT_EQ(site.servers()[1].vm_count, 1);
-}
 
 }  // namespace
 }  // namespace vbatt

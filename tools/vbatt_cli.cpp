@@ -143,9 +143,8 @@ int cmd_site_sim(const Args& args) {
   const auto vms = workload::VmTraceGenerator{gen}.generate(
       util::TimeAxis{15}, trace.size());
 
-  dcsim::BestFitPolicy policy;
   const dcsim::SiteSimResult result =
-      dcsim::simulate_site(trace, vms, config, policy);
+      dcsim::simulate_site(trace, vms, config);
   const double out_total =
       std::accumulate(result.out_gb.begin(), result.out_gb.end(), 0.0);
   const double in_total =
