@@ -1,16 +1,14 @@
 // Solver engine sweep: the two production engines (revised simplex B&B
-// and subgraph decomposition) and the auto_select default vs the frozen
+// and subgraph decomposition) and the default solve_mip vs the frozen
 // seed tableau solver (solver/reference/), on the exact model family
 // MipScheduler emits.
 //
 // Each cell of the sites x k x horizon sweep emulates one replanning round
 // of a fleet: `sites` apps, each with its own k-site trajectory MIP over
-// the bucketed horizon. Round 1 (arrivals) is solved cold; round 2 (the
-// replan, which is what gets timed) re-solves fresh models — cold for the
-// reference engine; incumbent-warm-started and basis-hinted for the
-// revised engine, mirroring the scheduler's cross-replan reuse; and
-// decomposed (the chain DP master). Model construction is NOT part of any
-// timed region; it is measured once and reported as build_ms. The
+// the bucketed horizon, solved cold by the reference engine, solve_revised
+// and the decomposed engine (the chain DP master). Model construction is
+// NOT part of any timed region; it is measured once and reported as
+// build_ms. The
 // amortized replan series then times patching cached models
 // (build_steady_ms) and patch-plus-solve on their compiled plans
 // (solve_steady_ms), the scheduler's steady state.
@@ -19,8 +17,8 @@
 // divergence makes the binary exit non-zero. The 100-site/k=4/24h cell is
 // the acceptance cell: decomposed must beat monolithic revised by
 // >= 3x there, also enforced with a non-zero exit. `--json <path>` writes
-// the sweep (per-stage timings, blocks, master iterations, warm-start hit
-// rate) so CI can archive the perf trajectory as BENCH_solver.json.
+// the sweep (per-stage timings, blocks, master iterations) so CI can
+// archive the perf trajectory as BENCH_solver.json.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -32,6 +30,7 @@
 
 #include "bench_util.h"
 #include "vbatt/solver/branch_bound.h"
+#include "vbatt/solver/decompose.h"
 #include "vbatt/solver/incremental.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/util/rng.h"
@@ -111,19 +110,19 @@ struct CellResult {
   int k = 0;
   int horizon_hours = 0;
   int buckets = 0;
-  double build_ms = 0.0;       // round-2 model construction, untimed below
+  double build_ms = 0.0;       // replan model construction, untimed below
   // Amortized replan series: from-scratch build of every app's model
   // (first replan) vs patching the cached models in place (every replan
   // after), over kReplanRounds of drifting forecasts.
   double build_first_ms = 0.0;
   double build_steady_ms = 0.0;
-  // Fastest steady-state round of patch + auto_select solve through the
+  // Fastest steady-state round of patch + solve_mip through the
   // cached models and their compiled plans (every app of the cell).
   double solve_steady_ms = 0.0;
   bool delta_identical = true;  // patched == scratch, planned == fresh
   const char* engine_selected = "";  // resolve_engine on this cell's models
-  double ref_ms = 0.0;         // reference engine, round-2 (replan) solves
-  double revised_ms = 0.0;     // revised engine, warm + basis-hinted
+  double ref_ms = 0.0;         // reference engine, replan solves
+  double revised_ms = 0.0;     // revised engine (solve_revised), cold
   double decomposed_ms = 0.0;  // decomposition (chain DP master)
   int ref_nodes = 0;
   int revised_nodes = 0;
@@ -135,9 +134,6 @@ struct CellResult {
   int chain_blocks = 0;
   int master_iterations = 0;
   int monolithic_fallbacks = 0;
-  // Cross-replan basis reuse in the revised engine.
-  int warm_hits = 0;
-  int warm_offers = 0;
   bool objectives_match = true;
 };
 
@@ -170,12 +166,13 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
   // the sweep's total runtime in check without hurting the min.
   const int repeats = sites >= 100 ? 3 : 5;
 
-  // The bench compares the engines head to head, so each solve pins one;
-  // the auto_select default gets its own cross-check below.
-  solver::MipOptions revised;
-  revised.engine = solver::MipEngine::revised;
-  solver::MipOptions decomposed;
-  decomposed.engine = solver::MipEngine::decomposed;
+  // The bench compares the engines head to head, so each solve pins one
+  // through its entry point; the default solve_mip gets its own
+  // cross-check below.
+  const auto solve_decomposed = [](const solver::Model& model) {
+    solver::CompiledModel plan{model};
+    return solver::solve_mip_decomposed(model, plan);
+  };
 
   const auto check = [&](const solver::MipResult& got,
                          const solver::MipResult& want) {
@@ -185,61 +182,36 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
     }
   };
 
-  // Round 1 (arrival placements): cold solves; the revised solutions
-  // become round-2 incumbents and the root bases become round-2 hints.
-  std::vector<solver::MipWarmStart> warm(n_apps);
-  std::vector<solver::MipBasisHint> hints(n_apps);
-  for (int a = 0; a < apps; ++a) {
-    const auto seed = static_cast<std::uint64_t>(
-        1000 * sites + 100 * k + 10 * horizon_hours + a);
-    const solver::Model model = trajectory_mip(k, cell.buckets, seed);
-    const solver::MipResult got = solver::solve_mip(
-        model, revised, nullptr, &hints[static_cast<std::size_t>(a)]);
-    const solver::MipResult want = solver::reference::solve_mip(model);
-    check(got, want);
-    warm[static_cast<std::size_t>(a)].x = got.x;
-  }
-
-  // Round 2 (the replan): fresh models, same structure — a previous-round
-  // trajectory is always structurally feasible, so it seeds the revised
-  // engine together with the persisted basis; the reference engine goes
-  // cold. Construction happens here, outside every timed region.
-  std::vector<solver::Model> round2;
-  round2.reserve(n_apps);
+  // The replan's models. Construction happens here, outside every timed
+  // region.
+  std::vector<solver::Model> models;
+  models.reserve(n_apps);
   cell.build_ms = wall_ms([&] {
     for (int a = 0; a < apps; ++a) {
       const auto seed = static_cast<std::uint64_t>(
           7000000 + 1000 * sites + 100 * k + 10 * horizon_hours + a);
-      round2.push_back(trajectory_mip(k, cell.buckets, seed));
+      models.push_back(trajectory_mip(k, cell.buckets, seed));
     }
   });
 
   std::vector<solver::MipResult> ref_results(n_apps);
   cell.ref_ms = best_ms(repeats, [&] {
     for (std::size_t a = 0; a < n_apps; ++a) {
-      ref_results[a] = solver::reference::solve_mip(round2[a]);
+      ref_results[a] = solver::reference::solve_mip(models[a]);
     }
   });
 
-  // The hint is consumed and refreshed in place each repeat, exactly as
-  // MipScheduler does across replans; hit counting is done on a final
-  // untimed pass with a copy so the timed region stays pure solving.
   std::vector<solver::MipResult> revised_results(n_apps);
   cell.revised_ms = best_ms(repeats, [&] {
     for (std::size_t a = 0; a < n_apps; ++a) {
-      revised_results[a] =
-          solver::solve_mip(round2[a], revised, &warm[a], &hints[a]);
+      revised_results[a] = solver::solve_revised(models[a]);
     }
   });
-  for (std::size_t a = 0; a < n_apps; ++a) {
-    ++cell.warm_offers;
-    if (revised_results[a].used_basis_hint) ++cell.warm_hits;
-  }
 
   std::vector<solver::MipResult> decomposed_results(n_apps);
   cell.decomposed_ms = best_ms(repeats, [&] {
     for (std::size_t a = 0; a < n_apps; ++a) {
-      decomposed_results[a] = solver::solve_mip(round2[a], decomposed);
+      decomposed_results[a] = solve_decomposed(models[a]);
     }
   });
 
@@ -260,13 +232,13 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
     }
   }
 
-  // Adaptive engine selection: what auto_select dispatches this cell's
-  // models to (a pure function of shape — every app in the cell shares
-  // it), cross-checked against the reference on one untimed pass.
+  // Engine selection: what solve_mip dispatches this cell's models to (a
+  // pure function of shape — every app in the cell shares it),
+  // cross-checked against the reference on one untimed pass.
   cell.engine_selected =
-      solver::engine_name(solver::resolve_engine(round2[0]));
+      solver::engine_name(solver::resolve_engine(models[0]));
   for (std::size_t a = 0; a < n_apps; ++a) {
-    check(solver::solve_mip(round2[a]), ref_results[a]);
+    check(solver::solve_mip(models[a]), ref_results[a]);
   }
 
   // Amortized replan series (incremental model build): replan 1 builds
@@ -312,7 +284,7 @@ CellResult run_cell(int sites, int k, int horizon_hours) {
       cell.delta_identical = false;
     }
 
-    // Steady-state replan: patch plus auto_select solve on each cached
+    // Steady-state replan: patch plus solve_mip on each cached
     // model's compiled plan, as MipScheduler does between topology
     // changes. The first planned solve compiles; the timed rounds after
     // it reuse the plan. Each result is held to a from-scratch solve.
@@ -380,10 +352,6 @@ bool write_json(const std::string& path, const std::vector<CellResult>& rows) {
     json.field("chain_blocks", r.chain_blocks);
     json.field("master_iterations", r.master_iterations);
     json.field("monolithic_fallbacks", r.monolithic_fallbacks);
-    json.field("warm_start_hit_rate",
-               r.warm_offers > 0 ? static_cast<double>(r.warm_hits) /
-                                       static_cast<double>(r.warm_offers)
-                                 : 0.0);
     json.field("objectives_match", r.objectives_match);
     json.end_object();
   }
@@ -415,11 +383,11 @@ int main(int argc, char** argv) {
       "solver replan sweep: reference tableau vs revised vs decomposed\n");
   std::printf(
       "  %5s %2s %8s %7s %7s %7s %6s %7s | %9s %9s %9s | %7s %7s | %6s "
-      "%6s %5s | %5s | %-10s | %s\n",
+      "%6s %5s | %-10s | %s\n",
       "sites", "k", "horizon", "buckets", "bld1 ms", "bldN ms", "amort",
       "slvN ms",
       "ref ms", "rev ms", "dec ms", "spd", "dec spd", "blocks", "master",
-      "fall", "hit%", "engine", "match");
+      "fall", "engine", "match");
 
   std::vector<CellResult> rows;
   bool all_match = true;
@@ -447,17 +415,13 @@ int main(int argc, char** argv) {
         }
         std::printf(
             "  %5d %2d %7dh %7d %7.2f %7.2f %5.1fx %7.2f | %9.2f %9.2f "
-            "%9.2f | %6.1fx %6.1fx | %6d %6d %5d | %4.0f%% | %-10s | %s\n",
+            "%9.2f | %6.1fx %6.1fx | %6d %6d %5d | %-10s | %s\n",
             cell.sites, cell.k, cell.horizon_hours, cell.buckets,
             cell.build_first_ms, cell.build_steady_ms, amortization,
             cell.solve_steady_ms,
             cell.ref_ms, cell.revised_ms, cell.decomposed_ms, speedup,
             dec_speedup, cell.blocks,
             cell.master_iterations, cell.monolithic_fallbacks,
-            cell.warm_offers > 0
-                ? 100.0 * static_cast<double>(cell.warm_hits) /
-                      static_cast<double>(cell.warm_offers)
-                : 0.0,
             cell.engine_selected,
             cell.objectives_match && cell.delta_identical ? "yes" : "NO");
       }

@@ -60,18 +60,6 @@ class SlotBits {
   std::vector<std::uint64_t> words_;
 };
 
-dcsim::BlockPolicy block_policy(VmLevelConfig::Placement placement) {
-  switch (placement) {
-    case VmLevelConfig::Placement::first_fit:
-      return dcsim::BlockPolicy::first_fit;
-    case VmLevelConfig::Placement::worst_fit:
-      return dcsim::BlockPolicy::worst_fit;
-    case VmLevelConfig::Placement::best_fit:
-      break;
-  }
-  return dcsim::BlockPolicy::best_fit;
-}
-
 }  // namespace
 
 VmLevelResult run_fleet_simulation(
@@ -81,7 +69,6 @@ VmLevelResult run_fleet_simulation(
   const std::size_t n_sites = graph.n_sites();
   const std::size_t n_ticks = graph.n_ticks();
   VmLevelResult result{n_sites, n_ticks};
-  const dcsim::BlockPolicy policy = block_policy(config.placement);
 
   util::ThreadPool* const pool = options.pool;
   const std::size_t lanes = pool != nullptr ? pool->size() + 1 : 1;
@@ -324,7 +311,7 @@ VmLevelResult run_fleet_simulation(
     const int cores = app_cores[static_cast<std::size_t>(slot)];
     const double mem = app_mem[static_cast<std::size_t>(slot)];
     const int server = shard.block.place(s - shard.lo, vm_id, cores, mem,
-                                         degradable, policy);
+                                         degradable, config.placement);
     if (server < 0) return false;
     (degradable ? state.degradable_cores : state.stable_cores)[s] += cores;
     VmRec& rec = vm_recs[static_cast<std::size_t>(vm_id)];
@@ -424,8 +411,8 @@ VmLevelResult run_fleet_simulation(
 
     // 0. Serial fault prologue: link transitions apply inside begin_tick;
     //    due server repairs are handed to their shards for phase A. A
-    //    topology-epoch advance tells the scheduler to drop warm-start
-    //    state keyed to the old fleet.
+    //    topology-epoch advance tells the scheduler to drop cached state
+    //    keyed to the old fleet.
     for (Shard& shard : shards) {
       shard.removals.clear();
       shard.repairs.clear();

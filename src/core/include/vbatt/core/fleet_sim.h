@@ -46,8 +46,7 @@ struct VmLevelConfig {
   dcsim::ServerSpec server{40, 512.0};
   SitePowerModel power{};
   /// Which allocation policy packs VMs onto servers.
-  enum class Placement { first_fit, best_fit, worst_fit };
-  Placement placement = Placement::best_fit;
+  dcsim::BlockPolicy placement = dcsim::BlockPolicy::best_fit;
   /// Optional fault injection (hooks == nullptr keeps the no-fault path
   /// byte-identical) plus the move retry/backoff discipline.
   FaultConfig faults{};

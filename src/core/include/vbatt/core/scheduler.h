@@ -87,9 +87,9 @@ class Scheduler {
 
   /// The simulator observed a topology change (FaultHooks::topology_epoch
   /// advanced): a link flap or a server-failure start/repair. Schedulers
-  /// carrying warm-start state across replans (bases, duals) must drop it
-  /// here — it describes a fleet that no longer exists. Default: stateless
-  /// schedulers ignore it.
+  /// caching state derived from the fleet (MipScheduler's model cache)
+  /// drop it here — it describes a fleet that no longer exists. Default:
+  /// stateless schedulers ignore it.
   virtual void on_topology_change() {}
 
   /// How many times this scheduler degraded to a cheaper decision rung

@@ -23,10 +23,9 @@
 // (after enforce_and_meter, before the next begin_tick), so a restored
 // stepper continues bit-identically. The scheduler is NOT serialized:
 // recovery constructs a fresh one, which is output-identical only for
-// schedulers that carry no result-bearing state across replans (Greedy
-// always; MipScheduler with warm_start and reuse_basis off — warm starts
-// are cutoff-only, but a carried basis can steer which equal-cost optimum
-// the revised engine lands on, so the service disables both).
+// schedulers that carry no result-bearing state across replans: Greedy,
+// and MipScheduler, whose only cross-replan cache (the model cache) is
+// bitwise-identical to a scratch build.
 #pragma once
 
 #include <map>

@@ -137,8 +137,7 @@ void MipScheduler::refresh_capacity(const FleetState& state) {
 std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     const FleetState& state, int stable_cores, double stable_mem_gb,
     util::Tick end_tick, const std::vector<std::size_t>& sites,
-    std::optional<std::size_t> current_site, const Trajectory* previous,
-    solver::MipBasisHint* hint) {
+    std::optional<std::size_t> current_site) {
   const int total_buckets = static_cast<int>(committed_moves_gb_.size());
   int b0 = static_cast<int>((state.now - cache_now_) / config_.bucket_ticks);
   b0 = std::clamp(b0, 0, total_buckets - 1);
@@ -310,70 +309,13 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
                          .count();
   solver::Model& model = *model_ptr;
 
-  // Warm-start incumbent: the previous round's trajectory re-aligned to
-  // this horizon (held site extended past its end), expressed in this
-  // model's variables. The solver validates it and uses it purely as a
-  // cutoff, so feeding it never changes the schedule.
-  solver::MipWarmStart warm;
-  bool have_warm = false;
-  if (config_.warm_start && previous != nullptr && !previous->sites.empty()) {
-    const util::Tick start = cache_now_ + b0 * config_.bucket_ticks;
-    warm.x.assign(model.n_vars(), 0.0);
-    std::vector<std::size_t> warm_col(static_cast<std::size_t>(nb), 0);
-    have_warm = true;
-    for (int k = 0; k < nb && have_warm; ++k) {
-      const util::Tick tick =
-          start + static_cast<util::Tick>(k) * config_.bucket_ticks;
-      auto j = static_cast<std::ptrdiff_t>(
-          (tick - previous->start) / config_.bucket_ticks);
-      j = std::clamp<std::ptrdiff_t>(
-          j, 0, static_cast<std::ptrdiff_t>(previous->sites.size()) - 1);
-      const std::size_t site = previous->sites[static_cast<std::size_t>(j)];
-      const auto found = std::find(sites.begin(), sites.end(), site);
-      if (found == sites.end()) {
-        have_warm = false;  // previous site left the candidate set
-        break;
-      }
-      const auto s = static_cast<std::size_t>(found - sites.begin());
-      warm.x[x_index(k, s)] = 1.0;
-      warm_col[static_cast<std::size_t>(k)] = s;
-    }
-    if (have_warm) {
-      for (int k = 0; k < nb; ++k) {
-        if (!has_y(k)) continue;
-        for (std::size_t s = 0; s < n_sites; ++s) {
-          const double here =
-              warm_col[static_cast<std::size_t>(k)] == s ? 1.0 : 0.0;
-          const double before =
-              k > 0 ? (warm_col[static_cast<std::size_t>(k - 1)] == s ? 1.0
-                                                                      : 0.0)
-                    : (sites[s] == *current_site ? 1.0 : 0.0);
-          warm.x[y_index(k, s)] = std::max(0.0, here - before);
-        }
-      }
-    }
-  }
-
   ++solve_count_;
-  // The persisted basis is consumed and refreshed in place; a shape
-  // mismatch (different horizon or candidate set than last round) is
-  // ignored by the solver and simply replaced, so no validation is needed
-  // here beyond the topology invalidation done in on_topology_change.
   // A cached model solves on its cached plan, compiled once per family.
   // The econ and peak stages below add rows, so their solves (and the next
   // solve on this plan) compile afresh.
-  const solver::MipWarmStart* warm_ptr = have_warm ? &warm : nullptr;
   solver::MipResult primary =
-      cached != nullptr
-          ? solver::solve_mip(model, cached->plan, config_.mip, warm_ptr, hint)
-          : solver::solve_mip(model, config_.mip, warm_ptr, hint);
-  if (hint != nullptr) {
-    if (primary.used_basis_hint) {
-      ++basis_hint_hits_;
-    } else {
-      ++basis_hint_misses_;
-    }
-  }
+      cached != nullptr ? solver::solve_mip(model, cached->plan, config_.mip)
+                        : solver::solve_mip(model, config_.mip);
   if (primary.status != solver::LpStatus::optimal) return std::nullopt;
 
   solver::MipResult chosen = primary;
@@ -445,11 +387,8 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
     for (std::size_t v = 0; v < n_structural; ++v) {
       model.vars()[v].cost = econ[v];
     }
-    solver::MipWarmStart econ_warm;
-    if (config_.warm_start) econ_warm.x = primary.x;
     ++solve_count_;
-    solver::MipResult second = solver::solve_mip(
-        model, config_.mip, config_.warm_start ? &econ_warm : nullptr);
+    solver::MipResult second = solver::solve_mip(model, config_.mip);
     if (second.status == solver::LpStatus::optimal) {
       chosen = second;
       econ_capped = true;
@@ -497,27 +436,8 @@ std::optional<MipScheduler::Trajectory> MipScheduler::solve_app(
           -committed_moves_gb_[static_cast<std::size_t>(b0 + k)]);
       ++peak_rows;
     }
-    // Peak-stage warm start: the incumbent (stage-1 or econ optimum)
-    // satisfies every active cap by construction; the peak variable takes
-    // its implied value.
-    solver::MipWarmStart stage2_warm;
-    if (config_.warm_start) {
-      stage2_warm.x = chosen.x;
-      stage2_warm.x.resize(model.n_vars(), 0.0);
-      double peak_value = 0.0;
-      for (int k = 0; k < nb; ++k) {
-        if (!has_y(k)) continue;
-        double volume = committed_moves_gb_[static_cast<std::size_t>(b0 + k)];
-        for (std::size_t s = 0; s < n_sites; ++s) {
-          volume += stable_mem_gb * chosen.x[y_index(k, s)];
-        }
-        peak_value = std::max(peak_value, volume);
-      }
-      stage2_warm.x[static_cast<std::size_t>(peak)] = peak_value;
-    }
     ++solve_count_;
-    solver::MipResult second = solver::solve_mip(
-        model, config_.mip, config_.warm_start ? &stage2_warm : nullptr);
+    solver::MipResult second = solver::solve_mip(model, config_.mip);
     // Restore the stage-1 model: peak rows, peak variable, O1 cap, costs.
     for (int r = 0; r < peak_rows; ++r) model.pop_constraint();
     model.pop_var();
@@ -638,11 +558,9 @@ Scheduler::Placement MipScheduler::place(const workload::Application& app,
     if (evaluated >= config_.candidate_subgraphs) break;
     if (candidate.mean_cores < app.stable_cores()) continue;  // hopeless
     ++evaluated;
-    // No persisted basis for arrivals: several candidate subgraphs are
-    // tried and only one wins, so a hint would be refreshed by losers.
     const std::optional<Trajectory> trajectory =
         solve_app(state, app.stable_cores(), app.stable_memory_gb(),
-                  end_tick, candidate.sites, std::nullopt, nullptr, nullptr);
+                  end_tick, candidate.sites, std::nullopt);
     if (trajectory && (!best || trajectory->cost < best->cost)) {
       best = trajectory;
       best_sites = &candidate.sites;
@@ -661,7 +579,7 @@ Scheduler::Placement MipScheduler::place(const workload::Application& app,
   placement.site = best->sites.front();
   placement.scheduled_moves = commit(app.app_id, *best, app.stable_cores(),
                                      app.stable_memory_gb(), std::nullopt);
-  prev_trajectories_[app.app_id] = *best;  // seeds the next replan
+  prev_trajectories_[app.app_id] = *best;
   return placement;
 }
 
@@ -679,11 +597,10 @@ std::vector<Move> MipScheduler::replan(const FleetState& state) {
     return a->app.app_id < b->app.app_id;
   });
 
-  // Drop stored trajectories and bases of departed apps.
+  // Drop stored trajectories of departed apps.
   for (auto it = prev_trajectories_.begin();
        it != prev_trajectories_.end();) {
     if (state.apps.find(it->first) == state.apps.end()) {
-      basis_hints_.erase(it->first);
       it = prev_trajectories_.erase(it);
     } else {
       ++it;
@@ -692,16 +609,9 @@ std::vector<Move> MipScheduler::replan(const FleetState& state) {
 
   std::vector<Move> schedule;
   for (const LiveApp* app : live) {
-    const auto prev_it = prev_trajectories_.find(app->app.app_id);
-    const Trajectory* previous =
-        prev_it != prev_trajectories_.end() ? &prev_it->second : nullptr;
-    // One solve per app per replan: its persisted basis (if any) seeds the
-    // root and is refreshed in place for the next round.
-    solver::MipBasisHint* hint =
-        config_.reuse_basis ? &basis_hints_[app->app.app_id] : nullptr;
     const std::optional<Trajectory> trajectory = solve_app(
         state, app->app.stable_cores(), app->app.stable_memory_gb(),
-        app->end_tick, app->allowed, app->site, previous, hint);
+        app->end_tick, app->allowed, app->site);
     if (!trajectory) continue;
     std::vector<Move> moves =
         commit(app->app.app_id, *trajectory, app->app.stable_cores(),
@@ -721,11 +631,6 @@ MipSchedulerConfig make_mip_config() {
 }
 
 void MipScheduler::save_state(util::wire::Writer& w) const {
-  if (config_.reuse_basis) {
-    throw std::runtime_error{
-        "MipScheduler::save_state: basis hints are not serializable; "
-        "construct the scheduler with reuse_basis=false (see header)"};
-  }
   const auto save_matrix = [&w](const std::vector<std::vector<double>>& m) {
     w.u64(m.size());
     for (const std::vector<double>& row : m) w.vec_f64(row);
@@ -754,10 +659,6 @@ void MipScheduler::save_state(util::wire::Writer& w) const {
 }
 
 void MipScheduler::restore_state(util::wire::Reader& r) {
-  if (config_.reuse_basis) {
-    throw std::runtime_error{
-        "MipScheduler::restore_state: construct with reuse_basis=false"};
-  }
   const auto load_matrix = [&r] {
     const std::uint64_t n = r.u64();
     std::vector<std::vector<double>> m;

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "vbatt/energy/trace.h"
-#include "vbatt/net/ledger.h"
 #include "vbatt/dcsim/site_block.h"
 #include "vbatt/util/time.h"
 #include "vbatt/workload/batch.h"

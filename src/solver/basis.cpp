@@ -9,31 +9,6 @@ constexpr double kSingularTol = 1e-11;
 constexpr double kUpdateTol = 1e-9;
 }  // namespace
 
-void Basis::extend(std::size_t old_n_vars, std::size_t added_vars,
-                   std::size_t added_rows) {
-  const std::size_t old_m = basic.size();
-  const auto shift = static_cast<int>(added_vars);
-  if (added_vars > 0) {
-    for (int& b : basic) {
-      if (b >= static_cast<int>(old_n_vars)) b += shift;
-    }
-    // Rebuild status: [old structurals | new structurals | logicals].
-    std::vector<VarStatus> next(status.size() + added_vars,
-                                VarStatus::at_lower);
-    for (std::size_t i = 0; i < old_n_vars; ++i) next[i] = status[i];
-    for (std::size_t i = old_n_vars; i < status.size(); ++i) {
-      next[i + added_vars] = status[i];
-    }
-    status = std::move(next);
-  }
-  for (std::size_t r = 0; r < added_rows; ++r) {
-    const auto logical =
-        static_cast<int>(old_n_vars + added_vars + old_m + r);
-    basic.push_back(logical);
-    status.push_back(VarStatus::basic);
-  }
-}
-
 bool BasisInverse::refactor(
     std::size_t m,
     const std::vector<std::vector<std::pair<int, double>>>& cols) {

@@ -19,8 +19,6 @@ namespace vbatt::solver {
 namespace {
 
 constexpr double kBoundTol = 1e-7;
-/// Tolerance for accepting a caller-provided warm solution as feasible.
-constexpr double kWarmTol = 1e-6;
 
 struct Node {
   double bound = 0.0;  // LP objective of the parent relaxation
@@ -118,49 +116,9 @@ struct PseudoCostTable {
   }
 };
 
-/// Validate a caller-provided warm solution against the (presolve-
-/// tightened) box, integrality, and every model row. A valid vector's
-/// objective becomes a static cutoff; an invalid one is silently ignored.
-std::optional<double> warm_cutoff(const Model& model,
-                                  const std::vector<double>& warm_x,
-                                  const std::vector<double>& lb,
-                                  const std::vector<double>& ub,
-                                  double int_tol) {
-  const std::size_t n = model.n_vars();
-  if (warm_x.size() != n) return std::nullopt;
-  std::vector<double> xw = warm_x;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (model.vars()[j].integer) {
-      const double snapped = std::round(xw[j]);
-      if (std::abs(xw[j] - snapped) > int_tol) return std::nullopt;
-      xw[j] = snapped;
-    }
-    if (xw[j] < lb[j] - kWarmTol || xw[j] > ub[j] + kWarmTol) {
-      return std::nullopt;
-    }
-  }
-  for (const Constraint& con : model.constraints()) {
-    double act = 0.0;
-    for (const auto& [idx, coeff] : con.terms) {
-      act += coeff * xw[static_cast<std::size_t>(idx)];
-    }
-    switch (con.rel) {
-      case Rel::le:
-        if (!(act <= con.rhs + kWarmTol)) return std::nullopt;
-        break;
-      case Rel::ge:
-        if (!(act >= con.rhs - kWarmTol)) return std::nullopt;
-        break;
-      case Rel::eq:
-        if (!(std::abs(act - con.rhs) <= kWarmTol)) return std::nullopt;
-        break;
-    }
-  }
-  return model.objective_of(xw);
-}
+}  // namespace
 
-MipResult solve_mip_impl(const Model& model, const MipOptions& options,
-                         const MipWarmStart* warm, MipBasisHint* hint) {
+MipResult solve_revised(const Model& model, const MipOptions& options) {
   MipResult result;
   const std::size_t n = model.n_vars();
 
@@ -250,14 +208,6 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
   };
 
   Basis root_basis;
-  if (hint && !hint->basis.empty() && hint->n_vars == n &&
-      hint->rows == pre.rows) {
-    // Primal warm start from the previous solve's root basis (a previous
-    // lexicographic stage, or — via MipBasisHint persisted by the caller
-    // — the previous replanning round's structurally identical model).
-    root_basis = hint->basis;
-    result.used_basis_hint = true;
-  }
   const LpResult root =
       solve_node(pre.lb, pre.ub, root_basis, /*allow_dual=*/false);
   result.pivots += root.pivots;
@@ -265,18 +215,6 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
   if (root.status != LpStatus::optimal) {
     result.status = root.status;
     return result;
-  }
-  if (hint) {
-    if (box_only) {
-      hint->clear();  // no basis exists; don't leave a stale one behind
-    } else {
-      hint->basis = root_basis;
-      hint->rows = pre.rows;
-      hint->n_vars = n;
-      if (!solver->compute_duals(root_basis, hint->duals)) {
-        hint->duals.clear();
-      }
-    }
   }
 
   // The root is a node like any other: with the budget already spent it
@@ -286,32 +224,14 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
     return result;
   }
 
-  bool have_cutoff = false;
-  double cutoff = 0.0;
   std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
   std::uint64_t next_seq = 0;
   const auto push_child = [&](Node&& node) {
     const auto bv = static_cast<std::size_t>(node.branch_var);
     if (node.branch_var >= 0 && node.lb[bv] > node.ub[bv]) return;
-    if (have_cutoff && node.bound > cutoff + options.gap_abs) return;
     node.seq = next_seq++;
     open.push(std::move(node));
   };
-
-  // Validate the warm solution; a valid one becomes a static cutoff that
-  // keeps nodes whose bound already exceeds it out of the heap. Such nodes
-  // are provably never LP-solved by the cold search either (best-first
-  // reaches the optimum through strictly lower bounds first), so warm and
-  // cold runs explore identical node sequences and return identical
-  // results — the cutoff only bounds heap growth and drain work.
-  if (warm) {
-    const std::optional<double> wc =
-        warm_cutoff(model, warm->x, pre.lb, pre.ub, options.int_tol);
-    if (wc) {
-      have_cutoff = true;
-      cutoff = *wc;
-    }
-  }
 
   PseudoCostTable pc(n);
 
@@ -322,9 +242,7 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
 
   // Expand the root in place rather than pushing it and re-solving it as
   // the first popped node (the seed does the latter; the root basis is
-  // already optimal, so that second solve can never learn anything). Root
-  // children carry a bound no larger than any integral optimum, so a valid
-  // warm cutoff never drops them.
+  // already optimal, so that second solve can never learn anything).
   {
     const int branch = most_fractional(model, root.x, options.int_tol);
     if (branch < 0) {
@@ -421,8 +339,6 @@ MipResult solve_mip_impl(const Model& model, const MipOptions& options,
   return result;
 }
 
-}  // namespace
-
 MipEngine resolve_engine(const Model& model) {
   return CompiledModel{model}.engine(model);
 }
@@ -433,183 +349,22 @@ const char* engine_name(MipEngine engine) noexcept {
       return "revised";
     case MipEngine::decomposed:
       return "decomposed";
-    case MipEngine::auto_select:
-      return "auto";
   }
   return "unknown";
 }
 
-MipResult solve_mip(const Model& model, const MipOptions& options,
-                    const MipWarmStart* warm, MipBasisHint* hint) {
-  if (options.engine == MipEngine::revised) {
-    return solve_mip_impl(model, options, warm, hint);
-  }
+MipResult solve_mip(const Model& model, const MipOptions& options) {
   CompiledModel plan{model};
-  return solve_mip(model, plan, options, warm, hint);
+  return solve_mip(model, plan, options);
 }
 
 MipResult solve_mip(const Model& model, CompiledModel& plan,
-                    const MipOptions& options, const MipWarmStart* warm,
-                    MipBasisHint* hint) {
-  if (options.engine == MipEngine::revised) {
-    return solve_mip_impl(model, options, warm, hint);
-  }
+                    const MipOptions& options) {
   plan.refresh(model);
-  const MipEngine engine = options.engine == MipEngine::auto_select
-                               ? plan.engine(model)
-                               : options.engine;
-  if (engine == MipEngine::revised) {
-    return solve_mip_impl(model, options, warm, hint);
+  if (plan.engine(model) == MipEngine::revised) {
+    return solve_revised(model, options);
   }
-  return solve_mip_decomposed(model, plan, options, warm, hint);
-}
-
-MipResult solve_lexicographic(Model& model,
-                              const std::vector<double>& secondary,
-                              double eps_rel, double eps_abs,
-                              const MipOptions& options,
-                              const MipWarmStart* warm, MipBasisHint* hint) {
-  if (secondary.size() != model.n_vars()) {
-    throw std::invalid_argument{"solve_lexicographic: cost size mismatch"};
-  }
-  const bool revised = options.engine == MipEngine::revised;
-  // Stage-to-stage basis carry (revised engine). The caller's hint doubles
-  // as the carrier when provided, so cross-replan warm starts compose with
-  // the lexicographic flow; otherwise a local stage-scoped one is used.
-  MipBasisHint local_tree;
-  MipBasisHint* tree = hint ? hint : &local_tree;
-  const MipResult first = revised
-                              ? solve_mip_impl(model, options, warm, tree)
-                              : solve_mip(model, options, warm, hint);
-  if (first.status != LpStatus::optimal) return first;
-
-  // Bound the primary objective, then swap in the secondary costs — in
-  // place; both edits are undone before returning.
-  std::vector<std::pair<int, double>> terms;
-  std::vector<double> primary_costs;
-  primary_costs.reserve(model.n_vars());
-  for (std::size_t i = 0; i < model.n_vars(); ++i) {
-    const double c = model.vars()[i].cost;
-    primary_costs.push_back(c);
-    if (c != 0.0) terms.emplace_back(static_cast<int>(i), c);
-  }
-  const double cap =
-      first.objective + std::abs(first.objective) * eps_rel + eps_abs;
-  model.add_constraint(std::move(terms), Rel::le, cap);
-  for (std::size_t i = 0; i < model.n_vars(); ++i) {
-    model.vars()[i].cost = secondary[i];
-  }
-
-  // Stage 2 warm-starts from stage 1: the stage-1 optimum satisfies the
-  // cap row by construction (incumbent cutoff). With the plain revised
-  // engine the stage-1 root basis extended with the new row's logical
-  // additionally stays primal feasible (root basis warm start), skipping
-  // phase 1 outright. Under auto_select stage 2 is dispatched afresh from
-  // its own shape; the decomposed engine typically takes its monolithic
-  // fallback here (the cap row couples every block) and uses only the
-  // incumbent cutoff.
-  const MipWarmStart stage2_warm{first.x};
-  MipResult second;
-  if (revised) {
-    MipBasisHint tree2;
-    if (!tree->basis.empty()) {
-      tree2.basis = tree->basis;
-      tree2.basis.extend(model.n_vars(), 0, 1);
-      tree2.n_vars = model.n_vars();
-      tree2.rows = tree->rows;
-      tree2.rows.push_back(static_cast<int>(model.n_constraints()) - 1);
-    }
-    second = solve_mip_impl(model, options, &stage2_warm, &tree2);
-  } else {
-    second = solve_mip(model, options, &stage2_warm, nullptr);
-  }
-  // Surface stage-2 decomposition/warm-start observability; stage 1's
-  // used_basis_hint is the one callers care about (it reflects `hint`).
-  second.used_basis_hint = first.used_basis_hint;
-
-  for (std::size_t i = 0; i < model.n_vars(); ++i) {
-    model.vars()[i].cost = primary_costs[i];
-  }
-  model.pop_constraint();
-
-  if (second.status != LpStatus::optimal) {
-    // Numerical edge: fall back to the stage-1 solution evaluated under
-    // the secondary costs rather than failing the caller.
-    const bool hinted = second.used_basis_hint;
-    second = first;
-    double obj = 0.0;
-    for (std::size_t i = 0; i < secondary.size(); ++i) {
-      obj += secondary[i] * first.x[i];
-    }
-    second.objective = obj;
-    second.proven_optimal = false;
-    second.status = LpStatus::optimal;
-    second.used_basis_hint = hinted;
-  }
-  return second;
-}
-
-MipResult solve_lexicographic_stages(
-    Model& model, const std::vector<std::vector<double>>& stages,
-    double eps_rel, double eps_abs, const MipOptions& options,
-    const MipWarmStart* warm, std::vector<double>* stage_values) {
-  for (const std::vector<double>& costs : stages) {
-    if (costs.size() != model.n_vars()) {
-      throw std::invalid_argument{
-          "solve_lexicographic_stages: cost size mismatch"};
-    }
-  }
-  if (stage_values != nullptr) stage_values->clear();
-
-  MipResult incumbent = solve_mip(model, options, warm);
-  if (incumbent.status != LpStatus::optimal) return incumbent;
-  if (stage_values != nullptr) stage_values->push_back(incumbent.objective);
-
-  std::vector<double> original_costs;
-  original_costs.reserve(model.n_vars());
-  for (std::size_t i = 0; i < model.n_vars(); ++i) {
-    original_costs.push_back(model.vars()[i].cost);
-  }
-
-  std::size_t caps = 0;
-  for (const std::vector<double>& costs : stages) {
-    // Cap the stage just solved (its costs are still on the model), then
-    // swap in this stage's costs and re-solve from the incumbent.
-    std::vector<std::pair<int, double>> terms;
-    for (std::size_t i = 0; i < model.n_vars(); ++i) {
-      const double c = model.vars()[i].cost;
-      if (c != 0.0) terms.emplace_back(static_cast<int>(i), c);
-    }
-    const double cap = incumbent.objective +
-                       std::abs(incumbent.objective) * eps_rel + eps_abs;
-    model.add_constraint(std::move(terms), Rel::le, cap);
-    ++caps;
-    for (std::size_t i = 0; i < model.n_vars(); ++i) {
-      model.vars()[i].cost = costs[i];
-    }
-    const MipWarmStart stage_warm{incumbent.x};
-    MipResult next = solve_mip(model, options, &stage_warm);
-    if (next.status == LpStatus::optimal) {
-      next.used_basis_hint = incumbent.used_basis_hint;
-      incumbent = next;
-    } else {
-      // Numerical edge: keep the incumbent, evaluated under this stage's
-      // costs, so the chain (and its caps) stays well-defined.
-      double obj = 0.0;
-      for (std::size_t i = 0; i < costs.size(); ++i) {
-        obj += costs[i] * incumbent.x[i];
-      }
-      incumbent.objective = obj;
-      incumbent.proven_optimal = false;
-    }
-    if (stage_values != nullptr) stage_values->push_back(incumbent.objective);
-  }
-
-  for (std::size_t i = 0; i < model.n_vars(); ++i) {
-    model.vars()[i].cost = original_costs[i];
-  }
-  while (caps-- > 0) model.pop_constraint();
-  return incumbent;
+  return solve_mip_decomposed(model, plan, options);
 }
 
 }  // namespace vbatt::solver

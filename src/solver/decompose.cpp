@@ -414,7 +414,6 @@ ChainOutcome run_chain(const Model& model, const Chain& chain,
 /// Solve a non-chain block as its own revised B&B subproblem.
 MipResult solve_block_bb(const Model& model, const std::vector<Row>& rows,
                          const Block& block, const MipOptions& options,
-                         const MipWarmStart* warm,
                          std::vector<double>& x_full) {
   Model sub;
   for (const int v : block.vars) {
@@ -434,18 +433,7 @@ MipResult solve_block_bb(const Model& model, const std::vector<Row>& rows,
     sub.add_constraint(std::move(terms), r.rel,
                        model.constraints()[static_cast<std::size_t>(ri)].rhs);
   }
-  MipOptions sub_opts = options;
-  sub_opts.engine = MipEngine::revised;
-  MipWarmStart sub_warm;
-  const MipWarmStart* wp = nullptr;
-  if (warm && warm->x.size() == model.n_vars()) {
-    sub_warm.x.reserve(block.vars.size());
-    for (const int v : block.vars) {
-      sub_warm.x.push_back(warm->x[static_cast<std::size_t>(v)]);
-    }
-    wp = &sub_warm;
-  }
-  MipResult r = solve_mip(sub, sub_opts, wp, nullptr);
+  MipResult r = solve_revised(sub, options);
   if (r.status == LpStatus::optimal) {
     for (std::size_t i = 0; i < block.vars.size(); ++i) {
       x_full[static_cast<std::size_t>(block.vars[i])] = r.x[i];
@@ -508,7 +496,7 @@ CompiledModel::CompiledModel(const Model& model)
     }
   }
 
-  // auto_select's rule. Tiny models solve in microseconds on the
+  // solve_mip's engine rule. Tiny models solve in microseconds on the
   // monolithic path; any probing or decomposition bookkeeping would
   // dominate. Several blocks always decompose. One block decomposes when
   // it carries the trajectory family's chain signature (necessary
@@ -588,8 +576,7 @@ bool CompiledModel::operator==(const CompiledModel& other) const {
 }
 
 MipResult solve_mip_decomposed(const Model& model, CompiledModel& plan,
-                               const MipOptions& options,
-                               const MipWarmStart* warm, MipBasisHint* hint) {
+                               const MipOptions& options) {
   const std::size_t n = model.n_vars();
   MipResult result;
 
@@ -606,9 +593,7 @@ MipResult solve_mip_decomposed(const Model& model, CompiledModel& plan,
   }
 
   const auto fallback = [&]() {
-    MipOptions mono = options;
-    mono.engine = MipEngine::revised;
-    MipResult r = solve_mip(model, mono, warm, hint);
+    MipResult r = solve_revised(model, options);
     r.monolithic_fallback = true;
     return r;
   };
@@ -619,9 +604,8 @@ MipResult solve_mip_decomposed(const Model& model, CompiledModel& plan,
   if (plan.degenerate) return fallback();
 
   // One non-chain block spanning the whole model is not a decomposition;
-  // hand it (with the caller's warm start and basis hint) to the
-  // monolithic revised engine. Probe the chain first so the headline
-  // single-app trajectory model still gets the DP master.
+  // hand it to the monolithic revised engine. Probe the chain first so the
+  // headline single-app trajectory model still gets the DP master.
   result.x.assign(n, 0.0);
   result.status = LpStatus::optimal;
   result.proven_optimal = true;
@@ -657,7 +641,7 @@ MipResult solve_mip_decomposed(const Model& model, CompiledModel& plan,
     MipOptions block_options = options;
     block_options.max_nodes -= result.nodes_explored;
     const MipResult sub =
-        solve_block_bb(model, plan.rows, block, block_options, warm, result.x);
+        solve_block_bb(model, plan.rows, block, block_options, result.x);
     result.nodes_explored += sub.nodes_explored;
     result.pivots += sub.pivots;
     ++result.blocks;

@@ -4,8 +4,7 @@
 // A `Basis` is the cheap, copyable warm-start token: which variable is
 // basic in each row plus the at-bound side of every nonbasic. Branch &
 // bound snapshots one per node (a child differs from its parent by a
-// single tightened bound, which leaves the parent basis dual-feasible);
-// `solve_lexicographic` carries the stage-1 basis into stage 2.
+// single tightened bound, which leaves the parent basis dual-feasible).
 //
 // `BasisInverse` is the dense explicit inverse of the basis matrix,
 // maintained by product-form updates and periodically refactorized. Dense
@@ -30,14 +29,6 @@ struct Basis {
   std::vector<int> basic;         // per row: index of the basic variable
   std::vector<VarStatus> status;  // per variable
   bool empty() const noexcept { return basic.empty(); }
-
-  /// Remap for a model that gained `added_vars` structural variables and
-  /// `added_rows` constraints after this basis was taken: logical indices
-  /// shift up, new structurals start nonbasic at lower, new rows get their
-  /// logical basic. Keeps the basis valid (and, when the new rows are
-  /// satisfied by the old solution, primal-feasible).
-  void extend(std::size_t old_n_vars, std::size_t added_vars,
-              std::size_t added_rows);
 };
 
 /// Dense explicit inverse of the m x m basis matrix.

@@ -20,7 +20,7 @@
 // Compile and run. Everything above that depends only on the model's
 // structure — coalesced rows, the block partition, each block's chain
 // shape (stage order, per-stage states, every state's incoming move row,
-// slack variable and "stay" predecessor) and auto_select's engine rule —
+// slack variable and "stay" predecessor) and solve_mip's engine rule —
 // is compiled once into a CompiledModel. A solve re-checks the data the
 // plan cannot know (bounds, costs, rhs) and runs the DP on scratch that
 // persists in the plan, so a model whose costs and rhs are patched
@@ -34,7 +34,7 @@
 // time, and on the data (x bounds binary, assignment rhs == 1, move rhs
 // >= 0, y.lb == 0, y.cost >= 0, y.ub + rhs >= 1) at every solve. A block
 // whose data fails takes the B&B path, exactly as a from-scratch solve
-// would. Anything else — the lexicographic cap row, peak rows, arbitrary
+// would. Anything else — the econ and peak stages' cap rows, arbitrary
 // testkit models — fails verification and takes a B&B path, so
 // decomposed objectives always match the monolithic engines to 1e-6
 // (`solver.decomposed_diff` fuzzes exactly this claim, and
@@ -51,7 +51,7 @@
 
 namespace vbatt::solver {
 
-/// The structure-only half of a MIP solve: auto_select's engine rule and
+/// The structure-only half of a MIP solve: solve_mip's engine rule and
 /// the decomposed engine's rows, blocks and chain plans, compiled from one
 /// Model and valid for it as long as its structure stamp and integrality
 /// flags are unchanged. Every data-dependent condition is re-checked per
@@ -93,7 +93,7 @@ struct CompiledModel {
     bool operator==(const Block&) const = default;
   };
 
-  /// How auto_select resolves: a fixed engine, or decomposed exactly when
+  /// How solve_mip picks an engine: a fixed one, or decomposed exactly when
   /// every `probe_vars` entry is a [0, 1] variable (the chain signature's
   /// only data-dependent part).
   enum class EngineRule { revised, decomposed, probe };
@@ -108,7 +108,7 @@ struct CompiledModel {
   /// Recompile from `model` unless the plan is already current for it.
   void refresh(const Model& model);
 
-  /// The engine auto_select dispatches `model` to (resolve_engine).
+  /// The engine solve_mip dispatches `model` to (resolve_engine).
   /// Requires current_for(model).
   MipEngine engine(const Model& model) const;
 
@@ -123,7 +123,7 @@ struct CompiledModel {
   std::size_t n_rows = 0;
   std::vector<std::uint8_t> integer;  // integrality flags compiled against
 
-  // --- auto_select ---
+  // --- engine selection ---
   EngineRule rule = EngineRule::revised;
   std::vector<int> probe_vars;
 
@@ -143,15 +143,10 @@ struct CompiledModel {
 
 /// The decomposed engine's run step on a plan current for `model`.
 /// solve_mip refreshes the plan and dispatches MipEngine::decomposed here
-/// (with a throwaway plan when the caller has none).
-///
-/// `warm` is sliced per block (a feasible monolithic incumbent restricted
-/// to a block's variables is a feasible block incumbent). `hint` is used
-/// and refreshed only on the monolithic fallback path — per-block bases
-/// do not compose into a monolithic hint and chain blocks need none.
+/// (with a throwaway plan when the caller has none); tests and benches
+/// call it directly to pin the engine. Non-chain blocks and the
+/// monolithic fallback run on solve_revised.
 MipResult solve_mip_decomposed(const Model& model, CompiledModel& plan,
-                               const MipOptions& options = {},
-                               const MipWarmStart* warm = nullptr,
-                               MipBasisHint* hint = nullptr);
+                               const MipOptions& options = {});
 
 }  // namespace vbatt::solver

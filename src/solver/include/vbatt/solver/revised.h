@@ -60,16 +60,6 @@ class RevisedSolver {
   /// Pivots spent in the last solve call.
   std::int64_t pivots() const noexcept { return pivots_; }
 
-  /// Override the structural cost vector (size n). Used by lexicographic
-  /// stage 2; pass the model's own costs back to restore.
-  void set_costs(const std::vector<double>& costs);
-
-  /// Row duals (simplex multipliers y^T = c_B^T B^-1) for `basis`,
-  /// refactorized from scratch so it works for any basis this solver has
-  /// produced, not just the most recent one. `out` is resized to
-  /// n_rows(). Returns false on a size mismatch or singular basis.
-  bool compute_duals(const Basis& basis, std::vector<double>& out);
-
   std::size_t n_rows() const noexcept { return m_; }
   std::size_t n_structural() const noexcept { return n_; }
 

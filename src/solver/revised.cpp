@@ -86,10 +86,6 @@ RevisedSolver::RevisedSolver(const Model& model)
         return all;
       }()} {}
 
-void RevisedSolver::set_costs(const std::vector<double>& costs) {
-  for (std::size_t j = 0; j < n_; ++j) cost_[j] = costs[j];
-}
-
 void RevisedSolver::load_bounds(const std::vector<double>& lb,
                                 const std::vector<double>& ub) {
   lo_.assign(n_ + m_, 0.0);
@@ -119,21 +115,6 @@ bool RevisedSolver::factorize(const Basis& basis) {
     cols[i] = cols_[static_cast<std::size_t>(basis.basic[i])];
   }
   return binv_.refactor(m_, cols);
-}
-
-bool RevisedSolver::compute_duals(const Basis& basis,
-                                  std::vector<double>& out) {
-  if (basis.basic.size() != m_ || basis.status.size() != n_ + m_) {
-    return false;
-  }
-  if (!factorize(basis)) return false;
-  if (cb_.size() < m_) cb_.resize(m_);
-  for (std::size_t i = 0; i < m_; ++i) {
-    cb_[i] = cost_[static_cast<std::size_t>(basis.basic[i])];
-  }
-  out.assign(m_, 0.0);
-  binv_.btran(cb_, out);
-  return true;
 }
 
 double RevisedSolver::nonbasic_value(const Basis& basis,

@@ -109,20 +109,17 @@ std::unique_ptr<core::Scheduler> make_service_scheduler(
   if (policy == "greedy") {
     return std::make_unique<core::GreedyScheduler>();
   }
-  core::MipSchedulerConfig mip;
   if (policy == "mip24h") {
-    mip = core::make_mip24h_config();
-  } else if (policy == "mippeak") {
-    mip = core::make_mip_peak_config();
-  } else if (policy == "mip") {
-    mip = core::make_mip_config();
-  } else {
-    bad_field("policy",
-              "must be greedy|mip|mip24h|mippeak, got '" + policy + "'");
+    return std::make_unique<core::MipScheduler>(core::make_mip24h_config());
   }
-  mip.warm_start = false;
-  mip.reuse_basis = false;
-  return std::make_unique<core::MipScheduler>(mip);
+  if (policy == "mippeak") {
+    return std::make_unique<core::MipScheduler>(core::make_mip_peak_config());
+  }
+  if (policy == "mip") {
+    return std::make_unique<core::MipScheduler>(core::make_mip_config());
+  }
+  bad_field("policy",
+            "must be greedy|mip|mip24h|mippeak, got '" + policy + "'");
 }
 
 }  // namespace vbatt::svc

@@ -8,8 +8,8 @@
 //           place / shrink / outage answers under all three policies
 //   solver  revised engine vs frozen seed solver (objective + feasibility
 //           audit), decomposed vs revised and the default engine vs seed,
-//           MIP dominance over sampled feasible points,
-//           solve_lexicographic in-place restore
+//           MIP dominance over sampled feasible points, compiled-plan and
+//           incremental-model identity (MIP-24h, MIP-peak, MIP-cost)
 //   fault   schedule CSV round-trip + malformed-CSV diagnostics, chaos
 //           generator determinism, InvariantChecker-armed chaos runs
 //   energy  trace/forecast range invariants, stable-share superadditivity

@@ -56,10 +56,10 @@ core::VmLevelConfig make_vm_config(const Spec& spec) {
   core::VmLevelConfig config;
   switch (spec.get("place", std::int64_t{0})) {
     case 1:
-      config.placement = core::VmLevelConfig::Placement::first_fit;
+      config.placement = dcsim::BlockPolicy::first_fit;
       break;
     case 2:
-      config.placement = core::VmLevelConfig::Placement::worst_fit;
+      config.placement = dcsim::BlockPolicy::worst_fit;
       break;
     default:
       break;
@@ -844,9 +844,7 @@ std::string audit_feasibility(const solver::Model& model,
 
 CaseResult eval_revised_objective(const Spec& spec) {
   const solver::Model model = make_model(spec);
-  solver::MipOptions revised;
-  revised.engine = solver::MipEngine::revised;
-  const solver::MipResult got = solver::solve_mip(model, revised);
+  const solver::MipResult got = solver::solve_revised(model);
   const solver::MipResult want = solver::reference::solve_mip(model);
   if (got.status != want.status) {
     return fail_str("status " + std::to_string(static_cast<int>(got.status)) +
@@ -891,48 +889,6 @@ CaseResult eval_mip_dominance(const Spec& spec) {
       return fail_str("sampled point beats the MIP optimum: " +
                       std::to_string(candidate) + " < " +
                       std::to_string(mip.objective));
-    }
-  }
-  return CaseResult::pass();
-}
-
-std::string diff_models(const solver::Model& a, const solver::Model& b) {
-  if (a.n_vars() != b.n_vars()) return "variable count changed";
-  if (a.n_constraints() != b.n_constraints()) return "constraint count changed";
-  for (std::size_t v = 0; v < a.n_vars(); ++v) {
-    const solver::Variable& x = a.vars()[v];
-    const solver::Variable& y = b.vars()[v];
-    if (x.name != y.name || x.cost != y.cost || x.lb != y.lb ||
-        x.ub != y.ub || x.integer != y.integer) {
-      return "variable " + x.name + " changed";
-    }
-  }
-  for (std::size_t c = 0; c < a.n_constraints(); ++c) {
-    const solver::Constraint& x = a.constraints()[c];
-    const solver::Constraint& y = b.constraints()[c];
-    if (x.terms != y.terms || x.rel != y.rel || x.rhs != y.rhs) {
-      return "constraint " + std::to_string(c) + " changed";
-    }
-  }
-  return {};
-}
-
-CaseResult eval_lexi_restore(const Spec& spec) {
-  const solver::Model original = make_model(spec);
-  util::Rng rng{spec.child_seed("secondary")};
-  std::vector<double> secondary(original.n_vars());
-  for (double& c : secondary) c = rng.uniform(-5.0, 5.0);
-
-  for (const solver::MipEngine engine :
-       {solver::MipEngine::auto_select, solver::MipEngine::revised}) {
-    solver::Model model = original;
-    solver::MipOptions options;
-    options.engine = engine;
-    (void)solver::solve_lexicographic(model, secondary, 0.05, 1e-6, options);
-    if (std::string diff = diff_models(original, model); !diff.empty()) {
-      return fail_str(std::string{"solve_lexicographic left the model "
-                                  "modified ("} +
-                      solver::engine_name(engine) + "): " + diff);
     }
   }
   return CaseResult::pass();
@@ -1016,13 +972,10 @@ solver::Model make_decompose_model(const Spec& spec) {
 
 CaseResult eval_decomposed_diff(const Spec& spec) {
   const solver::Model model = make_decompose_model(spec);
-  solver::MipOptions decomposed;
-  decomposed.engine = solver::MipEngine::decomposed;
-  solver::MipOptions monolithic;
-  monolithic.engine = solver::MipEngine::revised;
-  const solver::MipResult got = solver::solve_mip(model, decomposed);
-  const solver::MipResult want = solver::solve_mip(model, monolithic);
-  // The production default (auto_select) must meet the oracle directly.
+  solver::CompiledModel plan{model};
+  const solver::MipResult got = solver::solve_mip_decomposed(model, plan);
+  const solver::MipResult want = solver::solve_revised(model);
+  // The production entry point must meet the oracle directly.
   const solver::MipResult dflt = solver::solve_mip(model);
   const solver::MipResult oracle = solver::reference::solve_mip(model);
   if (dflt.status != oracle.status) {
@@ -1117,8 +1070,6 @@ CaseResult eval_compiled_identity(const Spec& spec) {
   const std::size_t n_vars = model.n_vars();
   const std::size_t n_rows = model.n_constraints();
 
-  solver::MipOptions revised;
-  revised.engine = solver::MipEngine::revised;
   solver::CompiledModel plan{model};
   std::string patch = "none";
   for (std::int64_t step = 0; step <= steps; ++step) {
@@ -1188,7 +1139,7 @@ CaseResult eval_compiled_identity(const Spec& spec) {
     // And the patched data must still be judged right: the monolithic
     // engine agrees on status and objective, so a data condition the run
     // step stopped re-checking shows up even though both solves share it.
-    const solver::MipResult mono = solver::solve_mip(model, revised);
+    const solver::MipResult mono = solver::solve_revised(model);
     if (mono.status != planned.status ||
         (planned.status == solver::LpStatus::optimal &&
          !near(planned.objective, mono.objective, 1e-6))) {
@@ -1208,10 +1159,16 @@ CaseResult eval_compiled_identity(const Spec& spec) {
 /// models are re-verified bitwise against a scratch build on every replan
 /// (verify_incremental_build throws on the first diverging bit) must also
 /// reproduce the scratch-built simulation exactly. Chaos is on so
-/// topology-epoch bumps exercise the cache-invalidation path, and the
-/// scheduler's own counters prove the delta path actually ran.
+/// topology-epoch bumps exercise the cache-invalidation path. `mip` picks
+/// the scheduler: 24h (the default), peak (MIP-peak) or cost (MIP-cost on
+/// a price series). The last two run solve_app's in-place econ and peak
+/// stages on the cached model, so a stage edit left behind makes the next
+/// patch diverge from its scratch build.
 CaseResult eval_delta_model_identity(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
+  const std::string policy = spec.get("mip", std::string{"24h"});
+  const energy::SiteSeries price =
+      make_price_series(spec, sc.graph.n_sites(), sc.graph.n_ticks());
   fault::ChaosConfig chaos;
   chaos.intensity = std::max<std::int64_t>(0, spec.get("i100", 100)) / 100.0;
   const fault::FaultSchedule schedule =
@@ -1224,7 +1181,11 @@ CaseResult eval_delta_model_identity(const Spec& spec) {
     fault::FaultInjector injector{sc.graph, schedule, noise};
     core::VmLevelConfig config;
     config.faults.hooks = &injector;
-    core::MipSchedulerConfig mc = core::make_mip24h_config();
+    core::MipSchedulerConfig mc = policy == "peak"
+                                      ? core::make_mip_peak_config()
+                                  : policy == "cost"
+                                      ? core::make_mip_cost_config(&price)
+                                      : core::make_mip24h_config();
     mc.incremental_build = incremental;
     mc.verify_incremental_build = verify;
     core::MipScheduler scheduler{mc};
@@ -2018,8 +1979,6 @@ std::vector<Property> all_properties() {
                       eval_revised_objective, kModelShrink});
   registry.push_back({"solver", "mip_dominance", gen_model_spec,
                       eval_mip_dominance, kModelShrink});
-  registry.push_back({"solver", "lexi_restore", gen_model_spec,
-                      eval_lexi_restore, kModelShrink});
   registry.push_back({"solver", "decomposed_diff", gen_decompose_spec,
                       eval_decomposed_diff, kDecomposeShrink});
   registry.push_back({"solver", "compiled_identity",
@@ -2038,6 +1997,9 @@ std::vector<Property> all_properties() {
                         Spec spec = gen_scenario_spec(rng);
                         spec.set("i100",
                                  static_cast<std::int64_t>(rng.below(300)));
+                        static const char* kPolicies[] = {"24h", "peak",
+                                                          "cost"};
+                        spec.set("mip", std::string{kPolicies[rng.below(3)]});
                         return spec;
                       },
                       eval_delta_model_identity, kScenarioShrink});

@@ -16,18 +16,6 @@ namespace {
 
 using namespace vbatt;
 
-dcsim::BlockPolicy block_policy(core::VmLevelConfig::Placement placement) {
-  switch (placement) {
-    case core::VmLevelConfig::Placement::first_fit:
-      return dcsim::BlockPolicy::first_fit;
-    case core::VmLevelConfig::Placement::worst_fit:
-      return dcsim::BlockPolicy::worst_fit;
-    case core::VmLevelConfig::Placement::best_fit:
-      break;
-  }
-  return dcsim::BlockPolicy::best_fit;
-}
-
 struct RefTrackedApp {
   workload::Application app;
   util::Tick end_tick = 0;
@@ -72,7 +60,6 @@ core::VmLevelResult reference_vm_run(
   const std::size_t n_ticks = graph.n_ticks();
   core::VmLevelResult result{n_sites, n_ticks};
 
-  const dcsim::BlockPolicy policy = block_policy(config.placement);
   std::vector<RefSite> sites;
   sites.reserve(n_sites);
   for (std::size_t s = 0; s < n_sites; ++s) {
@@ -112,7 +99,7 @@ core::VmLevelResult reference_vm_run(
   const energy::SiteSeries* carbon = ext != nullptr ? ext->carbon : nullptr;
 
   const auto place_vm = [&](dcsim::VmInstance vm, std::size_t s) -> bool {
-    if (!sites[s].place(vm, policy)) return false;
+    if (!sites[s].place(vm, config.placement)) return false;
     if (vm.vm_class == workload::VmClass::stable) {
       state.stable_cores[s] += vm.shape.cores;
     } else {

@@ -30,9 +30,7 @@ TEST(SolverDuplicateTermsRegress, DuplicateTermRowSolvesLikeReference) {
   const int x = model.add_var("x", 1.0, 0.0, 5.0, false);
   model.add_constraint({{x, 1.0}, {x, 1.0}}, solver::Rel::eq, 4.0);
 
-  solver::MipOptions revised;
-  revised.engine = solver::MipEngine::revised;
-  const solver::MipResult got = solver::solve_mip(model, revised);
+  const solver::MipResult got = solver::solve_revised(model);
   const solver::MipResult want = solver::reference::solve_mip(model);
   ASSERT_EQ(want.status, solver::LpStatus::optimal);
   ASSERT_EQ(got.status, solver::LpStatus::optimal);

@@ -1,0 +1,44 @@
+#!/bin/sh
+# CLI golden bytes: `vbatt schedule --days=7` for each MIP flow must print
+# exactly the stdout checked in under tests/golden/. Unlike
+# cli_thread_invariance, which compares two thread counts of one build,
+# this pins the output across commits, so a refactor that claims to keep
+# behaviour has to keep every byte.
+#
+# A solver change may legitimately move the optimal vertex (and so these
+# bytes) without changing any objective. Re-capture the goldens only after
+# checking that every MIP objective still matches the solver/reference/
+# oracle within 1e-6 (test_solver_objectives, the solver fuzz suite), and
+# say in the change log why the vertex moved:
+#
+#   vbatt schedule --policy=mip --days=7 > tests/golden/schedule_7d_mip.out
+#
+# Usage: cli_golden.sh <vbatt-binary> <golden-dir>
+set -u
+
+vbatt="$1"
+golden="$2"
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+
+status=0
+for case in "mip --policy=mip" "mip24h --policy=mip24h" \
+            "mippeak --policy=mippeak" "cost --objective=cost" \
+            "carbon --objective=carbon"; do
+  name="${case%% *}"
+  flag="${case#* }"
+  out="$tmpdir/$name.out"
+  "$vbatt" schedule "$flag" --days=7 >"$out" || {
+    echo "FAIL: vbatt schedule $flag --days=7 exited non-zero" >&2
+    status=1
+    continue
+  }
+  if cmp -s "$golden/schedule_7d_$name.out" "$out"; then
+    echo "OK: vbatt schedule $flag --days=7"
+  else
+    diff "$golden/schedule_7d_$name.out" "$out" >&2
+    echo "FAIL: vbatt schedule $flag --days=7 differs from the golden" >&2
+    status=1
+  fi
+done
+exit $status

@@ -88,9 +88,9 @@ TEST(FleetSim, MatchesOracleUnderPressure) {
 }
 
 TEST(FleetSim, MatchesOracleAllPlacements) {
-  for (const auto placement : {VmLevelConfig::Placement::best_fit,
-                               VmLevelConfig::Placement::first_fit,
-                               VmLevelConfig::Placement::worst_fit}) {
+  for (const auto placement : {dcsim::BlockPolicy::best_fit,
+                               dcsim::BlockPolicy::first_fit,
+                               dcsim::BlockPolicy::worst_fit}) {
     VmLevelConfig config;
     config.placement = placement;
     expect_engines_agree(small_graph(), apps_of(15, 6, 4), config);

@@ -1,11 +1,10 @@
-// Cross-replan solver warm starts and their fault invalidation.
+// Topology-change invalidation of the MIP scheduler's model cache.
 //
-// The MIP scheduler persists each app's optimal root basis between replans
-// (MipSchedulerConfig::reuse_basis) and seeds the next solve with it. A
-// topology change — link flap, server-failure start or repair — makes every
-// persisted basis describe the wrong polytope, so the simulators watch
-// FaultHooks::topology_epoch and call Scheduler::on_topology_change, which
-// must leave the scheduler bit-identical to one that never kept bases.
+// A topology change — link flap, server-failure start or repair — bumps
+// FaultHooks::topology_epoch. The simulators watch it and call
+// Scheduler::on_topology_change, which makes MipScheduler drop every cached
+// trajectory model. The rebuilt models must schedule exactly as a scheduler
+// that never cached anything.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -41,11 +40,9 @@ workload::Application app_of(std::int64_t id, util::Tick lifetime) {
   return app;
 }
 
-MipSchedulerConfig reuse_config() {
+MipSchedulerConfig small_config() {
   MipSchedulerConfig config = make_mip24h_config();
   config.clique_k = 2;
-  config.mip.engine = solver::MipEngine::revised;
-  config.reuse_basis = true;
   return config;
 }
 
@@ -77,43 +74,33 @@ std::vector<Move> drive(MipScheduler& scheduler, const VbGraph& graph,
   return scheduler.replan(state);
 }
 
-TEST(BasisReuse, SecondReplanHitsThePersistedBasis) {
-  const VbGraph graph = small_graph(288);
-  MipScheduler scheduler{reuse_config()};
-  (void)drive(scheduler, graph, /*invalidate=*/false);
-  // Replan 1 offers an empty hint (miss) and persists the basis; replan 2
-  // re-solves the same-shaped model and must seed from it.
-  EXPECT_GE(scheduler.basis_hint_hits(), 1);
-  EXPECT_EQ(scheduler.basis_hint_invalidations(), 0);
-}
-
-TEST(BasisReuse, InvalidationMatchesAColdSolve) {
+TEST(TopologyInvalidation, InvalidationMatchesAScratchBuild) {
   const VbGraph graph = small_graph(288);
 
-  MipScheduler invalidated{reuse_config()};
+  MipScheduler invalidated{small_config()};
   const std::vector<Move> after_fault =
       drive(invalidated, graph, /*invalidate=*/true);
-  // The persisted basis was dropped, not used.
-  EXPECT_GE(invalidated.basis_hint_invalidations(), 1);
-  EXPECT_EQ(invalidated.basis_hint_hits(), 0);
+  // The cached models were dropped and rebuilt, not patched.
+  EXPECT_GE(invalidated.model_cache_invalidations(), 1);
 
-  MipSchedulerConfig cold_config = reuse_config();
-  cold_config.reuse_basis = false;
-  MipScheduler cold{cold_config};
-  const std::vector<Move> cold_moves =
-      drive(cold, graph, /*invalidate=*/false);
-  EXPECT_EQ(cold.basis_hint_hits() + cold.basis_hint_misses(), 0);
+  MipSchedulerConfig scratch_config = small_config();
+  scratch_config.incremental_build = false;
+  MipScheduler scratch{scratch_config};
+  const std::vector<Move> scratch_moves =
+      drive(scratch, graph, /*invalidate=*/true);
+  EXPECT_EQ(scratch.model_patch_count(), 0);
 
-  // Bit-identical schedules: the invalidated scheduler went cold too.
-  ASSERT_EQ(after_fault.size(), cold_moves.size());
-  for (std::size_t i = 0; i < cold_moves.size(); ++i) {
-    EXPECT_EQ(after_fault[i].app_id, cold_moves[i].app_id);
-    EXPECT_EQ(after_fault[i].to_site, cold_moves[i].to_site);
-    EXPECT_EQ(after_fault[i].at_tick, cold_moves[i].at_tick);
+  // Move for move: the invalidated scheduler schedules as one that never
+  // cached a model.
+  ASSERT_EQ(after_fault.size(), scratch_moves.size());
+  for (std::size_t i = 0; i < scratch_moves.size(); ++i) {
+    EXPECT_EQ(after_fault[i].app_id, scratch_moves[i].app_id);
+    EXPECT_EQ(after_fault[i].to_site, scratch_moves[i].to_site);
+    EXPECT_EQ(after_fault[i].at_tick, scratch_moves[i].at_tick);
   }
 }
 
-TEST(BasisReuse, InjectorEpochBumpsOnLinkFlapAndServerFailure) {
+TEST(TopologyInvalidation, InjectorEpochBumpsOnLinkFlapAndServerFailure) {
   const VbGraph graph = small_graph(96);
   fault::FaultSchedule schedule;
   fault::FaultEvent link;
@@ -144,14 +131,14 @@ TEST(BasisReuse, InjectorEpochBumpsOnLinkFlapAndServerFailure) {
   EXPECT_EQ(trace, want);
 }
 
-TEST(BasisReuse, SimulatorsInvalidateWhenTheEpochAdvances) {
+TEST(TopologyInvalidation, SimulatorsInvalidateWhenTheEpochAdvances) {
   const VbGraph graph = small_graph(192);
   fault::FaultSchedule schedule;
   fault::FaultEvent link;
   link.kind = fault::FaultKind::link_down;
   link.site = 0;
   link.peer = 1;
-  link.start = 30;   // after the first replan primed the bases
+  link.start = 30;   // after the first replan filled the model cache
   link.end = 40;
   schedule.events.push_back(link);
   fault::FaultInjector injector{graph, schedule};
@@ -162,19 +149,19 @@ TEST(BasisReuse, SimulatorsInvalidateWhenTheEpochAdvances) {
 
   // App-level simulator.
   {
-    MipScheduler scheduler{reuse_config()};
+    MipScheduler scheduler{small_config()};
     (void)run_simulation(injector.graph(), apps, scheduler, {}, &faults);
-    EXPECT_GE(scheduler.basis_hint_invalidations(), 1);
+    EXPECT_GE(scheduler.model_cache_invalidations(), 1);
   }
   // VM-level simulator (also covers the fail_servers plumbing: the epoch
   // source is shared, only the call site differs).
   {
     fault::FaultInjector vm_injector{graph, schedule};
-    MipScheduler scheduler{reuse_config()};
+    MipScheduler scheduler{small_config()};
     VmLevelConfig config;
     config.faults.hooks = &vm_injector;
     (void)run_fleet_simulation(vm_injector.graph(), apps, scheduler, config);
-    EXPECT_GE(scheduler.basis_hint_invalidations(), 1);
+    EXPECT_GE(scheduler.model_cache_invalidations(), 1);
   }
 }
 

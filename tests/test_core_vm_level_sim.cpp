@@ -85,9 +85,9 @@ TEST(VmLevelSim, ConsolidationPowersFewerServersThanSpreading) {
   const VbGraph graph = small_graph();
   const auto apps = apps_of(10, 4, 2);
   VmLevelConfig best;
-  best.placement = VmLevelConfig::Placement::best_fit;
+  best.placement = dcsim::BlockPolicy::best_fit;
   VmLevelConfig worst;
-  worst.placement = VmLevelConfig::Placement::worst_fit;
+  worst.placement = dcsim::BlockPolicy::worst_fit;
   GreedyScheduler g1;
   GreedyScheduler g2;
   const VmLevelResult consolidated =

@@ -151,36 +151,5 @@ TEST_P(MipProperty, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, MipProperty,
                          ::testing::Range(0, 25));
 
-TEST(Lexicographic, SecondaryBreaksTies) {
-  Model m;
-  const int x1 = m.add_var("x1", 1.0);
-  const int x2 = m.add_var("x2", 1.0);
-  m.add_constraint({{x1, 1.0}, {x2, 1.0}}, Rel::eq, 10.0);
-  const MipResult r = solve_lexicographic(m, {3.0, 1.0});
-  ASSERT_EQ(r.status, LpStatus::optimal);
-  EXPECT_NEAR(r.x[0], 0.0, 1e-6);
-  EXPECT_NEAR(r.x[1], 10.0, 1e-6);
-  EXPECT_NEAR(r.objective, 10.0, 1e-6);  // secondary objective value
-}
-
-TEST(Lexicographic, PrimaryStillBinding) {
-  // Primary: min x+y with x+y >= 4. Secondary: min -x (i.e. max x).
-  // Stage 2 must keep x+y ≈ 4, pushing x to 4(1+eps).
-  Model m;
-  const int x = m.add_var("x", 1.0, 0.0, 100.0);
-  const int y = m.add_var("y", 1.0, 0.0, 100.0);
-  m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::ge, 4.0);
-  const MipResult r = solve_lexicographic(m, {-1.0, 0.0}, 0.01);
-  ASSERT_EQ(r.status, LpStatus::optimal);
-  EXPECT_NEAR(r.x[0], 4.04, 0.01);
-  EXPECT_NEAR(r.x[1], 0.0, 1e-6);
-}
-
-TEST(Lexicographic, SizeMismatchThrows) {
-  Model m;
-  (void)m.add_var("x", 1.0);
-  EXPECT_THROW(solve_lexicographic(m, {1.0, 2.0}), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace vbatt::solver

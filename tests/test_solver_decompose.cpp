@@ -10,9 +10,6 @@
 //    blocks, or non-unit coefficients) must take the monolithic fallback
 //    path — never a wrong "decomposed" answer.
 //  * Node budget: max_nodes = 0 fails both engines the same way.
-//  * Cross-solve basis hints: a second structurally identical solve must
-//    report used_basis_hint and return the same objective; a stale hint
-//    (different shape) must be ignored.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -29,10 +26,10 @@ namespace {
 
 constexpr double kObjTol = 1e-6;
 
-MipOptions engine_options(MipEngine engine) {
-  MipOptions options;
-  options.engine = engine;
-  return options;
+/// The decomposed engine pinned, on a throwaway plan.
+MipResult solve_decomposed(const Model& model, const MipOptions& options = {}) {
+  CompiledModel plan{model};
+  return solve_mip_decomposed(model, plan, options);
 }
 
 /// The scheduler's per-app trajectory family (same shape as the bench and
@@ -107,9 +104,9 @@ TEST(DecomposedMip, ChainModelSolvedByDpMaster) {
     const int sites = 2 + static_cast<int>(seed % 5);
     const int buckets = 1 + static_cast<int>(seed % 6);
     const Model model = trajectory_mip(sites, buckets, seed);
-    const MipResult mono = solve_mip(model, engine_options(MipEngine::revised));
+    const MipResult mono = solve_revised(model);
     const MipResult dec =
-        solve_mip(model, engine_options(MipEngine::decomposed));
+        solve_decomposed(model);
     ASSERT_EQ(mono.status, LpStatus::optimal) << "seed " << seed;
     ASSERT_EQ(dec.status, LpStatus::optimal) << "seed " << seed;
     EXPECT_FALSE(dec.monolithic_fallback) << "seed " << seed;
@@ -178,9 +175,9 @@ TEST(DecomposedMip, BlockDiagonalModelSplitsAndStitches) {
     (void)model.add_var("free_pos", 4.0, 1.0, 5.0);
     expect_obj = -3.0 * 2.0 + 4.0 * 1.0;
   }
-  const MipResult mono = solve_mip(model, engine_options(MipEngine::revised));
+  const MipResult mono = solve_revised(model);
   const MipResult dec =
-      solve_mip(model, engine_options(MipEngine::decomposed));
+      solve_decomposed(model);
   ASSERT_EQ(mono.status, LpStatus::optimal);
   ASSERT_EQ(dec.status, LpStatus::optimal);
   EXPECT_FALSE(dec.monolithic_fallback);
@@ -207,9 +204,9 @@ TEST(DecomposedMip, CoupledModelTakesMonolithicFallback) {
     if (c != 0.0) cap.emplace_back(static_cast<int>(i), c);
   }
   model.add_constraint(std::move(cap), Rel::le, 1e6);
-  const MipResult mono = solve_mip(model, engine_options(MipEngine::revised));
+  const MipResult mono = solve_revised(model);
   const MipResult dec =
-      solve_mip(model, engine_options(MipEngine::decomposed));
+      solve_decomposed(model);
   ASSERT_EQ(mono.status, LpStatus::optimal);
   ASSERT_EQ(dec.status, LpStatus::optimal);
   EXPECT_TRUE(dec.monolithic_fallback);
@@ -230,9 +227,9 @@ TEST(DecomposedMip, NonUnitMoveCoefficientRefusesChain) {
   std::vector<std::pair<int, double>> terms = last.terms;
   terms.back().second = -0.5;
   model.add_constraint(std::move(terms), last.rel, last.rhs);
-  const MipResult mono = solve_mip(model, engine_options(MipEngine::revised));
+  const MipResult mono = solve_revised(model);
   const MipResult dec =
-      solve_mip(model, engine_options(MipEngine::decomposed));
+      solve_decomposed(model);
   ASSERT_EQ(mono.status, LpStatus::optimal);
   ASSERT_EQ(dec.status, LpStatus::optimal);
   EXPECT_TRUE(dec.monolithic_fallback);
@@ -250,9 +247,9 @@ TEST(DecomposedMip, InfeasibleStageIsDetected) {
       model.vars()[i].ub = 0.0;
     }
   }
-  const MipResult mono = solve_mip(model, engine_options(MipEngine::revised));
+  const MipResult mono = solve_revised(model);
   const MipResult dec =
-      solve_mip(model, engine_options(MipEngine::decomposed));
+      solve_decomposed(model);
   EXPECT_EQ(mono.status, LpStatus::infeasible);
   EXPECT_EQ(dec.status, LpStatus::infeasible);
 }
@@ -262,9 +259,9 @@ TEST(DecomposedMip, FixedSiteForcesChainThroughIt) {
   // match the monolithic optimum of the same pinned model.
   Model model = trajectory_mip(3, 3, 9);
   model.vars()[6 + 2 * 2].lb = 1.0;  // bucket 1, site 2 (x at even offsets)
-  const MipResult mono = solve_mip(model, engine_options(MipEngine::revised));
+  const MipResult mono = solve_revised(model);
   const MipResult dec =
-      solve_mip(model, engine_options(MipEngine::decomposed));
+      solve_decomposed(model);
   ASSERT_EQ(mono.status, LpStatus::optimal);
   ASSERT_EQ(dec.status, LpStatus::optimal);
   EXPECT_FALSE(dec.monolithic_fallback);
@@ -273,33 +270,13 @@ TEST(DecomposedMip, FixedSiteForcesChainThroughIt) {
   audit_feasibility(model, dec);
 }
 
-TEST(DecomposedMip, LexicographicRestoresModelAndMatchesRevised) {
-  Model model = trajectory_mip(3, 4, 21);
-  const std::size_t n_rows = model.n_constraints();
-  std::vector<double> costs;
-  for (const Variable& v : model.vars()) costs.push_back(v.cost);
-  std::vector<double> secondary(model.n_vars(), 0.0);
-  for (std::size_t i = 1; i < model.n_vars(); i += 2) secondary[i] = 1.0;
-  const MipResult rev = solve_lexicographic(
-      model, secondary, 0.01, 1e-6, engine_options(MipEngine::revised));
-  const MipResult dec = solve_lexicographic(
-      model, secondary, 0.01, 1e-6, engine_options(MipEngine::decomposed));
-  ASSERT_EQ(rev.status, LpStatus::optimal);
-  ASSERT_EQ(dec.status, LpStatus::optimal);
-  EXPECT_NEAR(dec.objective, rev.objective, 1e-5);
-  EXPECT_EQ(model.n_constraints(), n_rows);
-  for (std::size_t i = 0; i < model.n_vars(); ++i) {
-    EXPECT_EQ(model.vars()[i].cost, costs[i]);
-  }
-}
-
 TEST(DecomposedMip, ObjectiveMatchesReferenceOnChainFamily) {
   for (std::uint64_t seed = 60; seed < 80; ++seed) {
     const Model model = trajectory_mip(2 + static_cast<int>(seed % 3),
                                        2 + static_cast<int>(seed % 4), seed);
     const MipResult want = reference::solve_mip(model);
     const MipResult got =
-        solve_mip(model, engine_options(MipEngine::decomposed));
+        solve_decomposed(model);
     ASSERT_EQ(got.status, want.status) << "seed " << seed;
     if (want.status != LpStatus::optimal) continue;
     EXPECT_NEAR(got.objective, want.objective, kObjTol) << "seed " << seed;
@@ -310,62 +287,23 @@ TEST(NodeBudget, SpentBudgetFailsBothEnginesAlike) {
   // The revised root and each chain DP block count as one node, so a zero
   // budget must fail the solve unproven with no incumbent in both engines.
   const Model model = trajectory_mip(3, 4, 7);
+  MipOptions none;
+  none.max_nodes = 0;
   for (const MipEngine engine : {MipEngine::revised, MipEngine::decomposed}) {
-    MipOptions options = engine_options(engine);
-    options.max_nodes = 0;
-    const MipResult r = solve_mip(model, options);
+    const MipResult r = engine == MipEngine::revised
+                            ? solve_revised(model, none)
+                            : solve_decomposed(model, none);
     EXPECT_EQ(r.status, LpStatus::iteration_limit) << engine_name(engine);
     EXPECT_FALSE(r.proven_optimal) << engine_name(engine);
     EXPECT_TRUE(r.x.empty()) << engine_name(engine);
   }
   // One node is exactly what the single chain block needs.
-  MipOptions one = engine_options(MipEngine::decomposed);
+  MipOptions one;
   one.max_nodes = 1;
-  const MipResult r = solve_mip(model, one);
+  const MipResult r = solve_decomposed(model, one);
   ASSERT_EQ(r.status, LpStatus::optimal);
   EXPECT_TRUE(r.proven_optimal);
   EXPECT_EQ(r.chain_blocks, 1);
-}
-
-TEST(BasisHint, SecondSolveUsesAndRefreshesHint) {
-  const Model model = trajectory_mip(4, 4, 33);
-  MipBasisHint hint;
-  const MipResult cold =
-      solve_mip(model, engine_options(MipEngine::revised), nullptr, &hint);
-  ASSERT_EQ(cold.status, LpStatus::optimal);
-  EXPECT_FALSE(cold.used_basis_hint);
-  EXPECT_FALSE(hint.empty());
-  EXPECT_EQ(hint.n_vars, model.n_vars());
-  EXPECT_FALSE(hint.duals.empty());
-
-  const MipResult rewarm =
-      solve_mip(model, engine_options(MipEngine::revised), nullptr, &hint);
-  ASSERT_EQ(rewarm.status, LpStatus::optimal);
-  EXPECT_TRUE(rewarm.used_basis_hint);
-  EXPECT_NEAR(rewarm.objective, cold.objective, kObjTol);
-  // The hinted root LP skips phase 1: strictly fewer pivots end to end.
-  EXPECT_LE(rewarm.pivots, cold.pivots);
-}
-
-TEST(BasisHint, MismatchedHintIsIgnored) {
-  const Model small = trajectory_mip(2, 2, 1);
-  const Model big = trajectory_mip(4, 5, 2);
-  MipBasisHint hint;
-  ASSERT_EQ(solve_mip(small, engine_options(MipEngine::revised), nullptr,
-                      &hint)
-                .status,
-            LpStatus::optimal);
-  ASSERT_FALSE(hint.empty());
-  // Shape mismatch: the hint must be bypassed, the solve must equal a
-  // cold one bit for bit, and the hint must be refreshed to the new model.
-  const MipResult cold = solve_mip(big, engine_options(MipEngine::revised));
-  const MipResult hinted =
-      solve_mip(big, engine_options(MipEngine::revised), nullptr, &hint);
-  EXPECT_FALSE(hinted.used_basis_hint);
-  EXPECT_EQ(hinted.objective, cold.objective);
-  EXPECT_EQ(hinted.x, cold.x);
-  EXPECT_EQ(hinted.nodes_explored, cold.nodes_explored);
-  EXPECT_EQ(hint.n_vars, big.n_vars());
 }
 
 }  // namespace

@@ -222,15 +222,14 @@ TEST(CompiledPlan, TwoForcedStatesStayInfeasible) {
   // Stage 1's first two sites both forced on (x layout is k-major).
   model.vars()[3].lb = 1.0;
   model.vars()[4].lb = 1.0;
-  for (const solver::MipEngine engine :
-       {solver::MipEngine::auto_select, solver::MipEngine::decomposed}) {
-    solver::MipOptions options;
-    options.engine = engine;
-    const solver::MipResult got = solver::solve_mip(model, plan, options);
-    EXPECT_EQ(got.status, solver::LpStatus::infeasible)
-        << solver::engine_name(engine);
-    expect_same_result(got, solver::solve_mip(model, options));
-  }
+  const solver::MipResult got = solver::solve_mip(model, plan);
+  EXPECT_EQ(got.status, solver::LpStatus::infeasible);
+  expect_same_result(got, solver::solve_mip(model));
+  // The decomposed engine pinned on the same plan.
+  const solver::MipResult pinned = solver::solve_mip_decomposed(model, plan);
+  EXPECT_EQ(pinned.status, solver::LpStatus::infeasible);
+  solver::CompiledModel fresh{model};
+  expect_same_result(pinned, solver::solve_mip_decomposed(model, fresh));
 }
 
 // --- bitwise model diff --------------------------------------------------

@@ -1,5 +1,8 @@
-// The econ objective stack: solve_lexicographic_stages with a 3-stage
-// chain restoring the model exactly, the econ-coefficient cache patching
+// The econ objective stack: staged solves built in place the way
+// MipScheduler runs its econ and peak stages (cap row, swapped costs),
+// each stage matching the solver/reference/ oracle through solve_revised,
+// solve_mip_decomposed and the default solve_mip, and the model restored
+// bitwise after the stages are undone; the econ-coefficient cache patching
 // price/carbon coefficients bitwise-identically to a scratch build (the
 // scheduler audits every patch itself under verify_incremental_build),
 // and topology-epoch invalidation dropping the econ cache along with the
@@ -13,13 +16,15 @@
 #include "vbatt/energy/cost.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/solver/branch_bound.h"
+#include "vbatt/solver/decompose.h"
 #include "vbatt/solver/incremental.h"
 #include "vbatt/solver/model.h"
+#include "vbatt/solver/reference.h"
 
 namespace vbatt::core {
 namespace {
 
-// --- solve_lexicographic_stages, 3 stages --------------------------------
+// --- staged solves on every entry point ----------------------------------
 
 /// Three binaries, exactly one chosen. Primary cost ties a and b at 1
 /// (c costs 2); stage 2 then prefers b; stage 3 would prefer c but the
@@ -33,58 +38,99 @@ solver::Model pick_one_model() {
   return model;
 }
 
-TEST(LexicographicStages, ThreeStageChainPicksByPriority) {
-  solver::Model model = pick_one_model();
-  const std::vector<std::vector<double>> stages{
-      {5.0, 1.0, 3.0},  // stage 2: prefer b
-      {3.0, 5.0, 0.0},  // stage 3: would prefer c, capped out by stage 1
-  };
-  std::vector<double> stage_values;
-  const solver::MipResult result = solver::solve_lexicographic_stages(
-      model, stages, /*eps_rel=*/0.0, /*eps_abs=*/1e-9, {}, nullptr,
-      &stage_values);
-
-  ASSERT_EQ(result.status, solver::LpStatus::optimal);
-  ASSERT_EQ(result.x.size(), 3u);
-  EXPECT_NEAR(result.x[1], 1.0, 1e-9);  // b wins
-  // Each stage may drift by its cap slack (eps_abs per stage), so the
-  // comparison is loose in the last few bits, not exact.
-  ASSERT_EQ(stage_values.size(), 3u);
-  EXPECT_NEAR(stage_values[0], 1.0, 1e-6);
-  EXPECT_NEAR(stage_values[1], 1.0, 1e-6);
-  EXPECT_NEAR(stage_values[2], 5.0, 1e-6);
-  // The final result reports the last stage's objective.
-  EXPECT_NEAR(result.objective, stage_values.back(), 1e-9);
+/// One trajectory chain (3 sites x 4 buckets, start at site 0): binary
+/// x[k][s] with one site per bucket, move slacks y[k][s] >= x[k][s] -
+/// x[k-1][s] costing 10 each.
+solver::Model chain_model() {
+  solver::Model model;
+  const double x_cost[4][3] = {{4, 1, 6}, {5, 2, 1}, {3, 7, 2}, {6, 2, 5}};
+  for (int k = 0; k < 4; ++k) {
+    std::vector<std::pair<int, double>> one;
+    for (int s = 0; s < 3; ++s) {
+      const int x = model.add_binary("x", x_cost[k][s]);
+      const int y = model.add_var("y", 10.0, 0.0, 1.0);
+      one.emplace_back(x, 1.0);
+      std::vector<std::pair<int, double>> move{{x, 1.0}, {y, -1.0}};
+      if (k > 0) move.emplace_back(x - 6, -1.0);  // x[k-1][s]
+      model.add_constraint(std::move(move), solver::Rel::le,
+                           k == 0 && s == 0 ? 1.0 : 0.0);
+    }
+    model.add_constraint(std::move(one), solver::Rel::eq, 1.0);
+  }
+  return model;
 }
 
-TEST(LexicographicStages, RestoresTheModelBitwise) {
+/// Cap the model's current costs at `value` (plus 1e-9) and swap in
+/// `next`, in place, as MipScheduler's econ and peak stages do. Returns
+/// the replaced costs for pop_stage.
+std::vector<double> push_stage(solver::Model& model, double value,
+                               const std::vector<double>& next) {
+  std::vector<double> saved;
+  std::vector<std::pair<int, double>> cap;
+  for (std::size_t v = 0; v < model.n_vars(); ++v) {
+    saved.push_back(model.vars()[v].cost);
+    if (saved.back() != 0.0) cap.emplace_back(static_cast<int>(v), saved[v]);
+    model.vars()[v].cost = next[v];
+  }
+  model.add_constraint(std::move(cap), solver::Rel::le, value + 1e-9);
+  return saved;
+}
+
+void pop_stage(solver::Model& model, const std::vector<double>& saved) {
+  model.pop_constraint();
+  for (std::size_t v = 0; v < saved.size(); ++v) {
+    model.vars()[v].cost = saved[v];
+  }
+}
+
+/// The oracle's objective for `model`, after checking that the default
+/// solve_mip and both pinned engines reach it within 1e-6.
+double oracle_objective(const solver::Model& model) {
+  const solver::MipResult want = solver::reference::solve_mip(model);
+  EXPECT_EQ(want.status, solver::LpStatus::optimal);
+  solver::CompiledModel plan{model};
+  const solver::MipResult got[] = {solver::solve_mip(model),
+                                   solver::solve_revised(model),
+                                   solver::solve_mip_decomposed(model, plan)};
+  for (const solver::MipResult& r : got) {
+    EXPECT_EQ(r.status, want.status);
+    EXPECT_NEAR(r.objective, want.objective, 1e-6);
+  }
+  return want.objective;
+}
+
+TEST(StagedSolve, ThreeStageChainPicksByPriorityOnEveryEngine) {
   solver::Model model = pick_one_model();
   const solver::Model before = model;
-  std::vector<double> stage_values;
-  (void)solver::solve_lexicographic_stages(
-      model, {{5.0, 1.0, 3.0}, {3.0, 5.0, 0.0}}, 0.0, 1e-9, {}, nullptr,
-      &stage_values);
-
-  // Every cap row popped, every cost restored — down to the last bit, so
-  // a later solve of the same model object starts from pristine state.
+  const double o1 = oracle_objective(model);
+  EXPECT_NEAR(o1, 1.0, 1e-9);
+  const std::vector<double> c1 = push_stage(model, o1, {5.0, 1.0, 3.0});
+  const double o2 = oracle_objective(model);
+  EXPECT_NEAR(o2, 1.0, 1e-6);  // b wins stage 2
+  const std::vector<double> c2 = push_stage(model, o2, {3.0, 5.0, 0.0});
+  EXPECT_NEAR(oracle_objective(model), 5.0, 1e-6);  // and keeps it
+  pop_stage(model, c2);
+  pop_stage(model, c1);
+  // Every cap row popped, every cost restored, down to the last bit.
   EXPECT_TRUE(solver::models_bitwise_equal(before, model));
   EXPECT_EQ(solver::diff_models_bitwise(before, model), "");
-
-  const solver::MipResult replay = solver::solve_mip(model);
-  ASSERT_EQ(replay.status, solver::LpStatus::optimal);
-  EXPECT_NEAR(replay.objective, 1.0, 1e-9);
 }
 
-TEST(LexicographicStages, EmptyStageListIsAPlainSolve) {
-  solver::Model model = pick_one_model();
-  std::vector<double> stage_values;
-  const solver::MipResult staged = solver::solve_lexicographic_stages(
-      model, {}, 0.0, 1e-9, {}, nullptr, &stage_values);
-  const solver::MipResult plain = solver::solve_mip(model);
-  ASSERT_EQ(staged.status, plain.status);
-  EXPECT_EQ(staged.objective, plain.objective);
-  ASSERT_EQ(stage_values.size(), 1u);
-  EXPECT_EQ(stage_values[0], staged.objective);
+TEST(StagedSolve, EconStageOnATrajectoryChainMatchesTheOracle) {
+  // Stage 1 is a pure chain (the DP master); the econ cap row couples
+  // every variable, so stage 2 takes the decomposed engine's fallback.
+  solver::Model model = chain_model();
+  const solver::Model before = model;
+  EXPECT_EQ(solver::solve_mip(model).chain_blocks, 1);
+  const double o1 = oracle_objective(model);
+  std::vector<double> econ(model.n_vars(), 0.0);
+  for (std::size_t v = 0; v < econ.size(); v += 2) {
+    econ[v] = static_cast<double>((v * 7) % 5);  // x columns only
+  }
+  const std::vector<double> saved = push_stage(model, o1 * 1.01, econ);
+  (void)oracle_objective(model);
+  pop_stage(model, saved);
+  EXPECT_TRUE(solver::models_bitwise_equal(before, model));
 }
 
 // --- MipScheduler econ-coefficient cache ---------------------------------

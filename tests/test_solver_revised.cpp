@@ -2,17 +2,14 @@
 //
 // Two layers, on fuzzed LPs/MIPs from both the scheduler's trajectory
 // model family and unstructured random programs:
-//  * the revised engine and the default (auto_select) path must match the
-//    frozen seed oracle's *objective* to 1e-6 (the optimal vertex may
-//    legally differ on degenerate models), with warm-started solves
-//    bit-identical to cold ones;
+//  * the revised engine (solve_revised) and the default solve_mip path
+//    must match the frozen seed oracle's *objective* to 1e-6 (the optimal
+//    vertex may legally differ on degenerate models);
 //  * directed edge cases: degeneracy, infeasibility, unboundedness,
 //    all-bounds-tight boxes, models presolve discharges entirely, and
 //    the per-solve pivot budget.
 //
-// The scheduler-level companion (warm vs cold MipScheduler runs producing
-// identical SimResult) lives at the bottom; CMake registers this binary
-// twice, under VBATT_THREADS=1 and =3.
+// CMake registers this binary twice, under VBATT_THREADS=1 and =3.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,9 +17,6 @@
 #include <limits>
 #include <vector>
 
-#include "vbatt/core/mip_scheduler.h"
-#include "vbatt/core/simulation.h"
-#include "vbatt/energy/site.h"
 #include "vbatt/solver/branch_bound.h"
 #include "vbatt/solver/reference.h"
 #include "vbatt/solver/simplex.h"
@@ -32,12 +26,6 @@ namespace vbatt::solver {
 namespace {
 
 constexpr double kObjTol = 1e-6;
-
-MipOptions revised_options() {
-  MipOptions options;
-  options.engine = MipEngine::revised;
-  return options;
-}
 
 /// The scheduler's per-app model family: binary site indicators x[τ][s],
 /// continuous move indicators y[τ][s], one-site-per-bucket equalities and
@@ -119,7 +107,7 @@ Model random_model(std::uint64_t seed, bool integral) {
 }
 
 // ---------------------------------------------------------------------------
-// Revised engine: objective parity with the oracle, warm/cold identity.
+// Revised engine: objective parity with the oracle.
 
 TEST(RevisedLp, ObjectiveMatchesReference) {
   for (std::uint64_t seed = 200; seed < 280; ++seed) {
@@ -144,8 +132,7 @@ TEST(RevisedMip, ObjectiveMatchesReference) {
                                              2 + static_cast<int>(seed % 4),
                                              seed, true);
     const MipResult want = reference::solve_mip(model);
-    for (const MipOptions& options : {MipOptions{}, revised_options()}) {
-      const MipResult got = solve_mip(model, options);
+    for (const MipResult& got : {solve_mip(model), solve_revised(model)}) {
       ASSERT_EQ(got.status, want.status) << "seed " << seed;
       if (want.status != LpStatus::optimal) continue;
       EXPECT_NEAR(got.objective, want.objective, kObjTol) << "seed " << seed;
@@ -172,37 +159,6 @@ TEST(RevisedMip, ObjectiveMatchesReference) {
       }
     }
   }
-}
-
-TEST(RevisedMip, WarmStartIsBitIdenticalToCold) {
-  for (std::uint64_t seed = 400; seed < 430; ++seed) {
-    const Model model = trajectory_mip(2 + static_cast<int>(seed % 4),
-                                       2 + static_cast<int>(seed % 5), seed,
-                                       true);
-    const MipResult cold = solve_mip(model, revised_options());
-    ASSERT_EQ(cold.status, LpStatus::optimal) << "seed " << seed;
-    // Warm with the optimum itself — the strongest possible cutoff — and
-    // with a valid-but-suboptimal trajectory (all apps parked at site 0
-    // forever is feasible for this family when it starts there).
-    MipWarmStart warm{cold.x};
-    const MipResult rewarm = solve_mip(model, revised_options(), &warm);
-    EXPECT_EQ(rewarm.objective, cold.objective) << "seed " << seed;
-    EXPECT_EQ(rewarm.x, cold.x) << "seed " << seed;
-    EXPECT_EQ(rewarm.status, cold.status) << "seed " << seed;
-  }
-}
-
-TEST(RevisedMip, InvalidWarmStartIsIgnored) {
-  Model m;
-  const int a = m.add_binary("a", -10.0);
-  const int b = m.add_binary("b", -6.0);
-  m.add_constraint({{a, 5.0}, {b, 4.0}}, Rel::le, 6.0);
-  const MipResult cold = solve_mip(m, revised_options());
-  // Violates the knapsack row: must be rejected, not trusted.
-  MipWarmStart bogus{{1.0, 1.0}};
-  const MipResult warm = solve_mip(m, revised_options(), &bogus);
-  EXPECT_EQ(warm.objective, cold.objective);
-  EXPECT_EQ(warm.x, cold.x);
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +189,7 @@ TEST(SolverEdge, InfeasibleRows) {
             LpStatus::infeasible);
   EXPECT_EQ(solve_lp(m).status, LpStatus::infeasible);
   EXPECT_EQ(solve_mip(m).status, LpStatus::infeasible);
-  EXPECT_EQ(solve_mip(m, revised_options()).status, LpStatus::infeasible);
+  EXPECT_EQ(solve_revised(m).status, LpStatus::infeasible);
 }
 
 TEST(SolverEdge, UnboundedRay) {
@@ -269,7 +225,7 @@ TEST(SolverEdge, AllBoundsTight) {
   bad.add_constraint({{z, 1.0}}, Rel::le, 1.0);
   EXPECT_EQ(solve_lp(bad).status, LpStatus::infeasible);
   EXPECT_EQ(solve_mip(bad).status, LpStatus::infeasible);
-  EXPECT_EQ(solve_mip(bad, revised_options()).status, LpStatus::infeasible);
+  EXPECT_EQ(solve_revised(bad).status, LpStatus::infeasible);
 }
 
 TEST(SolverEdge, PresolveDischargesEntireModel) {
@@ -283,7 +239,7 @@ TEST(SolverEdge, PresolveDischargesEntireModel) {
   m.add_constraint({{y, 2.0}}, Rel::eq, 3.0);
   m.add_constraint({{x, 1.0}, {y, 1.0}}, Rel::le, 10.0);
   for (const MipResult& r :
-       {solve_mip(m), solve_mip(m, revised_options())}) {
+       {solve_mip(m), solve_revised(m)}) {
     ASSERT_EQ(r.status, LpStatus::optimal);
     EXPECT_NEAR(r.x[0], 4.0, 1e-9);
     EXPECT_NEAR(r.x[1], 1.5, 1e-9);
@@ -304,89 +260,11 @@ TEST(SolverEdge, PivotBudgetSurfacesAsIterationLimit) {
 
   // Same knob through the MIP layer: the root LP dies, so the solve does.
   const Model mip_model = trajectory_mip(3, 4, 78, true);
-  MipOptions options = revised_options();
+  MipOptions options;
   options.max_lp_pivots = 1;
-  EXPECT_EQ(solve_mip(mip_model, options).status, LpStatus::iteration_limit);
-}
-
-TEST(Lexicographic, InPlaceRestoresModelExactly) {
-  Model m = trajectory_mip(3, 4, 55, true);
-  const std::size_t n_rows = m.n_constraints();
-  std::vector<double> costs;
-  for (const Variable& v : m.vars()) costs.push_back(v.cost);
-  std::vector<double> secondary(m.n_vars(), 0.0);
-  secondary[0] = 1.0;
-  for (const MipOptions& options : {MipOptions{}, revised_options()}) {
-    const MipResult r = solve_lexicographic(m, secondary, 0.01, 1e-6,
-                                            options);
-    ASSERT_EQ(r.status, LpStatus::optimal);
-    // The cap row is popped and the primary costs restored.
-    EXPECT_EQ(m.n_constraints(), n_rows);
-    for (std::size_t i = 0; i < m.n_vars(); ++i) {
-      EXPECT_EQ(m.vars()[i].cost, costs[i]);
-    }
-  }
+  EXPECT_EQ(solve_revised(mip_model, options).status,
+            LpStatus::iteration_limit);
 }
 
 }  // namespace
 }  // namespace vbatt::solver
-
-// ---------------------------------------------------------------------------
-// Scheduler-level determinism: warm-started and cold MipScheduler runs must
-// produce identical simulations when both use the revised engine. CMake
-// runs this binary under VBATT_THREADS=1 and VBATT_THREADS=3.
-
-namespace vbatt::core {
-namespace {
-
-SimResult run_policy(bool warm_start) {
-  energy::FleetConfig config;
-  config.n_solar = 2;
-  config.n_wind = 2;
-  config.region_km = 500.0;
-  VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 5.0;
-  const VbGraph graph{
-      energy::generate_fleet(config, util::TimeAxis{15}, 96 * 2),
-      graph_config};
-
-  std::vector<workload::Application> apps;
-  for (int i = 0; i < 8; ++i) {
-    workload::Application app;
-    app.app_id = i;
-    app.arrival = i * 4;
-    app.lifetime_ticks = 96;
-    app.shape = {4, 16.0};
-    app.n_stable = 8;
-    app.n_degradable = 4;
-    apps.push_back(app);
-  }
-
-  MipSchedulerConfig sched_config = make_mip_config();
-  sched_config.mip.engine = solver::MipEngine::revised;
-  sched_config.warm_start = warm_start;
-  MipScheduler scheduler{sched_config};
-  return run_simulation(graph, apps, scheduler);
-}
-
-TEST(MipSchedulerDeterminism, WarmAndColdRunsAreIdentical) {
-  const SimResult warm = run_policy(true);
-  const SimResult cold = run_policy(false);
-  ASSERT_EQ(warm.apps_placed, 8);  // the run must actually exercise solves
-  EXPECT_EQ(warm.apps_placed, cold.apps_placed);
-  EXPECT_EQ(warm.planned_migrations, cold.planned_migrations);
-  EXPECT_EQ(warm.forced_migrations, cold.forced_migrations);
-  EXPECT_EQ(warm.displaced_stable_core_ticks,
-            cold.displaced_stable_core_ticks);
-  EXPECT_EQ(warm.paused_degradable_vm_ticks,
-            cold.paused_degradable_vm_ticks);
-  EXPECT_EQ(warm.degradable_active_vm_ticks,
-            cold.degradable_active_vm_ticks);
-  EXPECT_EQ(warm.energy_mwh, cold.energy_mwh);
-  EXPECT_EQ(warm.moved_gb, cold.moved_gb);
-  EXPECT_EQ(warm.energy_mwh_per_tick, cold.energy_mwh_per_tick);
-  EXPECT_EQ(warm.displaced_by_app, cold.displaced_by_app);
-}
-
-}  // namespace
-}  // namespace vbatt::core
