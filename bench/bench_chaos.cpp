@@ -2,9 +2,9 @@
 //
 // For each (policy, intensity) cell a seeded fault schedule is generated
 // (blackouts, brownouts, forecast corruption, WAN link flaps, server
-// failures), baked into a FaultInjector, and driven through the VM-level
-// simulator with the invariant checker armed on every tick. Reported per
-// cell:
+// failures), baked into a StreamInjector by its schedule constructor, and
+// driven through the VM-level simulator; the injector runs the invariant
+// checker on every tick. Reported per cell:
 //   availability   stable-core availability (mean / min over apps)
 //   p99 recovery   p99 / max length of contiguous displaced-stable runs,
 //                  from SimResult::displaced_stable_cores_per_tick
@@ -27,7 +27,7 @@
 #include "vbatt/core/fleet_sim.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/energy/site.h"
-#include "vbatt/fault/injector.h"
+#include "vbatt/fault/stream.h"
 #include "vbatt/util/thread_pool.h"
 #include "vbatt/workload/app.h"
 
@@ -197,8 +197,7 @@ int main(int argc, char** argv) {
       chaos.intensity = intensity;
       const fault::FaultSchedule schedule =
           fault::make_chaos_schedule(graph, chaos, kChaosSeed);
-      fault::FaultInjector injector{graph, schedule, kChaosSeed,
-                                    /*check_invariants=*/true};
+      fault::StreamInjector injector{graph, kChaosSeed, schedule};
       core::VmLevelConfig config;
       config.faults.hooks = &injector;
 

@@ -3,11 +3,13 @@
 // The simulators never depend on the fault library; they only talk to this
 // abstract interface. When no hooks are installed (the default), every
 // fault branch in the simulators is skipped and the output is byte-for-byte
-// identical to a build that has never heard of faults. vbatt::fault's
-// FaultInjector implements the interface and additionally *bakes* power
+// identical to a build that has never heard of faults. fault::StreamInjector
+// is the one production implementation: it additionally *bakes* power
 // faults (blackout, brownout, forecast error) into a private copy of the
 // VbGraph, so the hot paths keep reading plain arrays — no virtual call per
-// core lookup, only a handful per tick.
+// core lookup, only a handful per tick — and checks the end-of-tick
+// invariants on every hooked tick. The only other implementation is
+// StreamInjector's frozen oracle in testkit (ref_fault_injector.h).
 #pragma once
 
 #include <cstddef>

@@ -1,10 +1,11 @@
-// Debug-mode invariant checking for chaos runs.
+// Per-tick invariant checking for hooked runs.
 //
-// The checker is handed the simulator's end-of-tick snapshot plus the
-// injector's view of which sites are blacked out, and throws
-// std::logic_error naming the violated law. It exists to catch silent
-// accounting corruption the moment a fault path breaks it, not ticks later
-// when a counter looks odd.
+// StreamInjector runs the checker at the end of every tick it is installed
+// for, handing it the simulator's end-of-tick snapshot plus the injector's
+// view of which sites are blacked out; a violation throws std::logic_error
+// naming the law. It exists to catch silent accounting corruption the
+// moment a fault path breaks it, not ticks later when a counter looks odd.
+// The passing path allocates nothing.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,13 @@
 // Deterministic, typed fault schedules.
 //
-// A FaultSchedule is a validated list of timed fault events — the single
-// input to FaultInjector. Schedules come from two places: the seeded chaos
-// generator (make_chaos_schedule, per-(kind, site) child RNG streams so
-// adding a fault kind never perturbs the others) or a CSV on disk
-// (load_schedule_csv, trace_io-style validation that names the offending
-// row and column). Either way the schedule is plain data: replaying the
-// same schedule yields the same faults, bit for bit.
+// A FaultSchedule is a validated list of timed fault events — what the
+// schedule constructor of StreamInjector (stream.h) bakes, and what the
+// service receives as fault reports. Schedules come from two places: the
+// seeded chaos generator (make_chaos_schedule, per-(kind, site) child RNG
+// streams so adding a fault kind never perturbs the others) or a CSV on
+// disk (load_schedule_csv, trace_io-style validation that names the
+// offending row and column). Either way the schedule is plain data:
+// replaying the same schedule yields the same faults, bit for bit.
 #pragma once
 
 #include <cstddef>

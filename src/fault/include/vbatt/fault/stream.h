@@ -1,18 +1,31 @@
-// StreamInjector: runtime fault injection for the control-plane service.
+// StreamInjector: the fault injector. Every chaos path — `vbatt schedule
+// --chaos`, bench_chaos, the control-plane service and its batch-side
+// check, the testkit chaos properties — installs one as its
+// core::FaultHooks.
 //
-// FaultInjector (injector.h) bakes a complete FaultSchedule into a copied
-// VbGraph at construction — fine for batch runs where the schedule is known
-// upfront, useless for a resident service where FaultReport events arrive
-// while the clock is running. StreamInjector keeps the same wrapper shape
-// (it owns the effective graph and implements core::FaultHooks) but accepts
-// events online: each accepted event re-bakes the affected site's power /
-// forecast series from pristine baselines, so only *future* ticks ever
-// change (inject() rejects events that start at or before the current
-// tick). Events delivered before the first tick bake exactly what
-// FaultInjector would have baked from the same schedule — the parity test
-// (test_fault_stream) pins blackout / brownout / forecast / link / server
-// equivalence bit for bit, forecast noise included (same per-event child
-// stream, seed_for(noise_seed, "forecast-noise", i)).
+// The injector owns the effective graph: a copy of the VbGraph with power
+// faults (blackout, brownout) and forecast corruption baked directly into
+// the copied series, so simulators run against it through the ordinary
+// const VbGraph& path and the hot loops read plain arrays. Only the dynamic
+// faults (WAN link flaps, server failures) act at runtime, through the
+// hooks. Each site is baked from pristine baselines, so events can arrive
+// two ways:
+//   StreamInjector(graph, seed, schedule) — a whole FaultSchedule known
+//       upfront: validated, recorded in schedule order, each site baked
+//       once (batch runs, benches, tests).
+//   inject(event, now) — one event while the clock runs: only the
+//       affected site is re-baked and only *future* ticks change (events
+//       that start at or before `now` are rejected).
+// Both record the same state, so a schedule delivered before tick 0 bakes
+// the same graph either way. Forecast noise draws one child stream per
+// accepted event, seed_for(noise_seed, "forecast-noise", i), i the
+// acceptance index. The frozen one-shot baker in testkit
+// (ref_fault_injector.h) is the oracle: the fault.stream_parity fuzz
+// property and test_fault_stream pin every series and hook output to it
+// bit for bit.
+//
+// on_tick_end runs the InvariantChecker on every hooked tick (throws
+// std::logic_error on a violation); checked_ticks() counts the vetted ticks.
 //
 // On top of scheduled fault kinds the service needs three administrative
 // controls with distinct semantics:
@@ -41,6 +54,7 @@
 
 #include "vbatt/core/fault_hooks.h"
 #include "vbatt/core/vb_graph.h"
+#include "vbatt/fault/invariants.h"
 #include "vbatt/fault/schedule.h"
 #include "vbatt/util/wire.h"
 
@@ -49,17 +63,27 @@ namespace vbatt::fault {
 class StreamInjector final : public core::FaultHooks {
  public:
   /// Copy `graph` as both the pristine baseline and the effective graph.
-  /// `noise_seed` drives forecast-noise child streams exactly as in
-  /// FaultInjector.
+  /// `noise_seed` drives the forecast-noise child streams.
   explicit StreamInjector(const core::VbGraph& graph,
                           std::uint64_t noise_seed = 0);
+
+  /// Bake a whole schedule: `schedule.validate` against `graph`, then
+  /// every event recorded at now = -1 in schedule order (so event i draws
+  /// forecast-noise stream i) and each site baked once.
+  StreamInjector(const core::VbGraph& graph, std::uint64_t noise_seed,
+                 const FaultSchedule& schedule);
 
   /// The effective (faulted) graph: run the stepper against *this*.
   const core::VbGraph& graph() const noexcept { return graph_; }
 
   /// Number of fault events accepted so far (also the next forecast-noise
-  /// child-stream index, mirroring FaultInjector's schedule index).
+  /// child-stream index).
   std::uint64_t accepted_events() const noexcept { return accepted_; }
+
+  /// Ticks the InvariantChecker has vetted (one per on_tick_end).
+  std::int64_t checked_ticks() const noexcept {
+    return checker_.checked_ticks();
+  }
 
   /// Accept a fault event. `now` is the last fully stepped tick; the event
   /// must start strictly after it (history is immutable). Throws
@@ -120,7 +144,14 @@ class StreamInjector final : public core::FaultHooks {
     std::uint64_t noise_index = 0;  // child-stream index at acceptance
   };
 
+  /// Validate `e` against `now` and append it to the accepted-event state
+  /// without baking.
+  void record(const FaultEvent& e, util::Tick now);
+  /// Restore site `s` from its baselines, then bake_site(s).
   void rebake_site(std::size_t s);
+  /// Apply every accepted window of site `s` to its (pristine) effective
+  /// series and rebuild its masks.
+  void bake_site(std::size_t s);
   void rebake_masks(std::size_t s);
   void rebake_all();
 
@@ -158,6 +189,10 @@ class StreamInjector final : public core::FaultHooks {
   /// Per-site fault masks, tick-indexed (site * n_ticks + t).
   std::vector<char> down_;
   std::vector<char> degraded_;
+
+  InvariantChecker checker_;
+  /// Per-site blackout mask of the tick being checked (reused scratch).
+  std::vector<char> down_now_;
 };
 
 }  // namespace vbatt::fault

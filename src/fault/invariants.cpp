@@ -8,9 +8,14 @@ namespace vbatt::fault {
 
 void InvariantChecker::check(const core::TickSnapshot& snap,
                              const std::vector<char>& site_down) {
+  // Messages are built only on the failing path: the checker runs on every
+  // hooked tick, so the passing path allocates nothing.
   const auto fail = [&](const std::string& law) {
     throw std::logic_error{"InvariantChecker: tick " +
                            std::to_string(snap.t) + ": " + law};
+  };
+  const auto fail_at = [&](const char* law, std::size_t s) {
+    fail(law + (" at site " + std::to_string(s)));
   };
   if (snap.available == nullptr || snap.stable_cores == nullptr ||
       snap.degradable_cores == nullptr) {
@@ -28,13 +33,12 @@ void InvariantChecker::check(const core::TickSnapshot& snap,
     const int stable = (*snap.stable_cores)[s];
     const int degradable = (*snap.degradable_cores)[s];
     const int avail = (*snap.available)[s];
-    const std::string at = " at site " + std::to_string(s);
-    if (stable < 0) fail("negative stable cores" + at);
-    if (degradable < 0) fail("negative degradable cores" + at);
+    if (stable < 0) fail_at("negative stable cores", s);
+    if (degradable < 0) fail_at("negative degradable cores", s);
     if (site_down[s] != 0) {
-      if (avail > 0) fail("blacked-out site reports available cores" + at);
+      if (avail > 0) fail_at("blacked-out site reports available cores", s);
       if (degradable > 0) {
-        fail("active degradable VMs on blacked-out site" + at);
+        fail_at("active degradable VMs on blacked-out site", s);
       }
     }
     over_budget += std::max(0, stable + degradable - std::max(avail, 0));

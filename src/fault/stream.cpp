@@ -44,9 +44,27 @@ StreamInjector::StreamInjector(const core::VbGraph& graph,
   drain_open_.assign(n_sites_, 0);
   down_.assign(n_sites_ * n_ticks_, 0);
   degraded_.assign(n_sites_ * n_ticks_, 0);
+  down_now_.assign(n_sites_, 0);
+}
+
+StreamInjector::StreamInjector(const core::VbGraph& graph,
+                               std::uint64_t noise_seed,
+                               const FaultSchedule& schedule)
+    : StreamInjector{graph, noise_seed} {
+  schedule.validate(n_sites_, n_ticks_);
+  // Record everything first and bake each site once: re-baking per event
+  // would copy a site's whole series once per event on it. graph_ is still
+  // the pristine copy, so there is nothing to restore before baking.
+  for (const FaultEvent& e : schedule.events) record(e, -1);
+  for (std::size_t s = 0; s < n_sites_; ++s) bake_site(s);
 }
 
 void StreamInjector::inject(const FaultEvent& e, util::Tick now) {
+  record(e, now);
+  rebake_site(e.site);
+}
+
+void StreamInjector::record(const FaultEvent& e, util::Tick now) {
   const auto horizon = static_cast<util::Tick>(n_ticks_);
   if (e.site >= n_sites_) {
     reject("fault event field 'site' out of range: " +
@@ -112,7 +130,6 @@ void StreamInjector::inject(const FaultEvent& e, util::Tick now) {
       break;
   }
   ++accepted_;
-  rebake_site(e.site);
 }
 
 void StreamInjector::admin_down(std::size_t site, util::Tick from) {
@@ -192,6 +209,11 @@ void StreamInjector::rebake_site(std::size_t s) {
   core::VbSite& site = graph_.mutable_sites()[s];
   site.power_norm = base_power_[s];
   site.forecast_norm = base_forecast_[s];
+  bake_site(s);
+}
+
+void StreamInjector::bake_site(std::size_t s) {
+  core::VbSite& site = graph_.mutable_sites()[s];
 
   // Power: brownouts multiply, then every zeroing window (blackout, drain,
   // admin) absorbs — order-independent, so a fixed pass order reproduces
@@ -212,9 +234,9 @@ void StreamInjector::rebake_site(std::size_t s) {
   zero(drains_[s]);
   zero(admin_[s]);
 
-  // Forecast corruption: per-event child stream, identical to
-  // FaultInjector's baking loop (noise_index stands in for the schedule
-  // index), so the same events yield the same corrupted series.
+  // Forecast corruption: one child stream per event, keyed by its
+  // acceptance index, so the same events yield the same corrupted series
+  // however they were delivered.
   for (const ForecastFault& f : forecast_faults_[s]) {
     util::Rng rng{util::seed_for(noise_seed_, "forecast-noise",
                                  f.noise_index)};
@@ -294,7 +316,10 @@ std::vector<core::ServerOutage> StreamInjector::server_outages_at(
 }
 
 void StreamInjector::on_tick_end(const core::TickSnapshot& snap) {
-  (void)snap;  // observation-only hook; the service reads status directly
+  for (std::size_t s = 0; s < n_sites_; ++s) {
+    down_now_[s] = site_down(s, snap.t) ? 1 : 0;
+  }
+  checker_.check(snap, down_now_);
 }
 
 // --- serialization --------------------------------------------------------

@@ -3,6 +3,8 @@
 #include <stdexcept>
 
 #include "vbatt/core/mip_scheduler.h"
+#include "vbatt/fault/stream.h"
+#include "vbatt/svc/scenario.h"
 
 namespace vbatt::svc {
 
@@ -120,6 +122,21 @@ std::unique_ptr<core::Scheduler> make_service_scheduler(
   }
   bad_field("policy",
             "must be greedy|mip|mip24h|mippeak, got '" + policy + "'");
+}
+
+core::SimResult run_batch_engine(const Scenario& scenario,
+                                 const ServiceConfig& config) {
+  fault::StreamInjector injector{scenario.graph, config.noise_seed,
+                                 scenario.schedule};
+  const std::unique_ptr<core::Scheduler> scheduler =
+      make_service_scheduler(config.policy);
+  const core::FaultConfig faults{&injector, config.retry};
+  // The service receives batch entities as submission events; the batch
+  // engine gets the identical workload attached up front.
+  core::ScenarioExtensions ext;
+  if (!scenario.batch.empty()) ext.batch = &scenario.batch;
+  return core::run_simulation(injector.graph(), scenario.apps, *scheduler,
+                              config.power_model, &faults, &ext);
 }
 
 }  // namespace vbatt::svc

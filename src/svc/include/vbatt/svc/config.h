@@ -19,6 +19,8 @@
 
 namespace vbatt::svc {
 
+struct Scenario;
+
 /// Per-site liveness timeouts, in ticks without a heartbeat.
 struct HealthConfig {
   /// Master switch: off (default) means no health tracking at all — no
@@ -65,5 +67,15 @@ void apply_reconfigure(ServiceConfig& config, std::string_view spec);
 /// side of the equivalence check, so the two cannot drift apart.
 std::unique_ptr<core::Scheduler> make_service_scheduler(
     const std::string& policy);
+
+/// The batch side of the streamed-vs-batch equivalence check
+/// (`vbatt_svc --verify`, the svc.batch_diff fuzz property,
+/// test_svc_service): run_simulation over `scenario` under `config`'s
+/// policy, retry discipline and power model, with the whole fault schedule
+/// baked into a StreamInjector before tick 0 and the batch overlay attached
+/// up front. The injector is installed even for an empty schedule, so
+/// hook-gated accounting matches the service on fault-free runs too.
+core::SimResult run_batch_engine(const Scenario& scenario,
+                                 const ServiceConfig& config);
 
 }  // namespace vbatt::svc

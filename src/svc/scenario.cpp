@@ -22,10 +22,13 @@ Scenario make_scenario(const ScenarioConfig& config) {
   workload::AppGeneratorConfig app_config;
   app_config.apps_per_hour = config.apps_per_hour;
 
-  Scenario scenario{core::VbGraph{fleet, graph_config},
-                    workload::generate_apps(app_config, util::TimeAxis{15},
-                                            n_ticks),
-                    {}};
+  Scenario scenario{
+      .graph = core::VbGraph{fleet, graph_config},
+      .apps = workload::generate_apps(app_config, util::TimeAxis{15},
+                                      n_ticks),
+      .schedule = {},
+      .batch = {},
+  };
   if (config.chaos_intensity > 0.0) {
     fault::ChaosConfig chaos;
     chaos.intensity = config.chaos_intensity;
@@ -69,8 +72,8 @@ std::vector<Event> scenario_events(const Scenario& scenario, bool heartbeats) {
     }
   }
 
-  // Fault reports in schedule order (same order FaultInjector consumes the
-  // schedule, so forecast-noise child streams line up).
+  // Fault reports in schedule order (the order the schedule constructor of
+  // StreamInjector records them, so forecast-noise child streams line up).
   for (const fault::FaultEvent& f : scenario.schedule.events) {
     Event e;
     e.kind = EventKind::fault_report;

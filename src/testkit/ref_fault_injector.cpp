@@ -1,27 +1,27 @@
-#include "vbatt/fault/injector.h"
+#include "vbatt/testkit/ref_fault_injector.h"
 
 #include <algorithm>
 #include <cmath>
 
 #include "vbatt/util/rng.h"
 
-namespace vbatt::fault {
+namespace vbatt::testkit {
 
-FaultInjector::FaultInjector(const core::VbGraph& graph,
-                             FaultSchedule schedule, std::uint64_t noise_seed,
-                             bool check_invariants)
-    : graph_{graph},
-      schedule_{std::move(schedule)},
-      n_ticks_{graph.n_ticks()} {
-  schedule_.validate(graph.n_sites(), graph.n_ticks());
+using fault::FaultEvent;
+using fault::FaultKind;
+
+RefFaultInjector::RefFaultInjector(const core::VbGraph& graph,
+                                   const fault::FaultSchedule& schedule,
+                                   std::uint64_t noise_seed)
+    : graph_{graph}, n_ticks_{graph.n_ticks()} {
+  schedule.validate(graph.n_sites(), graph.n_ticks());
   const std::size_t n_sites = graph.n_sites();
   down_.assign(n_sites * n_ticks_, 0);
   degraded_.assign(n_sites * n_ticks_, 0);
-  if (check_invariants) checker_ = std::make_unique<InvariantChecker>();
 
   const auto end_tick = static_cast<util::Tick>(n_ticks_);
-  for (std::size_t i = 0; i < schedule_.events.size(); ++i) {
-    const FaultEvent& e = schedule_.events[i];
+  for (std::size_t i = 0; i < schedule.events.size(); ++i) {
+    const FaultEvent& e = schedule.events[i];
     const util::Tick stop = std::min(e.end, end_tick);
     core::VbSite& site = graph_.mutable_sites()[e.site];
     const auto mask = [&](std::vector<char>& m) {
@@ -76,7 +76,7 @@ FaultInjector::FaultInjector(const core::VbGraph& graph,
   }
 }
 
-void FaultInjector::begin_tick(util::Tick t) {
+void RefFaultInjector::begin_tick(util::Tick t) {
   if (const auto bump = epoch_bumps_.find(t); bump != epoch_bumps_.end()) {
     epoch_ += bump->second;
   }
@@ -87,33 +87,23 @@ void FaultInjector::begin_tick(util::Tick t) {
   }
 }
 
-bool FaultInjector::site_down(std::size_t s, util::Tick t) const {
+bool RefFaultInjector::site_down(std::size_t s, util::Tick t) const {
   if (t < 0 || static_cast<std::size_t>(t) >= n_ticks_) return false;
   const std::size_t at = s * n_ticks_ + static_cast<std::size_t>(t);
   return at < down_.size() && down_[at] != 0;
 }
 
-bool FaultInjector::site_degraded(std::size_t s, util::Tick t) const {
+bool RefFaultInjector::site_degraded(std::size_t s, util::Tick t) const {
   if (t < 0 || static_cast<std::size_t>(t) >= n_ticks_) return false;
   const std::size_t at = s * n_ticks_ + static_cast<std::size_t>(t);
   return at < degraded_.size() && degraded_[at] != 0;
 }
 
-std::vector<core::ServerOutage> FaultInjector::server_outages_at(
+std::vector<core::ServerOutage> RefFaultInjector::server_outages_at(
     util::Tick t) {
   const auto due = outages_.find(t);
   if (due == outages_.end()) return {};
   return due->second;
 }
 
-void FaultInjector::on_tick_end(const core::TickSnapshot& snap) {
-  if (!checker_) return;
-  const std::size_t n_sites = graph_.n_sites();
-  std::vector<char> down_now(n_sites, 0);
-  for (std::size_t s = 0; s < n_sites; ++s) {
-    down_now[s] = site_down(s, snap.t) ? 1 : 0;
-  }
-  checker_->check(snap, down_now);
-}
-
-}  // namespace vbatt::fault
+}  // namespace vbatt::testkit

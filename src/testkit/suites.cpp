@@ -20,7 +20,6 @@
 #include "vbatt/energy/aggregate.h"
 #include "vbatt/energy/site.h"
 #include "vbatt/core/simulation.h"
-#include "vbatt/fault/injector.h"
 #include "vbatt/fault/schedule.h"
 #include "vbatt/fault/stream.h"
 #include "vbatt/solver/branch_bound.h"
@@ -33,6 +32,7 @@
 #include "vbatt/testkit/batch_reference.h"
 #include "vbatt/testkit/forecast_reference.h"
 #include "vbatt/testkit/generators.h"
+#include "vbatt/testkit/ref_fault_injector.h"
 #include "vbatt/testkit/ref_site.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
@@ -232,8 +232,8 @@ CaseResult eval_chaos_zero(const Spec& spec) {
   const core::VmLevelResult bare =
       core::run_fleet_simulation(sc.graph, sc.apps, *sched_a);
 
-  fault::FaultInjector injector{sc.graph, fault::FaultSchedule{},
-                                spec.child_seed("noise")};
+  fault::StreamInjector injector{sc.graph, spec.child_seed("noise"),
+                                 fault::FaultSchedule{}};
   core::VmLevelConfig config;
   config.faults.hooks = &injector;
   const auto sched_b = make_scheduler(spec);
@@ -306,7 +306,7 @@ CaseResult eval_fleet_shard_invariance(const Spec& spec) {
   const std::uint64_t noise = spec.child_seed("noise");
 
   const auto faulted_run = [&](auto&& engine) {
-    fault::FaultInjector injector{sc.graph, schedule, noise};
+    fault::StreamInjector injector{sc.graph, noise, schedule};
     core::VmLevelConfig config = make_vm_config(spec);
     config.faults.hooks = &injector;
     const auto scheduler = make_scheduler(spec);
@@ -1178,7 +1178,7 @@ CaseResult eval_delta_model_identity(const Spec& spec) {
   std::int64_t patches = 0;
   std::int64_t invalidations = 0;
   const auto run_with = [&](bool incremental, bool verify) {
-    fault::FaultInjector injector{sc.graph, schedule, noise};
+    fault::StreamInjector injector{sc.graph, noise, schedule};
     core::VmLevelConfig config;
     config.faults.hooks = &injector;
     core::MipSchedulerConfig mc = policy == "peak"
@@ -1397,8 +1397,8 @@ CaseResult eval_chaos_invariants(const Spec& spec) {
       std::max<std::int64_t>(0, spec.get("i100", 200)) / 100.0;
   const fault::FaultSchedule schedule =
       make_chaos_schedule(sc.graph, config, spec.child_seed("chaos"));
-  fault::FaultInjector injector{sc.graph, schedule, spec.child_seed("noise"),
-                                /*check_invariants=*/true};
+  fault::StreamInjector injector{sc.graph, spec.child_seed("noise"),
+                                 schedule};
   core::VmLevelConfig vm_config;
   vm_config.faults.hooks = &injector;
   const auto scheduler = make_scheduler(spec);
@@ -1414,6 +1414,100 @@ CaseResult eval_chaos_invariants(const Spec& spec) {
     return fail_str("checker vetted " +
                     std::to_string(injector.checked_ticks()) + " of " +
                     std::to_string(sc.graph.n_ticks()) + " ticks");
+  }
+  return CaseResult::pass();
+}
+
+/// StreamInjector against its frozen oracle, RefFaultInjector: a random
+/// chaos schedule recorded by the schedule constructor (online=0), or
+/// injected event by event at now = start - 1 while the clock runs
+/// (online=1), must bake every power and forecast series bit for bit and
+/// answer site_down, site_degraded, server_outages_at, topology_epoch and
+/// link state identically on every tick.
+CaseResult eval_fault_stream_parity(const Spec& spec) {
+  const core::VbGraph graph = make_graph(spec);
+  fault::ChaosConfig chaos;
+  chaos.intensity = std::max<std::int64_t>(0, spec.get("i100", 200)) / 100.0;
+  const fault::FaultSchedule schedule =
+      make_chaos_schedule(graph, chaos, spec.child_seed("chaos"));
+  const std::uint64_t noise = spec.child_seed("noise");
+  const bool online = spec.get("online", 0) != 0;
+
+  RefFaultInjector ref{graph, schedule, noise};
+  fault::StreamInjector stream =
+      online ? fault::StreamInjector{graph, noise}
+             : fault::StreamInjector{graph, noise, schedule};
+  const std::size_t n_sites = graph.n_sites();
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const auto series_diff = [&](std::size_t s, std::size_t lo,
+                               std::size_t hi) -> std::string {
+    const core::VbSite& a = stream.graph().sites()[s];
+    const core::VbSite& b = ref.graph().sites()[s];
+    for (std::size_t i = lo; i < hi; ++i) {
+      if (!same(a.power_norm[i], b.power_norm[i])) {
+        return "power at site " + std::to_string(s) + " tick " +
+               std::to_string(i);
+      }
+      for (std::size_t lead = 0; lead < a.forecast_norm.size(); ++lead) {
+        if (!same(a.forecast_norm[lead][i], b.forecast_norm[lead][i])) {
+          return "forecast lead " + std::to_string(lead) + " at site " +
+                 std::to_string(s) + " tick " + std::to_string(i);
+        }
+      }
+    }
+    return "";
+  };
+
+  std::size_t next = 0;
+  for (util::Tick t = 0; t < static_cast<util::Tick>(graph.n_ticks()); ++t) {
+    const std::string at = " at tick " + std::to_string(t);
+    // Events are sorted by start: deliver each just before its first tick.
+    while (online && next < schedule.events.size() &&
+           schedule.events[next].start <= t) {
+      stream.inject(schedule.events[next++], t - 1);
+    }
+    stream.begin_tick(t);
+    ref.begin_tick(t);
+    if (stream.topology_epoch() != ref.topology_epoch()) {
+      return fail_str("topology_epoch" + at);
+    }
+    const std::vector<core::ServerOutage> oa = stream.server_outages_at(t);
+    const std::vector<core::ServerOutage> ob = ref.server_outages_at(t);
+    if (oa.size() != ob.size()) return fail_str("outage count" + at);
+    for (std::size_t i = 0; i < oa.size(); ++i) {
+      if (oa[i].site != ob[i].site || oa[i].count != ob[i].count ||
+          oa[i].repair_tick != ob[i].repair_tick) {
+        return fail_str("outage " + std::to_string(i) + at);
+      }
+    }
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      if (stream.site_down(s, t) != ref.site_down(s, t)) {
+        return fail_str("site_down of site " + std::to_string(s) + at);
+      }
+      if (stream.site_degraded(s, t) != ref.site_degraded(s, t)) {
+        return fail_str("site_degraded of site " + std::to_string(s) + at);
+      }
+      for (std::size_t p = s + 1; p < n_sites; ++p) {
+        if (stream.graph().latency().connected(s, p) !=
+            ref.graph().latency().connected(s, p)) {
+          return fail_str("link " + std::to_string(s) + "-" +
+                          std::to_string(p) + at);
+        }
+      }
+      // Everything that can touch tick t has been delivered by now.
+      const auto i = static_cast<std::size_t>(t);
+      if (std::string d = series_diff(s, i, i + 1); !d.empty()) {
+        return fail_str(std::move(d));
+      }
+    }
+  }
+  // Whole series once more: a later injection must not rewrite history.
+  for (std::size_t s = 0; s < n_sites; ++s) {
+    if (std::string d = series_diff(s, 0, graph.n_ticks()); !d.empty()) {
+      return fail_str("after the run: " + d);
+    }
   }
   return CaseResult::pass();
 }
@@ -1764,27 +1858,6 @@ svc::ServiceConfig svc_service_config(const Spec& spec) {
   return config;
 }
 
-/// The batch half of the equivalence contract: run_simulation over the
-/// same scenario, with every scheduled fault pre-injected into a
-/// StreamInjector so hook-gated accounting matches the service (same
-/// construction as vbatt_svc --verify).
-core::SimResult svc_run_batch(const svc::Scenario& scenario,
-                              const svc::ServiceConfig& config) {
-  fault::StreamInjector injector{scenario.graph, config.noise_seed};
-  for (const fault::FaultEvent& f : scenario.schedule.events) {
-    injector.inject(f, -1);
-  }
-  const std::unique_ptr<core::Scheduler> scheduler =
-      svc::make_service_scheduler(config.policy);
-  core::FaultConfig faults{&injector, config.retry};
-  // The service receives batch entities as submission events; the batch
-  // engine gets the identical workload attached up front via extensions.
-  core::ScenarioExtensions ext;
-  if (!scenario.batch.empty()) ext.batch = &scenario.batch;
-  return core::run_simulation(injector.graph(), scenario.apps, *scheduler,
-                              config.power_model, &faults, &ext);
-}
-
 /// Feeding a scenario's event stream through the ControlPlane must
 /// reproduce the batch engine's SimResult bit-exactly — telemetry,
 /// faults, arrivals, and (when enabled) per-tick heartbeats included.
@@ -1806,7 +1879,7 @@ CaseResult eval_svc_batch_diff(const Spec& spec) {
     }
   }
   const core::SimResult streamed = service.finish();
-  const core::SimResult batch = svc_run_batch(scenario, config);
+  const core::SimResult batch = svc::run_batch_engine(scenario, config);
   if (svc::result_fingerprint(streamed) != svc::result_fingerprint(batch)) {
     return fail_str("streamed result diverges from the batch engine");
   }
@@ -2044,6 +2117,38 @@ std::vector<Property> all_properties() {
                       },
                       eval_chaos_invariants,
                       kScenarioShrink});
+
+  registry.push_back({"fault", "stream_parity",
+                      [](util::Rng& rng) {
+                        Spec spec;
+                        spec.set("seed",
+                                 static_cast<std::int64_t>(rng.next() >> 1));
+                        gen_graph_keys(spec, rng);
+                        // Wider than the scenario draw (no simulation
+                        // runs): more sites, links and days give more
+                        // overlapping windows of every kind.
+                        const auto sites =
+                            1 + static_cast<std::int64_t>(rng.below(6));
+                        spec.set("sites", sites);
+                        spec.set("wind", static_cast<std::int64_t>(rng.below(
+                                             static_cast<std::uint64_t>(
+                                                 sites + 1))));
+                        spec.set("days",
+                                 1 + static_cast<std::int64_t>(rng.below(4)));
+                        spec.set("i100",
+                                 static_cast<std::int64_t>(rng.below(400)));
+                        spec.set("online", rng.chance(0.5) ? 1 : 0);
+                        return spec;
+                      },
+                      eval_fault_stream_parity,
+                      {{"days", 1},
+                       {"sites", 1},
+                       {"wind", 0},
+                       {"peak", 1},
+                       {"amp", 0},
+                       {"period", 1},
+                       {"i100", 0},
+                       {"online", 0}}});
 
   const auto svc_gen = [](util::Rng& rng) {
     Spec spec;

@@ -1,6 +1,8 @@
 #!/bin/sh
-# CLI golden bytes: `vbatt schedule --days=7` for each MIP flow must print
-# exactly the stdout checked in under tests/golden/. Unlike
+# CLI golden bytes: `vbatt schedule --days=7` for each MIP flow, and for
+# three chaos runs (a seeded MIP schedule, a seeded VM-level greedy
+# schedule and a replayed CSV schedule, tests/golden/chaos_7d.csv), must
+# print exactly the stdout checked in under tests/golden/. Unlike
 # cli_thread_invariance, which compares two thread counts of one build,
 # this pins the output across commits, so a refactor that claims to keep
 # behaviour has to keep every byte.
@@ -22,23 +24,33 @@ tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 
 status=0
-for case in "mip --policy=mip" "mip24h --policy=mip24h" \
-            "mippeak --policy=mippeak" "cost --objective=cost" \
-            "carbon --objective=carbon"; do
-  name="${case%% *}"
-  flag="${case#* }"
+# check <name> <flags...>: compare `vbatt schedule <flags> --days=7` with
+# golden/schedule_7d_<name>.out.
+check() {
+  name="$1"
+  shift
   out="$tmpdir/$name.out"
-  "$vbatt" schedule "$flag" --days=7 >"$out" || {
-    echo "FAIL: vbatt schedule $flag --days=7 exited non-zero" >&2
+  "$vbatt" schedule "$@" --days=7 >"$out" || {
+    echo "FAIL: vbatt schedule $* --days=7 exited non-zero" >&2
     status=1
-    continue
+    return
   }
   if cmp -s "$golden/schedule_7d_$name.out" "$out"; then
-    echo "OK: vbatt schedule $flag --days=7"
+    echo "OK: vbatt schedule $* --days=7"
   else
     diff "$golden/schedule_7d_$name.out" "$out" >&2
-    echo "FAIL: vbatt schedule $flag --days=7 differs from the golden" >&2
+    echo "FAIL: vbatt schedule $* --days=7 differs from the golden" >&2
     status=1
   fi
-done
+}
+
+check mip --policy=mip
+check mip24h --policy=mip24h
+check mippeak --policy=mippeak
+check cost --objective=cost
+check carbon --objective=carbon
+check mip_chaos --policy=mip --chaos=1
+check greedy_vm_chaos --policy=greedy --vm-level --chaos=2 --chaos-seed=3
+check mip24h_chaos_csv --policy=mip24h --chaos-csv="$golden/chaos_7d.csv" \
+    --chaos-seed=5
 exit $status

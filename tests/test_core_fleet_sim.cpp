@@ -11,7 +11,7 @@
 
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/energy/site.h"
-#include "vbatt/fault/injector.h"
+#include "vbatt/fault/stream.h"
 #include "vbatt/fault/schedule.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/spec.h"
@@ -126,7 +126,7 @@ TEST(FleetSim, MatchesOracleUnderChaos) {
   // The injector is stateful (noise streams, repair bookkeeping): each run
   // gets its own instance seeded identically.
   const auto faulted = [&](auto&& run) {
-    fault::FaultInjector injector{graph, schedule, /*noise_seed=*/11};
+    fault::StreamInjector injector{graph, /*noise_seed=*/11, schedule};
     VmLevelConfig config;
     config.faults.hooks = &injector;
     return run(injector.graph(), config);
@@ -167,8 +167,8 @@ TEST(FleetSim, MatchesOracleOnBlockedMoveRetries) {
       make_chaos_schedule(sc.graph, chaos, spec.child_seed("chaos"));
   for (const int max_attempts : {5, 2}) {
     const auto faulted = [&](auto&& run) {
-      fault::FaultInjector injector{sc.graph, schedule,
-                                    spec.child_seed("noise")};
+      fault::StreamInjector injector{sc.graph, spec.child_seed("noise"),
+                                     schedule};
       VmLevelConfig config;
       config.faults.hooks = &injector;
       config.faults.retry.max_attempts = max_attempts;

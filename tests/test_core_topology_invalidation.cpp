@@ -13,7 +13,7 @@
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/simulation.h"
 #include "vbatt/energy/site.h"
-#include "vbatt/fault/injector.h"
+#include "vbatt/fault/stream.h"
 
 namespace vbatt::core {
 namespace {
@@ -118,7 +118,7 @@ TEST(TopologyInvalidation, InjectorEpochBumpsOnLinkFlapAndServerFailure) {
   servers.end = 7;
   schedule.events.push_back(servers);
 
-  fault::FaultInjector injector{graph, schedule};
+  fault::StreamInjector injector{graph, 0, schedule};
   EXPECT_EQ(injector.topology_epoch(), 0u);
   std::vector<std::uint64_t> trace;
   for (util::Tick t = 0; t < 12; ++t) {
@@ -141,7 +141,7 @@ TEST(TopologyInvalidation, SimulatorsInvalidateWhenTheEpochAdvances) {
   link.start = 30;   // after the first replan filled the model cache
   link.end = 40;
   schedule.events.push_back(link);
-  fault::FaultInjector injector{graph, schedule};
+  fault::StreamInjector injector{graph, 0, schedule};
   FaultConfig faults;
   faults.hooks = &injector;
 
@@ -156,7 +156,7 @@ TEST(TopologyInvalidation, SimulatorsInvalidateWhenTheEpochAdvances) {
   // VM-level simulator (also covers the fail_servers plumbing: the epoch
   // source is shared, only the call site differs).
   {
-    fault::FaultInjector vm_injector{graph, schedule};
+    fault::StreamInjector vm_injector{graph, 0, schedule};
     MipScheduler scheduler{small_config()};
     VmLevelConfig config;
     config.faults.hooks = &vm_injector;

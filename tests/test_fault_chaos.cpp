@@ -9,7 +9,7 @@
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/simulation.h"
 #include "vbatt/energy/site.h"
-#include "vbatt/fault/injector.h"
+#include "vbatt/fault/stream.h"
 
 namespace vbatt::fault {
 namespace {
@@ -77,7 +77,7 @@ TEST(FaultChaos, EmptyScheduleMatchesNoFaultRunGreedy) {
   core::GreedyScheduler plain_sched;
   const core::SimResult plain = run_simulation(graph, apps, plain_sched);
 
-  FaultInjector injector{graph, FaultSchedule{}};
+  StreamInjector injector{graph, 0, FaultSchedule{}};
   core::FaultConfig faults;
   faults.hooks = &injector;
   core::GreedyScheduler hooked_sched;
@@ -103,7 +103,7 @@ TEST(FaultChaos, EmptyScheduleMatchesNoFaultRunMip) {
   core::MipScheduler plain_sched{core::make_mip_config()};
   const core::SimResult plain = run_simulation(graph, apps, plain_sched);
 
-  FaultInjector injector{graph, FaultSchedule{}};
+  StreamInjector injector{graph, 0, FaultSchedule{}};
   core::FaultConfig faults;
   faults.hooks = &injector;
   core::MipScheduler hooked_sched{core::make_mip_config()};
@@ -121,7 +121,7 @@ TEST(FaultChaos, ChaosRunIsDeterministicAndThreadInvariant) {
   ASSERT_FALSE(schedule.empty());
 
   const auto run = [&](util::ThreadPool* pool) {
-    FaultInjector injector{graph, schedule, 11, /*check_invariants=*/true};
+    StreamInjector injector{graph, 11, schedule};
     core::GreedyScheduler sched;
     core::VmLevelConfig config;
     config.faults.hooks = &injector;
@@ -145,8 +145,7 @@ TEST(FaultChaos, InvariantsHoldOnEveryTick) {
   const auto apps = apps_of(15);
   ChaosConfig chaos;
   chaos.intensity = 2.0;
-  FaultInjector injector{graph, make_chaos_schedule(graph, chaos, 3), 3,
-                         /*check_invariants=*/true};
+  StreamInjector injector{graph, 3, make_chaos_schedule(graph, chaos, 3)};
   core::GreedyScheduler sched;
   core::VmLevelConfig config;
   config.faults.hooks = &injector;
@@ -162,8 +161,7 @@ TEST(FaultChaos, AppLevelChaosRunsAndCounts) {
   const auto apps = apps_of(15);
   ChaosConfig chaos;
   chaos.intensity = 2.0;
-  FaultInjector injector{graph, make_chaos_schedule(graph, chaos, 5), 5,
-                         /*check_invariants=*/true};
+  StreamInjector injector{graph, 5, make_chaos_schedule(graph, chaos, 5)};
   core::FaultConfig faults;
   faults.hooks = &injector;
   core::MipScheduler sched{core::make_mip24h_config()};

@@ -1,4 +1,6 @@
-#include "vbatt/fault/injector.h"
+// The schedule constructor of StreamInjector: each fault kind baked from a
+// whole FaultSchedule, plus the InvariantChecker laws it enforces per tick.
+#include "vbatt/fault/stream.h"
 
 #include <gtest/gtest.h>
 
@@ -29,11 +31,11 @@ FaultEvent event(FaultKind kind, std::size_t site, util::Tick start,
   return e;
 }
 
-TEST(FaultInjector, BlackoutZerosPowerOnlyInWindow) {
+TEST(StreamInjectorSchedule, BlackoutZerosPowerOnlyInWindow) {
   const core::VbGraph graph = small_graph();
   FaultSchedule s;
   s.events.push_back(event(FaultKind::site_blackout, 1, 40, 48));
-  const FaultInjector injector{graph, s};
+  const StreamInjector injector{graph, 0, s};
 
   for (util::Tick t = 40; t < 48; ++t) {
     EXPECT_EQ(injector.graph().available_cores(1, t), 0) << t;
@@ -54,13 +56,13 @@ TEST(FaultInjector, BlackoutZerosPowerOnlyInWindow) {
   }
 }
 
-TEST(FaultInjector, BrownoutDeratesPower) {
+TEST(StreamInjectorSchedule, BrownoutDeratesPower) {
   const core::VbGraph graph = small_graph();
   FaultSchedule s;
   FaultEvent e = event(FaultKind::site_brownout, 0, 30, 50);
   e.alpha = 0.5;
   s.events.push_back(e);
-  const FaultInjector injector{graph, s};
+  const StreamInjector injector{graph, 0, s};
   for (util::Tick t = 30; t < 50; ++t) {
     EXPECT_NEAR(
         injector.graph().site(0).power_norm[static_cast<std::size_t>(t)],
@@ -70,14 +72,14 @@ TEST(FaultInjector, BrownoutDeratesPower) {
   }
 }
 
-TEST(FaultInjector, ForecastErrorLeavesActualsAlone) {
+TEST(StreamInjectorSchedule, ForecastErrorLeavesActualsAlone) {
   const core::VbGraph graph = small_graph();
   FaultSchedule s;
   FaultEvent e = event(FaultKind::forecast_error, 2, 0, 96);
   e.alpha = 0.4;
   e.sigma = 0.05;
   s.events.push_back(e);
-  const FaultInjector injector{graph, s, /*noise_seed=*/9};
+  const StreamInjector injector{graph, /*noise_seed=*/9, s};
 
   // Actual power identical; at least one forecast entry must differ.
   bool forecast_changed = false;
@@ -96,11 +98,11 @@ TEST(FaultInjector, ForecastErrorLeavesActualsAlone) {
   EXPECT_FALSE(injector.site_degraded(2, 10));  // forecasts lie silently
 
   // Same seed, same corruption.
-  const FaultInjector again{graph, s, 9};
+  const StreamInjector again{graph, 9, s};
   EXPECT_EQ(again.graph().site(2).forecast_norm, faulted);
 }
 
-TEST(FaultInjector, LinkFlapSeversAndRestores) {
+TEST(StreamInjectorSchedule, LinkFlapSeversAndRestores) {
   const core::VbGraph graph = small_graph();
   // Find a connected pair.
   std::size_t a = 0, b = 0;
@@ -119,7 +121,7 @@ TEST(FaultInjector, LinkFlapSeversAndRestores) {
   FaultEvent e = event(FaultKind::link_down, a, 10, 20);
   e.peer = b;
   s.events.push_back(e);
-  FaultInjector injector{graph, s};
+  StreamInjector injector{graph, 0, s};
 
   injector.begin_tick(9);
   EXPECT_TRUE(injector.graph().latency().connected(a, b));
@@ -132,13 +134,13 @@ TEST(FaultInjector, LinkFlapSeversAndRestores) {
   EXPECT_TRUE(injector.graph().latency().connected(a, b));
 }
 
-TEST(FaultInjector, ServerOutagesDeliveredAtStart) {
+TEST(StreamInjectorSchedule, ServerOutagesDeliveredAtStart) {
   const core::VbGraph graph = small_graph();
   FaultSchedule s;
   FaultEvent e = event(FaultKind::server_failure, 3, 12, 60);
   e.count = 4;
   s.events.push_back(e);
-  FaultInjector injector{graph, s};
+  StreamInjector injector{graph, 0, s};
 
   EXPECT_TRUE(injector.server_outages_at(11).empty());
   const auto at12 = injector.server_outages_at(12);
@@ -150,11 +152,11 @@ TEST(FaultInjector, ServerOutagesDeliveredAtStart) {
   EXPECT_FALSE(injector.site_down(3, 30));
 }
 
-TEST(FaultInjector, RejectsInvalidSchedule) {
+TEST(StreamInjectorSchedule, RejectsInvalidSchedule) {
   const core::VbGraph graph = small_graph();
   FaultSchedule s;
   s.events.push_back(event(FaultKind::site_blackout, 99, 0, 4));
-  EXPECT_THROW((FaultInjector{graph, s}), std::runtime_error);
+  EXPECT_THROW((StreamInjector{graph, 0, s}), std::runtime_error);
 }
 
 TEST(InvariantChecker, PassesConsistentTickAndCountsIt) {

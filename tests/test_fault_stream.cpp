@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "vbatt/energy/site.h"
-#include "vbatt/fault/injector.h"
+#include "vbatt/testkit/ref_fault_injector.h"
 #include "vbatt/util/wire.h"
 
 namespace vbatt::fault {
@@ -26,7 +26,7 @@ core::VbGraph small_graph(std::size_t ticks = 96) {
 
 /// Equality of the full baked surface: series bit for bit, then every
 /// hook output over the whole horizon.
-void expect_parity(StreamInjector& stream, FaultInjector& batch,
+void expect_parity(StreamInjector& stream, testkit::RefFaultInjector& batch,
                    std::size_t n_ticks) {
   const core::VbGraph& a = stream.graph();
   const core::VbGraph& b = batch.graph();
@@ -73,30 +73,41 @@ FaultSchedule one_of_each() {
   return schedule;
 }
 
-TEST(FaultStream, OneOfEachKindMatchesBatchInjector) {
+/// The schedule constructor and per-event inject() before tick 0 must both
+/// match the frozen oracle.
+void expect_parity_both_ways(const core::VbGraph& graph,
+                             const FaultSchedule& schedule,
+                             std::uint64_t noise_seed) {
+  {
+    testkit::RefFaultInjector batch{graph, schedule, noise_seed};
+    StreamInjector stream{graph, noise_seed, schedule};
+    EXPECT_EQ(stream.accepted_events(), schedule.events.size());
+    expect_parity(stream, batch, graph.n_ticks());
+  }
+  {
+    testkit::RefFaultInjector batch{graph, schedule, noise_seed};
+    StreamInjector stream{graph, noise_seed};
+    for (const FaultEvent& e : schedule.events) stream.inject(e, -1);
+    expect_parity(stream, batch, graph.n_ticks());
+  }
+}
+
+TEST(FaultStream, OneOfEachKindMatchesOracle) {
   const core::VbGraph graph = small_graph();
   const FaultSchedule schedule = one_of_each();
   schedule.validate(graph.n_sites(), graph.n_ticks());
-
   // Forecast noise draws from per-event child streams of the same seed, so
   // parity must hold including the noisy forecast series.
-  FaultInjector batch{graph, schedule, /*noise_seed=*/99};
-  StreamInjector stream{graph, /*noise_seed=*/99};
-  for (const FaultEvent& e : schedule.events) stream.inject(e, -1);
-  expect_parity(stream, batch, graph.n_ticks());
+  expect_parity_both_ways(graph, schedule, /*noise_seed=*/99);
 }
 
-TEST(FaultStream, ChaosScheduleMatchesBatchInjector) {
+TEST(FaultStream, ChaosScheduleMatchesOracle) {
   const core::VbGraph graph = small_graph();
   ChaosConfig config;
   config.intensity = 2.5;
   const FaultSchedule schedule = make_chaos_schedule(graph, config, 11);
   ASSERT_FALSE(schedule.empty());
-
-  FaultInjector batch{graph, schedule, 7};
-  StreamInjector stream{graph, 7};
-  for (const FaultEvent& e : schedule.events) stream.inject(e, -1);
-  expect_parity(stream, batch, graph.n_ticks());
+  expect_parity_both_ways(graph, schedule, /*noise_seed=*/7);
 }
 
 TEST(FaultStream, RejectsEventsThatRewriteHistory) {
@@ -187,8 +198,7 @@ TEST(FaultStream, SaveRestoreReproducesBakedStateExactly) {
   const FaultSchedule schedule = make_chaos_schedule(graph, config, 3);
   ASSERT_FALSE(schedule.empty());
 
-  StreamInjector a{graph, 5};
-  for (const FaultEvent& e : schedule.events) a.inject(e, -1);
+  StreamInjector a{graph, 5, schedule};
   a.admin_down(0, 4);
   a.drain(1, 6);
   a.set_power(2, 8, {0.1, 0.2, 0.3}, 2);

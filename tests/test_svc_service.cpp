@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "vbatt/core/simulation.h"
-#include "vbatt/fault/stream.h"
+#include "vbatt/svc/config.h"
 #include "vbatt/svc/scenario.h"
 
 namespace vbatt::svc {
@@ -44,12 +43,7 @@ TEST(SvcService, StreamedScenarioMatchesBatchEngine) {
   for (Event& e : scenario_events(scenario)) service.submit(std::move(e));
   const core::SimResult streamed = service.finish();
 
-  fault::StreamInjector injector{scenario.graph, config.noise_seed};
-  const std::unique_ptr<core::Scheduler> scheduler =
-      make_service_scheduler(config.policy);
-  core::FaultConfig faults{&injector, config.retry};
-  const core::SimResult batch = core::run_simulation(
-      injector.graph(), scenario.apps, *scheduler, config.power_model, &faults);
+  const core::SimResult batch = run_batch_engine(scenario, config);
 
   EXPECT_EQ(result_fingerprint(streamed), result_fingerprint(batch));
   EXPECT_GT(streamed.apps_placed, 0);

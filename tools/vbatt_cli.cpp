@@ -12,52 +12,19 @@
 //
 // Every run is deterministic for a given --seed.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
+#include <memory>
 #include <numeric>
 #include <string>
 
-#include "vbatt/fault/injector.h"
+#include "args.h"
+#include "vbatt/fault/stream.h"
 #include "vbatt/vbatt.h"
 
 namespace {
 
 using namespace vbatt;
 
-/// --key=value / --flag argument bag.
-class Args {
- public:
-  Args(int argc, char** argv, int first) {
-    for (int i = first; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      const std::string body = arg.substr(2);
-      const std::size_t eq = body.find('=');
-      if (eq == std::string::npos) {
-        values_.insert_or_assign(body, std::string{"1"});
-      } else {
-        values_.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-      }
-    }
-  }
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  bool flag(const std::string& key) const { return values_.contains(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 energy::PowerTrace make_trace(const Args& args, std::size_t ticks) {
   const auto seed = static_cast<std::uint64_t>(args.number("seed", 11));
@@ -186,7 +153,7 @@ int cmd_schedule(const Args& args) {
   // no injector exists and the output is byte-identical to a chaos-free
   // build.
   const bool chaos = args.flag("chaos") || args.flag("chaos-csv");
-  std::unique_ptr<fault::FaultInjector> injector;
+  std::unique_ptr<fault::StreamInjector> injector;
   if (chaos) {
     fault::FaultSchedule schedule;
     const double seed_arg = args.number("chaos-seed", 7);
@@ -208,8 +175,8 @@ int cmd_schedule(const Args& args) {
       fault::validate_chaos_config(chaos_config);
       schedule = fault::make_chaos_schedule(graph, chaos_config, chaos_seed);
     }
-    injector = std::make_unique<fault::FaultInjector>(
-        graph, std::move(schedule), chaos_seed, /*check_invariants=*/true);
+    injector = std::make_unique<fault::StreamInjector>(graph, chaos_seed,
+                                                       schedule);
   }
   const core::VbGraph& sim_graph = chaos ? injector->graph() : graph;
   core::FaultConfig fault_config;
@@ -424,7 +391,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   util::install_shutdown_handlers();
   const std::string command = argv[1];
-  const Args args{argc, argv, 2};
+  const Args args{argc, argv, /*first=*/2};
   try {
     if (command == "trace") return cmd_trace(args);
     if (command == "fleet") return cmd_fleet(args);

@@ -36,18 +36,17 @@
 // with code 40 (util::kInterruptedExitCode).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <unistd.h>
 #include <vector>
 
-#include "vbatt/fault/stream.h"
+#include "args.h"
+#include "vbatt/svc/config.h"
 #include "vbatt/svc/scenario.h"
 #include "vbatt/svc/service.h"
 #include "vbatt/util/signal.h"
@@ -56,38 +55,7 @@ namespace {
 
 using namespace vbatt;
 
-class Args {
- public:
-  Args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
-        std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-        std::exit(2);
-      }
-      const std::string body = arg.substr(2);
-      const std::size_t eq = body.find('=');
-      if (eq == std::string::npos) {
-        values_.insert_or_assign(body, std::string{"1"});
-      } else {
-        values_.insert_or_assign(body.substr(0, eq), body.substr(eq + 1));
-      }
-    }
-  }
-
-  std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
-  }
-  double number(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
-  }
-  bool flag(const std::string& key) const { return values_.contains(key); }
-
- private:
-  std::map<std::string, std::string> values_;
-};
+using tools::Args;
 
 svc::ServiceConfig service_config(const Args& args) {
   svc::ServiceConfig config;
@@ -149,26 +117,6 @@ int interrupted_exit(const svc::ControlPlane& service) {
                static_cast<unsigned long long>(service.last_seq()));
   print_summary(service);
   return util::kInterruptedExitCode;
-}
-
-core::SimResult run_batch(const svc::Scenario& scenario,
-                          const svc::ServiceConfig& config) {
-  // The batch side installs a StreamInjector too (with every fault
-  // delivered before tick 0), so hook-gated accounting fields match the
-  // service exactly even on fault-free runs.
-  fault::StreamInjector injector{scenario.graph, config.noise_seed};
-  for (const fault::FaultEvent& f : scenario.schedule.events) {
-    injector.inject(f, -1);
-  }
-  const std::unique_ptr<core::Scheduler> scheduler =
-      svc::make_service_scheduler(config.policy);
-  core::FaultConfig faults{&injector, config.retry};
-  // The service delivers batch entities as submission events; the batch
-  // engine gets the same workload attached up front via extensions.
-  core::ScenarioExtensions ext;
-  if (!scenario.batch.empty()) ext.batch = &scenario.batch;
-  return core::run_simulation(injector.graph(), scenario.apps, *scheduler,
-                              config.power_model, &faults, &ext);
 }
 
 int run_scenario_mode(const Args& args) {
@@ -258,7 +206,7 @@ int run_scenario_mode(const Args& args) {
   print_summary(service);
 
   if (args.flag("verify")) {
-    const core::SimResult batch = run_batch(scenario, config);
+    const core::SimResult batch = svc::run_batch_engine(scenario, config);
     const core::SimResult streamed = service.finish();
     if (svc::result_fingerprint(batch) != svc::result_fingerprint(streamed)) {
       std::fprintf(stderr, "VERIFY FAILED: streamed result diverges from "
@@ -408,7 +356,7 @@ int usage() {
 
 int main(int argc, char** argv) {
   util::install_shutdown_handlers();
-  const Args args{argc, argv};
+  const Args args{argc, argv, /*first=*/1};
   if (args.flag("help")) return usage();
   try {
     return args.flag("stdin") ? run_stdin_mode(args) : run_scenario_mode(args);
