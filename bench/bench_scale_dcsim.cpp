@@ -14,8 +14,9 @@
 // (counters, moved_gb, energy series, per-site ledger) before any timing
 // is reported. The headline row is the paper's single 700-server site over
 // a full year of 15-minute ticks. Every row also records `setup_ms`, the
-// single-shot time to build its inputs (fleet generation + VbGraph, with
-// the forecasts). `--json <path>` writes the sweep for CI to archive; the
+// single-shot time to build its inputs (fleet generation + VbGraph). It
+// does not include forecasts: the graph fills them on the first forecast
+// read, and the Greedy fleet engine never reads one. `--json <path>` writes the sweep for CI to archive; the
 // binary exits non-zero if results diverge or the JSON cannot be written.
 #include <algorithm>
 #include <chrono>
@@ -39,7 +40,7 @@ namespace {
 
 using namespace vbatt;
 
-/// The cell's inputs: a wind fleet and its VbGraph (with the forecasts).
+/// The cell's inputs: a wind fleet and its VbGraph (forecasts unfilled).
 /// `setup_ms` gets the single-shot wall clock of building both.
 core::VbGraph make_graph(int n_sites, double cores_per_mw, std::size_t ticks,
                          double& setup_ms) {

@@ -13,6 +13,10 @@ void ForecastCache::refresh(const VbGraph& graph, util::Tick now,
   begin_ = begin;
   end_ = end;
 
+  // Fill the graph's forecasts here, on the calling thread, where the
+  // fill can fan over the shared pool; a first read inside a pool task
+  // below would fill serially.
+  graph.build_forecasts();
   const std::size_t n_sites = graph.n_sites();
   series_.assign(n_sites, {});
   prefix_.assign(n_sites, {});

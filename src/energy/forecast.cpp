@@ -17,14 +17,13 @@ Forecaster::Forecaster(ForecastConfig config) : config_{config} {
   }
 }
 
-std::vector<double> Forecaster::climatology(const PowerTrace& actual) {
-  const auto per_day =
-      static_cast<std::size_t>(actual.axis().ticks_per_day());
+std::vector<double> Forecaster::climatology(
+    std::span<const double> power_norm, const util::TimeAxis& axis) {
+  const auto per_day = static_cast<std::size_t>(axis.ticks_per_day());
   std::vector<double> sum(per_day, 0.0);
   std::vector<std::size_t> count(per_day, 0);
-  const auto& series = actual.normalized_series();
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    sum[i % per_day] += series[i];
+  for (std::size_t i = 0; i < power_norm.size(); ++i) {
+    sum[i % per_day] += power_norm[i];
     ++count[i % per_day];
   }
   for (std::size_t i = 0; i < per_day; ++i) {
@@ -35,35 +34,35 @@ std::vector<double> Forecaster::climatology(const PowerTrace& actual) {
 
 std::vector<double> Forecaster::forecast(const PowerTrace& actual,
                                          double lead_hours) const {
-  return std::move(forecast(std::span{&actual, 1}, std::span{&lead_hours, 1})
+  const ForecastInput input{actual.normalized_series(), actual.source()};
+  return std::move(forecast(std::span{&input, 1}, actual.axis(),
+                            std::span{&lead_hours, 1})
                        .front()
                        .front());
 }
 
 std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
-    std::span<const PowerTrace> traces, std::span<const double> leads,
-    util::ThreadPool* pool) const {
+    std::span<const ForecastInput> inputs, const util::TimeAxis& axis,
+    std::span<const double> leads, util::ThreadPool* pool) const {
   for (const double lead : leads) {
     if (lead < 0.0) throw std::invalid_argument{"forecast: negative lead"};
   }
   std::vector<std::vector<std::vector<double>>> out;
-  if (traces.empty()) return out;
-  const util::TimeAxis& axis = traces.front().axis();
-  const std::size_t n = traces.front().size();
-  // noise_by_source[solar ? 0 : 1][l], drawn the first time a trace of
+  if (inputs.empty()) return out;
+  const std::size_t n = inputs.front().power_norm.size();
+  // noise_by_source[solar ? 0 : 1][l], drawn the first time an input of
   // that source shows up. Sharing it is exact because the stream is keyed
   // without the site (see forecast.h).
   std::array<std::vector<std::vector<double>>, 2> noise_by_source;
-  for (const PowerTrace& trace : traces) {
-    if (trace.axis() != axis || trace.size() != n) {
-      throw std::invalid_argument{
-          "forecast: traces must share one axis and length"};
+  for (const ForecastInput& input : inputs) {
+    if (input.power_norm.size() != n) {
+      throw std::invalid_argument{"forecast: series must share one length"};
     }
-    auto& table = noise_by_source[trace.source() == Source::solar ? 0 : 1];
+    auto& table = noise_by_source[input.source == Source::solar ? 0 : 1];
     if (table.empty() && n > 0) {
       table.reserve(leads.size());
       for (const double lead : leads) {
-        table.push_back(noise_series(trace.source(), lead, axis, n));
+        table.push_back(noise_series(input.source, lead, axis, n));
       }
     }
   }
@@ -71,20 +70,20 @@ std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
   // worker only fills memory the caller owns: buffers a worker allocated
   // would return to that worker's malloc arena when the caller frees them
   // and stay stranded there.
-  out.assign(traces.size(), std::vector<std::vector<double>>(
+  out.assign(inputs.size(), std::vector<std::vector<double>>(
                                 leads.size(), std::vector<double>(n)));
   const auto run = [&](std::size_t first, std::size_t last) {
     for (std::size_t s = first; s < last; ++s) {
-      const PowerTrace& trace = traces[s];
-      forecast_leads(trace, leads,
-                     noise_by_source[trace.source() == Source::solar ? 0 : 1],
+      const ForecastInput& input = inputs[s];
+      forecast_leads(input, axis, leads,
+                     noise_by_source[input.source == Source::solar ? 0 : 1],
                      out[s]);
     }
   };
   if (pool != nullptr && pool->size() > 0) {
-    pool->parallel_for(traces.size(), run);
+    pool->parallel_for(inputs.size(), run);
   } else {
-    run(0, traces.size());
+    run(0, inputs.size());
   }
   return out;
 }
@@ -117,16 +116,16 @@ std::vector<double> Forecaster::noise_series(Source source,
 }
 
 void Forecaster::forecast_leads(
-    const PowerTrace& actual, std::span<const double> leads,
+    const ForecastInput& input, const util::TimeAxis& axis,
+    std::span<const double> leads,
     const std::vector<std::vector<double>>& noise_table,
     std::vector<std::vector<double>>& out) const {
-  const auto& series = actual.normalized_series();
+  const std::span<const double> series = input.power_norm;
   const std::size_t n = series.size();
   if (n == 0) return;
-  const util::TimeAxis& axis = actual.axis();
-  const bool solar = actual.source() == Source::solar;
+  const bool solar = input.source == Source::solar;
 
-  const std::vector<double> clim = climatology(actual);
+  const std::vector<double> clim = climatology(series, axis);
   const auto per_day = static_cast<std::size_t>(axis.ticks_per_day());
   constexpr double clim_floor = 0.02;
 

@@ -16,7 +16,7 @@
 // The noise stream is keyed by (config seed, source, lead) only: every
 // site of one source sees the same noise series at a given lead. The bulk
 // forecast() draws each (source, lead) series once and shares it across
-// the traces it is given; that sharing is exact only because of this
+// the series it is given; that sharing is exact only because of this
 // keying. Per-site noise would have to add the site to the key, and the
 // bulk path would then have to key its noise table by site too.
 #pragma once
@@ -26,12 +26,21 @@
 #include <vector>
 
 #include "vbatt/energy/trace.h"
+#include "vbatt/util/time.h"
 
 namespace vbatt::util {
 class ThreadPool;
 }
 
 namespace vbatt::energy {
+
+/// One series of the bulk forecast: a site's normalized power (one value
+/// per tick of the shared axis, in [0, 1]) and the source that produced
+/// it. A view: the caller keeps the series alive for the call.
+struct ForecastInput {
+  std::span<const double> power_norm;
+  Source source = Source::solar;
+};
 
 struct ForecastConfig {
   /// Smoothing window as a fraction of the lead time.
@@ -67,20 +76,23 @@ class Forecaster {
   std::vector<double> forecast(const PowerTrace& actual,
                                double lead_hours) const;
 
-  /// Bulk form: out[s][l] is forecast(traces[s], leads[l]), bit for bit.
-  /// Climatology and the ratio/mask are computed once per trace, and the
-  /// noise once per (source, lead) for all traces. The traces must share
-  /// one axis and length. The noise tables are drawn and every output
-  /// buffer is sized on the calling thread; the per-trace work then fans
-  /// over `pool` (serial when null or workerless). Each trace writes only
-  /// its own presized slot, so the result is the same at any lane count.
+  /// Bulk form: out[s][l] is the forecast of inputs[s] at leads[l], bit
+  /// for bit what forecast(trace, leads[l]) gives for a trace with that
+  /// normalized series and source on `axis`. Climatology and the
+  /// ratio/mask are computed once per input, and the noise once per
+  /// (source, lead) for all inputs. Every series must have the same
+  /// length. The noise tables are drawn and every output buffer is sized
+  /// on the calling thread; the per-input work then fans over `pool`
+  /// (serial when null or workerless). Each input writes only its own
+  /// presized slot, so the result is the same at any lane count.
   std::vector<std::vector<std::vector<double>>> forecast(
-      std::span<const PowerTrace> traces, std::span<const double> leads,
-      util::ThreadPool* pool = nullptr) const;
+      std::span<const ForecastInput> inputs, const util::TimeAxis& axis,
+      std::span<const double> leads, util::ThreadPool* pool = nullptr) const;
 
-  /// Empirical climatology of a trace: mean normalized power per
-  /// tick-of-day. Returned series has ticks_per_day entries.
-  static std::vector<double> climatology(const PowerTrace& actual);
+  /// Empirical climatology of a normalized series on `axis`: mean power
+  /// per tick-of-day. Returned series has ticks_per_day entries.
+  static std::vector<double> climatology(std::span<const double> power_norm,
+                                         const util::TimeAxis& axis);
 
   /// Measured MAPE (%) of this forecaster on `actual` at a lead, skipping
   /// points with actual below `floor` (nights / becalmed periods).
@@ -95,9 +107,10 @@ class Forecaster {
                                    const util::TimeAxis& axis,
                                    std::size_t n) const;
 
-  /// All leads of one trace into `out` (out[l] presized to the trace
+  /// All leads of one input into `out` (out[l] presized to the series
   /// length); noise_table[l] is noise_series(source, leads[l], ...).
-  void forecast_leads(const PowerTrace& actual, std::span<const double> leads,
+  void forecast_leads(const ForecastInput& input, const util::TimeAxis& axis,
+                      std::span<const double> leads,
                       const std::vector<std::vector<double>>& noise_table,
                       std::vector<std::vector<double>>& out) const;
 

@@ -121,10 +121,14 @@ FaultSchedule load_schedule_csv(const std::string& path);
 struct ScheduleLoadLimits {
   std::size_t n_sites = 0;
   std::size_t n_ticks = 0;
+  /// The graph's WAN links (e.g. VbGraph::latency()); when set, a
+  /// link_down row must name a pair with a physical link. Not owned.
+  const net::LatencyGraph* links = nullptr;
 };
 
 /// Strict variant: everything the plain loader rejects, plus sites/peers
-/// >= limits.n_sites, start/end ticks outside [0, n_ticks], and windows of
+/// >= limits.n_sites, link_down rows naming a pair with no link in
+/// limits.links, start/end ticks outside [0, n_ticks], and windows of
 /// the same kind overlapping on the same site (same endpoint pair for
 /// link_down) — an operator schedule with two blackouts covering the same
 /// (site, tick) is almost certainly a typo, and silently compounding

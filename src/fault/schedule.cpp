@@ -318,6 +318,12 @@ FaultSchedule load_schedule_csv_impl(const std::string& path,
         reject("peer outside [0, " + std::to_string(limits->n_sites) + ")",
                line_no, 4);
       }
+      if (e.kind == FaultKind::link_down && limits->links != nullptr &&
+          !limits->links->link_exists(e.site, e.peer)) {
+        reject("no WAN link between sites " + std::to_string(e.site) +
+                   " and " + std::to_string(e.peer),
+               line_no, 4);
+      }
       // Overlap check within the same (kind, site[, peer]) lane. Links are
       // undirected: canonicalize the endpoint pair.
       std::size_t a = e.site;

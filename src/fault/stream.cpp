@@ -30,9 +30,11 @@ StreamInjector::StreamInjector(const core::VbGraph& graph,
       n_ticks_{graph.n_ticks()} {
   base_power_.reserve(n_sites_);
   base_forecast_.reserve(n_sites_);
-  for (const core::VbSite& site : graph_.sites()) {
-    base_power_.push_back(site.power_norm);
-    base_forecast_.push_back(site.forecast_norm);
+  // The forecasts are filled on this copy, from its still-pristine power
+  // series; the caller's graph is left as it was.
+  for (std::size_t s = 0; s < n_sites_; ++s) {
+    base_power_.push_back(graph_.site(s).power_norm);
+    base_forecast_.push_back(graph_.forecast_norm(s));
   }
   blackouts_.resize(n_sites_);
   brownouts_.resize(n_sites_);
@@ -206,9 +208,8 @@ void StreamInjector::set_forecast(std::size_t site, std::size_t lead,
 }
 
 void StreamInjector::rebake_site(std::size_t s) {
-  core::VbSite& site = graph_.mutable_sites()[s];
-  site.power_norm = base_power_[s];
-  site.forecast_norm = base_forecast_[s];
+  graph_.mutable_sites()[s].power_norm = base_power_[s];
+  graph_.mutable_forecast_norm(s) = base_forecast_[s];
   bake_site(s);
 }
 
@@ -240,7 +241,7 @@ void StreamInjector::bake_site(std::size_t s) {
   for (const ForecastFault& f : forecast_faults_[s]) {
     util::Rng rng{util::seed_for(noise_seed_, "forecast-noise",
                                  f.noise_index)};
-    for (std::vector<double>& lead : site.forecast_norm) {
+    for (std::vector<double>& lead : graph_.mutable_forecast_norm(s)) {
       for (util::Tick t = f.start; t < f.end; ++t) {
         double& v = lead[static_cast<std::size_t>(t)];
         v = std::clamp(v * (1.0 + f.alpha) + rng.normal(0.0, f.sigma), 0.0,

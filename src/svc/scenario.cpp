@@ -61,13 +61,15 @@ std::vector<Event> scenario_events(const Scenario& scenario, bool heartbeats) {
     power.tick = 0;
     power.values = site.power_norm;
     events.push_back(std::move(power));
-    for (std::size_t lead = 0; lead < site.forecast_norm.size(); ++lead) {
+    const std::vector<std::vector<double>>& forecast =
+        scenario.graph.forecast_norm(s);
+    for (std::size_t lead = 0; lead < forecast.size(); ++lead) {
       Event fc;
       fc.kind = EventKind::forecast_update;
       fc.site = s;
       fc.lead = lead;
       fc.tick = 0;
-      fc.values = site.forecast_norm[lead];
+      fc.values = forecast[lead];
       events.push_back(std::move(fc));
     }
   }

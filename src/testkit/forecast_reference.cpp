@@ -125,4 +125,14 @@ std::vector<double> reference_forecast(const energy::PowerTrace& actual,
   return out;
 }
 
+std::vector<energy::ForecastInput> forecast_inputs(
+    std::span<const energy::PowerTrace> traces) {
+  std::vector<energy::ForecastInput> inputs;
+  inputs.reserve(traces.size());
+  for (const energy::PowerTrace& trace : traces) {
+    inputs.push_back({trace.normalized_series(), trace.source()});
+  }
+  return inputs;
+}
+
 }  // namespace vbatt::testkit

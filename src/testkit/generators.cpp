@@ -196,7 +196,9 @@ solver::Model make_model(const Spec& spec) {
     // small box so branch & bound trees stay shallow.
     const double ub = integer ? 1.0 + static_cast<double>(rng.below(4))
                               : rng.uniform(1.0, 12.0);
-    model.add_var("x" + std::to_string(v), rng.uniform(-10.0, 10.0), 0.0, ub,
+    std::string name{"x"};
+    name += std::to_string(v);
+    model.add_var(std::move(name), rng.uniform(-10.0, 10.0), 0.0, ub,
                   integer);
   }
   for (int r = 0; r < n_rows; ++r) {

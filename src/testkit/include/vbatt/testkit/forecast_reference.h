@@ -10,6 +10,7 @@
 // blocked moving_average, sliding mask count) must match it bit for bit.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "vbatt/energy/forecast.h"
@@ -23,5 +24,10 @@ namespace vbatt::testkit {
 std::vector<double> reference_forecast(const energy::PowerTrace& actual,
                                        double lead_hours,
                                        const energy::ForecastConfig& config = {});
+
+/// The bulk forecaster's inputs for `traces`: a view of each normalized
+/// series with its source (the traces must outlive the result).
+std::vector<energy::ForecastInput> forecast_inputs(
+    std::span<const energy::PowerTrace> traces);
 
 }  // namespace vbatt::testkit

@@ -48,7 +48,8 @@ RefFaultInjector::RefFaultInjector(const core::VbGraph& graph,
         // One child stream per event keeps the noise deterministic and
         // independent of event ordering elsewhere in the schedule.
         util::Rng rng{util::seed_for(noise_seed, "forecast-noise", i)};
-        for (std::vector<double>& lead : site.forecast_norm) {
+        for (std::vector<double>& lead :
+             graph_.mutable_forecast_norm(e.site)) {
           for (util::Tick t = e.start; t < stop; ++t) {
             double& f = lead[static_cast<std::size_t>(t)];
             f = std::clamp(f * (1.0 + e.alpha) + rng.normal(0.0, e.sigma),

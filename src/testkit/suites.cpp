@@ -9,12 +9,14 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "vbatt/core/fleet_sim.h"
+#include "vbatt/core/forecast_cache.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/dcsim/site_block.h"
 #include "vbatt/energy/aggregate.h"
@@ -1445,13 +1447,15 @@ CaseResult eval_fault_stream_parity(const Spec& spec) {
                                std::size_t hi) -> std::string {
     const core::VbSite& a = stream.graph().sites()[s];
     const core::VbSite& b = ref.graph().sites()[s];
+    const auto& fa = stream.graph().forecast_norm(s);
+    const auto& fb = ref.graph().forecast_norm(s);
     for (std::size_t i = lo; i < hi; ++i) {
       if (!same(a.power_norm[i], b.power_norm[i])) {
         return "power at site " + std::to_string(s) + " tick " +
                std::to_string(i);
       }
-      for (std::size_t lead = 0; lead < a.forecast_norm.size(); ++lead) {
-        if (!same(a.forecast_norm[lead][i], b.forecast_norm[lead][i])) {
+      for (std::size_t lead = 0; lead < fa.size(); ++lead) {
+        if (!same(fa[lead][i], fb[lead][i])) {
           return "forecast lead " + std::to_string(lead) + " at site " +
                  std::to_string(s) + " tick " + std::to_string(i);
         }
@@ -1597,18 +1601,63 @@ CaseResult eval_forecast_identity(const Spec& spec) {
   const core::VbGraphConfig config = make_graph_config(spec);
   const core::VbGraph graph{fleet, config};
   const bool model = spec.get("trace", std::string{"square"}) == "model";
+  if (graph.forecasts_built()) {
+    return fail_str("a freshly built graph already holds forecasts");
+  }
+
+  // The graph fills its forecasts on the first read, whichever reader
+  // comes first; every route must fill the whole lead set to the bytes
+  // the oracle gives. Routes 2 and 3 fill a copy and must leave the
+  // original graph unfilled.
+  const std::int64_t route =
+      std::clamp<std::int64_t>(spec.get("route", 0), 0, 3);
+  const auto n_ticks = static_cast<util::Tick>(graph.n_ticks());
+  std::optional<core::VbGraph> copy;
+  std::optional<fault::StreamInjector> injector;
+  const core::VbGraph* filled = &graph;
+  switch (route) {
+    case 0: {
+      core::ForecastCache cache;
+      cache.refresh(graph, -1, 0, n_ticks, &util::ThreadPool::shared());
+      break;
+    }
+    case 1:
+      (void)graph.forecast_cores(graph.n_sites() - 1, n_ticks - 1, -1);
+      break;
+    case 2:
+      copy.emplace(graph);
+      (void)copy->forecast_series(0, -1, 0, n_ticks);
+      filled = &*copy;
+      break;
+    default:
+      injector.emplace(graph, spec.child_seed("noise"),
+                       fault::FaultSchedule{});
+      filled = &injector->graph();
+      break;
+  }
+  const std::string via =
+      " (first read by route " + std::to_string(route) + ")";
+  if (!filled->forecasts_built()) {
+    return fail_str("the first forecast read left the graph unfilled" + via);
+  }
+  if (filled != &graph && graph.forecasts_built()) {
+    return fail_str("filling a copy filled the original graph" + via);
+  }
+
   // The bulk forecast and generate_fleet fan their per-site work over a
   // pool; no pool, a zero-worker pool, one worker and three workers must
   // all give the same bytes.
+  const std::vector<energy::ForecastInput> inputs =
+      forecast_inputs(fleet.traces);
   const std::vector<std::vector<std::vector<double>>> serial =
       energy::Forecaster{config.forecaster}.forecast(
-          fleet.traces, config.forecast_leads_hours);
+          inputs, fleet.axis, config.forecast_leads_hours);
   const energy::FleetConfig fleet_config = make_model_fleet_config(spec);
   for (const std::size_t workers : {0u, 1u, 3u}) {
     util::ThreadPool pool{workers};
     const std::string lanes = std::to_string(workers) + " workers";
     const auto pooled = energy::Forecaster{config.forecaster}.forecast(
-        fleet.traces, config.forecast_leads_hours, &pool);
+        inputs, fleet.axis, config.forecast_leads_hours, &pool);
     for (std::size_t s = 0; s < fleet.size(); ++s) {
       for (std::size_t l = 0; l < serial[s].size(); ++l) {
         if (first_byte_diff(pooled[s][l], serial[s][l]) != std::string::npos) {
@@ -1661,11 +1710,12 @@ CaseResult eval_forecast_identity(const Spec& spec) {
           config.oracle_forecasts
               ? trace.normalized_series()
               : reference_forecast(trace, lead, config.forecaster);
-      const std::size_t at = first_byte_diff(site.forecast_norm[l], want);
+      const std::size_t at =
+          first_byte_diff(filled->forecast_norm(s)[l], want);
       if (at != std::string::npos) {
         return fail_str(where + " lead " + std::to_string(lead) +
                         "h: forecast differs from the oracle at tick " +
-                        std::to_string(at));
+                        std::to_string(at) + via);
       }
     }
   }
@@ -2213,6 +2263,8 @@ std::vector<Property> all_properties() {
                                  20 + static_cast<std::int64_t>(rng.below(481)));
                         spec.set("fseed",
                                  static_cast<std::int64_t>(rng.below(1u << 20)));
+                        spec.set("route",
+                                 static_cast<std::int64_t>(rng.below(4)));
                         return spec;
                       },
                       eval_forecast_identity,
@@ -2223,7 +2275,8 @@ std::vector<Property> all_properties() {
                        {"amp", 0},
                        {"period", 1},
                        {"fwin", 1},
-                       {"fseed", 0}}});
+                       {"fseed", 0},
+                       {"route", 0}}});
   registry.push_back({"workload", "overlay_identity",
                       [](util::Rng& rng) {
                         Spec spec;

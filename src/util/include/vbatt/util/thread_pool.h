@@ -81,6 +81,11 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
+  /// Whether the calling thread is one of this pool's own workers, where
+  /// parallel_for and drain throw. Callers that may run either inside or
+  /// outside a pool task use it to pick a serial path instead.
+  bool on_worker_thread() const noexcept;
+
   /// Intended total parallelism: VBATT_THREADS if set (clamped to >= 1),
   /// otherwise std::thread::hardware_concurrency().
   static std::size_t default_threads();

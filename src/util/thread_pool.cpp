@@ -212,6 +212,10 @@ void ThreadPool::submit(std::function<void()> task) {
   ready_.notify_one();
 }
 
+bool ThreadPool::on_worker_thread() const noexcept {
+  return t_worker_pool == this;
+}
+
 void ThreadPool::drain() {
   assert_not_own_worker(this, "drain");
   std::unique_lock<std::mutex> lock{mutex_};

@@ -22,10 +22,11 @@ TEST(VbGraph, BuildsSitesWithCapacity) {
   config.cores_per_mw = 10.0;
   const VbGraph graph{small_fleet(), config};
   ASSERT_EQ(graph.n_sites(), 4u);
-  for (const VbSite& site : graph.sites()) {
+  for (std::size_t s = 0; s < graph.n_sites(); ++s) {
+    const VbSite& site = graph.site(s);
     EXPECT_EQ(site.capacity_cores, 4000);  // 400 MW x 10 cores/MW
     EXPECT_EQ(site.power_norm.size(), graph.n_ticks());
-    EXPECT_EQ(site.forecast_norm.size(),
+    EXPECT_EQ(graph.forecast_norm(s).size(),
               config.forecast_leads_hours.size());
   }
 }

@@ -55,7 +55,8 @@ TEST(Forecaster, SolarForecastKnowsNight) {
   const auto forecast = fc.forecast(solar, 168.0);
   // Wherever actual is zero across the whole climatology (deep night),
   // the forecast must be ~zero too, even a week out.
-  const auto clim = Forecaster::climatology(solar);
+  const auto clim =
+      Forecaster::climatology(solar.normalized_series(), solar.axis());
   for (std::size_t i = 0; i < forecast.size(); ++i) {
     if (clim[i % 96] <= 0.02) {
       EXPECT_LE(forecast[i], 0.03);
@@ -64,7 +65,9 @@ TEST(Forecaster, SolarForecastKnowsNight) {
 }
 
 TEST(Forecaster, ClimatologyHasDiurnalShape) {
-  const auto clim = Forecaster::climatology(year_solar());
+  const PowerTrace solar = year_solar();
+  const auto clim =
+      Forecaster::climatology(solar.normalized_series(), solar.axis());
   ASSERT_EQ(clim.size(), 96u);
   // Noon bucket far above midnight bucket.
   EXPECT_GT(clim[50], 10.0 * std::max(1e-9, clim[0]));
@@ -151,7 +154,8 @@ TEST(Forecaster, MatchesFrozenReferenceOverAYear) {
   const std::vector<PowerTrace> traces{year_solar(), year_wind()};
   const std::vector<double> leads{0.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0,
                                   168.0};
-  const auto bulk = fc.forecast(traces, leads);
+  const auto bulk =
+      fc.forecast(testkit::forecast_inputs(traces), axis15(), leads);
   ASSERT_EQ(bulk.size(), traces.size());
   for (std::size_t s = 0; s < traces.size(); ++s) {
     ASSERT_EQ(bulk[s].size(), leads.size());
@@ -179,10 +183,11 @@ TEST(Forecaster, BulkIsTheSameOnAnyPool) {
                                 : WindModel{wind}.generate(axis15(), 96u * 9u));
   }
   const std::vector<double> leads{0.0, 3.0, 24.0, 96.0, 168.0};
-  const auto serial = fc.forecast(traces, leads);
+  const auto inputs = testkit::forecast_inputs(traces);
+  const auto serial = fc.forecast(inputs, axis15(), leads);
   for (const std::size_t workers : {0u, 1u, 3u}) {
     util::ThreadPool pool{workers};
-    const auto pooled = fc.forecast(traces, leads, &pool);
+    const auto pooled = fc.forecast(inputs, axis15(), leads, &pool);
     ASSERT_EQ(pooled.size(), serial.size());
     for (std::size_t s = 0; s < traces.size(); ++s) {
       ASSERT_EQ(pooled[s].size(), leads.size());
@@ -197,21 +202,25 @@ TEST(Forecaster, BulkIsTheSameOnAnyPool) {
 TEST(Forecaster, BulkValidatesInputs) {
   const Forecaster fc;
   const std::vector<double> leads{3.0, 24.0};
-  EXPECT_TRUE(fc.forecast(std::vector<PowerTrace>{}, leads).empty());
+  EXPECT_TRUE(
+      fc.forecast(std::vector<ForecastInput>{}, axis15(), leads).empty());
 
   WindConfig wind;
   std::vector<PowerTrace> traces{WindModel{wind}.generate(axis15(), 96u),
                                  WindModel{wind}.generate(axis15(), 97u)};
-  EXPECT_THROW(fc.forecast(traces, leads), std::invalid_argument);
+  std::vector<ForecastInput> inputs = testkit::forecast_inputs(traces);
+  EXPECT_THROW(fc.forecast(inputs, axis15(), leads), std::invalid_argument);
   util::ThreadPool pool{2};
-  EXPECT_THROW(fc.forecast(traces, leads, &pool), std::invalid_argument);
-  traces.pop_back();
-  EXPECT_THROW(fc.forecast(traces, std::vector<double>{3.0, -1.0}),
+  EXPECT_THROW(fc.forecast(inputs, axis15(), leads, &pool),
+               std::invalid_argument);
+  inputs.pop_back();
+  EXPECT_THROW(fc.forecast(inputs, axis15(), std::vector<double>{3.0, -1.0}),
                std::invalid_argument);
 
   const std::vector<PowerTrace> empty{
       PowerTrace{axis15(), 100.0, {}, Source::wind}};
-  const auto out = fc.forecast(empty, leads);
+  const auto out =
+      fc.forecast(testkit::forecast_inputs(empty), axis15(), leads);
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].size(), leads.size());
   for (const auto& series : out[0]) EXPECT_TRUE(series.empty());

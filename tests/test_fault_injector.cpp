@@ -87,8 +87,8 @@ TEST(StreamInjectorSchedule, ForecastErrorLeavesActualsAlone) {
     EXPECT_EQ(injector.graph().available_cores(2, t),
               graph.available_cores(2, t));
   }
-  const auto& faulted = injector.graph().site(2).forecast_norm;
-  const auto& clean = graph.site(2).forecast_norm;
+  const auto& faulted = injector.graph().forecast_norm(2);
+  const auto& clean = graph.forecast_norm(2);
   for (std::size_t lead = 0; lead < clean.size(); ++lead) {
     for (std::size_t t = 0; t < clean[lead].size(); ++t) {
       if (faulted[lead][t] != clean[lead][t]) forecast_changed = true;
@@ -99,7 +99,7 @@ TEST(StreamInjectorSchedule, ForecastErrorLeavesActualsAlone) {
 
   // Same seed, same corruption.
   const StreamInjector again{graph, 9, s};
-  EXPECT_EQ(again.graph().site(2).forecast_norm, faulted);
+  EXPECT_EQ(again.graph().forecast_norm(2), faulted);
 }
 
 TEST(StreamInjectorSchedule, LinkFlapSeversAndRestores) {

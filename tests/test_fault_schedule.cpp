@@ -241,6 +241,37 @@ TEST_F(StrictScheduleCsvTest, RejectsOutOfRangeTicksAndSites) {
   EXPECT_NE(what.find("column 4"), std::string::npos) << what;
 }
 
+// The CLI's default fleet (4 solar + 6 wind over 2500 km, 7 days) has no
+// WAN link between sites 1 and 2; with the graph's links in the limits the
+// row is rejected where it stands, not later by the injector.
+TEST_F(StrictScheduleCsvTest, RejectsALinkDownOnAPairWithNoLink) {
+  energy::FleetConfig config;
+  config.n_solar = 4;
+  config.n_wind = 6;
+  config.region_km = 2500.0;
+  core::VbGraphConfig graph_config;
+  graph_config.cores_per_mw = 20.0;
+  const core::VbGraph graph{
+      energy::generate_fleet(config, util::TimeAxis{15}, 96 * 7),
+      graph_config};
+  ASSERT_FALSE(graph.latency().link_exists(1, 2));
+  limits_ = ScheduleLoadLimits{graph.n_sites(), graph.n_ticks(),
+                               &graph.latency()};
+  {
+    std::ofstream out{path_};
+    out << "kind,start,end,site,peer,alpha,sigma,count\n";
+    out << "link_down,10,20,1,2,0,0,0\n";
+  }
+  const std::string what = strict_error();
+  EXPECT_NE(what.find("no WAN link between sites 1 and 2"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("line 2, column 4"), std::string::npos) << what;
+
+  // Without the link set the loader cannot tell, as before.
+  limits_.links = nullptr;
+  EXPECT_EQ(strict_error(), "");
+}
+
 TEST(ChaosConfigValidation, NamesTheOffendingField) {
   EXPECT_NO_THROW(validate_chaos_config(ChaosConfig{}));
 

@@ -34,7 +34,7 @@ void expect_parity(StreamInjector& stream, testkit::RefFaultInjector& batch,
   for (std::size_t s = 0; s < a.n_sites(); ++s) {
     EXPECT_EQ(a.sites()[s].power_norm, b.sites()[s].power_norm)
         << "site " << s << " power series diverges";
-    EXPECT_EQ(a.sites()[s].forecast_norm, b.sites()[s].forecast_norm)
+    EXPECT_EQ(a.forecast_norm(s), b.forecast_norm(s))
         << "site " << s << " forecast series diverges";
   }
   for (util::Tick t = 0; t < static_cast<util::Tick>(n_ticks); ++t) {
@@ -216,8 +216,7 @@ TEST(FaultStream, SaveRestoreReproducesBakedStateExactly) {
   EXPECT_EQ(wa.data(), wb.data());
   for (std::size_t s = 0; s < graph.n_sites(); ++s) {
     EXPECT_EQ(a.graph().sites()[s].power_norm, b.graph().sites()[s].power_norm);
-    EXPECT_EQ(a.graph().sites()[s].forecast_norm,
-              b.graph().sites()[s].forecast_norm);
+    EXPECT_EQ(a.graph().forecast_norm(s), b.graph().forecast_norm(s));
   }
   EXPECT_EQ(a.topology_epoch(), b.topology_epoch());
 }

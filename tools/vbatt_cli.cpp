@@ -164,11 +164,13 @@ int cmd_schedule(const Args& args) {
     }
     const auto chaos_seed = static_cast<std::uint64_t>(seed_arg);
     if (args.flag("chaos-csv")) {
-      // The strict loader rejects out-of-range sites/ticks and overlapping
-      // same-site windows with line/column positions.
+      // The strict loader rejects out-of-range sites/ticks, link_down rows
+      // naming no WAN link and overlapping same-site windows with
+      // line/column positions.
       schedule = fault::load_schedule_csv(
           args.get("chaos-csv", ""),
-          fault::ScheduleLoadLimits{graph.n_sites(), graph.n_ticks()});
+          fault::ScheduleLoadLimits{graph.n_sites(), graph.n_ticks(),
+                                    &graph.latency()});
     } else {
       fault::ChaosConfig chaos_config;
       chaos_config.intensity = args.number("chaos", 1.0);
