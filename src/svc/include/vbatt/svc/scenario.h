@@ -64,7 +64,11 @@ std::vector<Event> scenario_events(const Scenario& scenario,
 /// Deterministic byte encoding of every field of a SimResult, ledger
 /// included. Two results are equivalent iff their fingerprints are equal —
 /// the service-vs-batch comparison and the recovery identity both hang off
-/// this single definition of "same result".
+/// this single definition of "same result". The ledger is encoded sparsely
+/// (per site and direction: the nonzero cell count, then (tick, GB) pairs),
+/// which is equal exactly when every dense series is bitwise equal. The
+/// bytes are compared in-process only and never persisted; snapshots keep
+/// writing the dense ledger series until the svc format change.
 std::string result_fingerprint(const core::SimResult& result);
 
 }  // namespace vbatt::svc

@@ -1,5 +1,8 @@
 #include "vbatt/svc/scenario.h"
 
+#include <algorithm>
+#include <span>
+
 #include "vbatt/energy/site.h"
 #include "vbatt/util/time.h"
 #include "vbatt/util/wire.h"
@@ -151,11 +154,26 @@ std::string result_fingerprint(const core::SimResult& result) {
     w.i64(app_id);
     w.i64(core_ticks);
   }
+  // The ledger goes in sparse: per site and direction, the count of
+  // nonzero cells, then their (tick, GB) pairs. Every unrecorded or zero
+  // cell of a dense series is +0.0, so two ledgers encode equal exactly
+  // when every out_series/in_series is bitwise equal.
   const net::MigrationLedger& ledger = result.ledger;
   w.u64(ledger.n_sites());
+  w.u64(ledger.n_ticks());
+  using Cell = net::MigrationLedger::Cell;
+  const auto write_cells = [&w](std::span<const Cell> cells) {
+    const auto nonzero = [](const Cell& c) { return c.gb != 0.0; };
+    w.u64(static_cast<std::uint64_t>(std::ranges::count_if(cells, nonzero)));
+    for (const Cell& c : cells) {
+      if (!nonzero(c)) continue;
+      w.i64(c.tick);
+      w.f64(c.gb);
+    }
+  };
   for (std::size_t s = 0; s < ledger.n_sites(); ++s) {
-    w.vec_f64(ledger.out_series(s));
-    w.vec_f64(ledger.in_series(s));
+    write_cells(ledger.out_cells(s));
+    write_cells(ledger.in_cells(s));
   }
   // Scenario-extension counters (all zero on a default run, so default
   // fingerprints differ from the pre-extension format only by these

@@ -2,8 +2,9 @@
 //
 // Five suites, each an oracle inventory entry (docs/TESTING.md):
 //   sim     conservation laws on VmLevelResult, thread-count invariance,
-//           empty-chaos identity, and the event-driven engine vs the
-//           frozen seed engine (vm_reference.h)
+//           empty-chaos identity, the event-driven engine vs the
+//           frozen seed engine (vm_reference.h), and the sparse migration
+//           ledger vs the frozen dense RefLedger (ref_ledger.h)
 //   dcsim   SiteBlock vs the frozen linear-scan RefSite (ref_site.h):
 //           place / shrink / outage answers under all three policies
 //   solver  revised engine vs frozen seed solver (objective + feasibility

@@ -24,6 +24,7 @@
 #include "vbatt/core/simulation.h"
 #include "vbatt/fault/schedule.h"
 #include "vbatt/fault/stream.h"
+#include "vbatt/net/ledger.h"
 #include "vbatt/solver/branch_bound.h"
 #include "vbatt/svc/config.h"
 #include "vbatt/svc/event_log.h"
@@ -35,6 +36,7 @@
 #include "vbatt/testkit/forecast_reference.h"
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/ref_fault_injector.h"
+#include "vbatt/testkit/ref_ledger.h"
 #include "vbatt/testkit/ref_site.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
@@ -640,6 +642,149 @@ CaseResult eval_batch_fleet_diff(const Spec& spec) {
     if (svc::result_fingerprint(ref.base) !=
         svc::result_fingerprint(sharded.base)) {
       return fail_str("fingerprints diverge despite field-level equality");
+    }
+  }
+  return CaseResult::pass();
+}
+
+/// Sparse net::MigrationLedger vs the frozen dense RefLedger under one
+/// random record_out/record_in sequence. `order` picks the tick stream:
+/// 0 chronological (the engines: ticks never go back, same-tick repeats),
+/// 1 site-major replay (the snapshot restore: each site's ticks ascending,
+/// then the next site), 2 random (out-of-order inserts into the middle of
+/// a site's cells). Every draw may repeat a cell, record 0.0 or -0.0, or
+/// (rarely) name a bad site/tick or a negative volume; both ledgers must
+/// then throw the same exception type and message. Every series must read
+/// back bitwise equal, and the sparse cells must stay strictly ascending.
+CaseResult eval_ledger_parity(const Spec& spec) {
+  const auto n_sites = static_cast<std::size_t>(
+      std::clamp<std::int64_t>(spec.get("sites", 3), 1, 16));
+  const auto n_ticks = static_cast<std::size_t>(
+      std::clamp<std::int64_t>(spec.get("ticks", 16), 1, 4096));
+  const auto ops = static_cast<std::uint64_t>(
+      std::max<std::int64_t>(1, spec.get("ops", 40)));
+  const std::int64_t order = spec.get("order", 0);
+  util::Rng rng{spec.child_seed("ops")};
+  net::MigrationLedger ledger{n_sites, n_ticks};
+  RefLedger ref{n_sites, n_ticks};
+
+  // Volumes span 60 binades so that a reordered same-cell sum rounds
+  // differently; 0.0 and -0.0 are drawn on purpose.
+  const auto draw_gb = [&]() -> double {
+    switch (rng.below(10)) {
+      case 0:
+        return 0.0;
+      case 1:
+        return -0.0;
+      default:
+        return std::ldexp(rng.uniform(),
+                          static_cast<int>(rng.below(61)) - 30);
+    }
+  };
+  const auto outcome = [](auto&& call) -> std::string {
+    try {
+      call();
+    } catch (const std::invalid_argument& e) {
+      return std::string{"invalid_argument: "} + e.what();
+    } catch (const std::out_of_range& e) {
+      return std::string{"out_of_range: "} + e.what();
+    }
+    return "ok";
+  };
+
+  std::size_t site = 0;
+  util::Tick tick = 0;
+  for (std::uint64_t op = 0; op < ops; ++op) {
+    // Advance the (site, tick) cursor; a repeat of the last cell is the
+    // same-tick accumulation the engines do.
+    if (!rng.chance(0.3)) {
+      switch (order) {
+        case 0:  // chronological: any site, ticks never go back
+          site = rng.below(n_sites);
+          if (rng.chance(0.4)) ++tick;
+          break;
+        case 1:  // site-major: a site's ticks ascend, then the next site
+          if (rng.chance(0.5)) ++tick;
+          if (tick >= static_cast<util::Tick>(n_ticks)) {
+            tick = 0;
+            site = (site + 1) % n_sites;
+          }
+          break;
+        default:  // random cell
+          site = rng.below(n_sites);
+          tick = static_cast<util::Tick>(rng.below(n_ticks));
+          break;
+      }
+    }
+    std::size_t s = site;
+    util::Tick t = std::min(tick, static_cast<util::Tick>(n_ticks) - 1);
+    double gb = draw_gb();
+    if (rng.chance(0.05)) {  // one invalid argument, or two at once
+      switch (rng.below(4)) {
+        case 0:
+          s = n_sites + rng.below(2);
+          break;
+        case 1:
+          t = rng.chance(0.5) ? -1 : static_cast<util::Tick>(n_ticks);
+          break;
+        case 2:
+          gb = -std::ldexp(1.0 + rng.uniform(), -3);
+          break;
+        default:
+          s = n_sites;
+          gb = -1.0;
+          break;
+      }
+    }
+    const bool out = rng.chance(0.5);
+    const std::string got = outcome([&] {
+      out ? ledger.record_out(s, t, gb) : ledger.record_in(s, t, gb);
+    });
+    const std::string want = outcome(
+        [&] { out ? ref.record_out(s, t, gb) : ref.record_in(s, t, gb); });
+    if (got != want) {
+      return fail_str("op " + std::to_string(op) + ": record_" +
+                      (out ? "out" : "in") + "(" + std::to_string(s) + ", " +
+                      std::to_string(t) + ", " + std::to_string(gb) +
+                      ") gave " + got + ", RefLedger " + want);
+    }
+  }
+
+  for (std::size_t q = 0; q <= n_sites; ++q) {  // q == n_sites must throw
+    for (const bool out : {true, false}) {
+      std::vector<double> got;
+      std::vector<double> want;
+      const std::string got_how = outcome([&] {
+        got = out ? ledger.out_series(q) : ledger.in_series(q);
+      });
+      const std::string want_how = outcome([&] {
+        want = out ? ref.out_series(q) : ref.in_series(q);
+      });
+      const std::string what = std::string{out ? "out" : "in"} +
+                               "_series(" + std::to_string(q) + ")";
+      if (got_how != want_how) {
+        return fail_str(what + " gave " + got_how + ", RefLedger " +
+                        want_how);
+      }
+      if (got.size() != want.size()) return fail_str(what + " length differs");
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        if (std::bit_cast<std::uint64_t>(got[i]) !=
+            std::bit_cast<std::uint64_t>(want[i])) {
+          std::ostringstream msg;
+          msg.precision(17);
+          msg << what << " tick " << i << ": " << got[i] << ", RefLedger "
+              << want[i];
+          return fail_str(msg.str());
+        }
+      }
+      if (q == n_sites) continue;
+      const auto cells = out ? ledger.out_cells(q) : ledger.in_cells(q);
+      for (std::size_t i = 1; i < cells.size(); ++i) {
+        if (cells[i - 1].tick >= cells[i].tick) {
+          return fail_str(what + " cells not strictly ascending at " +
+                          std::to_string(i));
+        }
+      }
     }
   }
   return CaseResult::pass();
@@ -2029,6 +2174,23 @@ std::vector<Property> all_properties() {
                         return spec;
                       },
                       eval_engine_diff, kScenarioShrink});
+  registry.push_back({"sim", "ledger_parity",
+                      [](util::Rng& rng) {
+                        Spec spec;
+                        spec.set("seed",
+                                 static_cast<std::int64_t>(rng.next() >> 1));
+                        spec.set("sites",
+                                 1 + static_cast<std::int64_t>(rng.below(6)));
+                        spec.set("ticks",
+                                 1 + static_cast<std::int64_t>(rng.below(64)));
+                        spec.set("ops",
+                                 1 + static_cast<std::int64_t>(rng.below(200)));
+                        spec.set("order",
+                                 static_cast<std::int64_t>(rng.below(3)));
+                        return spec;
+                      },
+                      eval_ledger_parity,
+                      {{"ops", 1}, {"sites", 1}, {"ticks", 1}, {"order", 0}}});
   registry.push_back({"fleet", "shard_invariance",
                       [oracle_gen](util::Rng& rng) {
                         Spec spec = oracle_gen(rng);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -230,6 +231,56 @@ TEST(SvcService, FinishIsTerminal) {
   service.submit(tick_event());
   (void)service.finish();
   EXPECT_THROW(service.submit(tick_event()), std::runtime_error);
+}
+
+/// A 3-site × 4-tick result with the same traffic on every call, so tests
+/// can perturb one ledger cell.
+core::SimResult ledger_result() {
+  core::SimResult r{3, 4};
+  r.ledger.record_out(0, 1, 2.5);
+  r.ledger.record_in(1, 1, 2.5);
+  r.ledger.record_out(2, 3, 0.75);
+  r.ledger.record_in(0, 3, 0.75);
+  return r;
+}
+
+TEST(SvcFingerprint, ExplicitZeroRecordIsInvisible) {
+  const core::SimResult plain = ledger_result();
+  core::SimResult zeroed = ledger_result();
+  zeroed.ledger.record_out(1, 0, 0.0);  // a new zero cell
+  zeroed.ledger.record_in(2, 2, -0.0);
+  zeroed.ledger.record_out(0, 1, 0.0);  // into an existing cell
+  EXPECT_EQ(result_fingerprint(plain), result_fingerprint(zeroed));
+}
+
+TEST(SvcFingerprint, OneUlpInOneCellDiffers) {
+  const core::SimResult a = ledger_result();
+  core::SimResult b{3, 4};
+  b.ledger.record_out(0, 1, std::nextafter(2.5, 3.0));
+  b.ledger.record_in(1, 1, 2.5);
+  b.ledger.record_out(2, 3, 0.75);
+  b.ledger.record_in(0, 3, 0.75);
+  EXPECT_NE(result_fingerprint(a), result_fingerprint(b));
+}
+
+TEST(SvcFingerprint, VolumeMovedToAdjacentTickDiffers) {
+  const core::SimResult a = ledger_result();
+  core::SimResult b{3, 4};
+  b.ledger.record_out(0, 2, 2.5);  // tick 1 → 2
+  b.ledger.record_in(1, 1, 2.5);
+  b.ledger.record_out(2, 3, 0.75);
+  b.ledger.record_in(0, 3, 0.75);
+  EXPECT_NE(result_fingerprint(a), result_fingerprint(b));
+}
+
+TEST(SvcFingerprint, VolumeMovedToAnotherSiteDiffers) {
+  const core::SimResult a = ledger_result();
+  core::SimResult b{3, 4};
+  b.ledger.record_out(0, 1, 2.5);
+  b.ledger.record_in(2, 1, 2.5);  // site 1 → 2
+  b.ledger.record_out(2, 3, 0.75);
+  b.ledger.record_in(0, 3, 0.75);
+  EXPECT_NE(result_fingerprint(a), result_fingerprint(b));
 }
 
 }  // namespace
