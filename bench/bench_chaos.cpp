@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
               "intensity", "avail", "min", "p99 rec", "max rec", "aband%",
               "fallback", "downtime");
 
-  const core::FleetSimOptions pooled{.pool = &util::ThreadPool::shared()};
   const std::vector<double> intensities = {0.0, 0.5, 1.0, 2.0};
   std::vector<CellResult> cells;
   bool invariants_ok = true;
@@ -210,7 +209,7 @@ int main(int argc, char** argv) {
       core::VmLevelResult result{graph.n_sites(), ticks};
       try {
         result = core::run_fleet_simulation(injector.graph(), apps,
-                                            *scheduler, config, pooled);
+                                            *scheduler, config);
       } catch (const std::logic_error& e) {
         std::fprintf(stderr, "INVARIANT VIOLATION (%s @ %.1f): %s\n", policy,
                      intensity, e.what());
@@ -225,7 +224,7 @@ int main(int argc, char** argv) {
         // The zero-chaos cell must reproduce a run with no injector at all.
         const auto plain_sched = make_scheduler(policy);
         const core::VmLevelResult plain =
-            core::run_fleet_simulation(graph, apps, *plain_sched, {}, pooled);
+            core::run_fleet_simulation(graph, apps, *plain_sched);
         if (!same_result(result, plain)) {
           std::fprintf(stderr,
                        "FAIL: %s intensity-0 run diverged from the "

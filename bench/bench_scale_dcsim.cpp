@@ -5,12 +5,9 @@
 //              servers, rebuild-and-sort shrink, full live-map sweeps,
 //              per-server energy scan), shared with the property fuzzer
 //              as testkit::reference_vm_run — the fixed "before" baseline;
-//   serial     run_fleet_simulation (SoA site blocks, free-cores bucket
-//              index, calendar queues, incremental power counters) at one
-//              shard with no pool;
-//   parallel   the same engine with its shard phases on the shared
-//              ThreadPool (shard count follows the pool width).
-// Every row's three results are checked identical field-for-field
+//   serial     run_fleet_simulation (one SoA site block, free-cores bucket
+//              index, calendar queues, incremental power counters).
+// Every row's two results are checked identical field-for-field
 // (counters, moved_gb, energy series, per-site ledger) before any timing
 // is reported. The headline row is the paper's single 700-server site over
 // a full year of 15-minute ticks. Every row also records `setup_ms`, the
@@ -90,7 +87,6 @@ struct SweepRow {
   double setup_ms = 0.0;
   double ref_ms = 0.0;
   double serial_ms = 0.0;
-  double parallel_ms = 0.0;
   bool bit_identical = false;
   bool headline = false;
 };
@@ -114,9 +110,7 @@ bool write_json(const std::string& path, const std::vector<SweepRow>& rows,
     json.field("setup_ms", r.setup_ms);
     json.field("ref_ms", r.ref_ms);
     json.field("serial_ms", r.serial_ms);
-    json.field("parallel_ms", r.parallel_ms);
     json.field("serial_speedup", r.ref_ms / std::max(1e-9, r.serial_ms));
-    json.field("parallel_speedup", r.ref_ms / std::max(1e-9, r.parallel_ms));
     json.field("bit_identical", r.bit_identical);
     json.field("headline", r.headline);
     json.end_object();
@@ -129,13 +123,11 @@ bool write_json(const std::string& path, const std::vector<SweepRow>& rows,
 
 // --- fleet sweep ----------------------------------------------------------
 //
-// The sharded engine (run_fleet_simulation) at fleet scale: many sites,
-// hundreds of servers each, up to a year of ticks, timed at 8 shards with
-// no pool and on the shared pool. Cells of up to 100 sites are also run
-// through the oracle (testkit::reference_vm_run, untimed) and
-// cross-checked field-for-field; bigger ones check serial against pooled.
-// The bench exits non-zero on divergence. The headline cell is 1000 sites
-// x 700 servers x 1 year.
+// The fleet engine (run_fleet_simulation) at fleet scale: many sites,
+// hundreds of servers each, up to a year of ticks. Cells of up to 100
+// sites are also run through the oracle (testkit::reference_vm_run,
+// untimed) and cross-checked field-for-field; the bench exits non-zero on
+// divergence. The headline cell is 1000 sites x 700 servers x 1 year.
 
 struct FleetCase {
   int n_sites = 10;
@@ -158,7 +150,6 @@ struct FleetRow {
   std::size_t vms = 0;
   double setup_ms = 0.0;
   double fleet_serial_ms = 0.0;
-  double fleet_pool_ms = 0.0;
   bool checked = false;
   bool bit_identical = true;
   bool headline = false;
@@ -183,7 +174,6 @@ bool write_fleet_json(const std::string& path,
     json.field("vms", r.vms);
     json.field("setup_ms", r.setup_ms);
     json.field("fleet_serial_ms", r.fleet_serial_ms);
-    json.field("fleet_pool_ms", r.fleet_pool_ms);
     // "checked": the cell was cross-checked against the oracle.
     json.field("checked", r.checked);
     json.field("bit_identical", r.bit_identical);
@@ -196,8 +186,7 @@ bool write_fleet_json(const std::string& path,
   return static_cast<bool>(out);
 }
 
-int run_fleet_sweep(const std::string& json_path, int max_sites,
-                    util::ThreadPool* pool) {
+int run_fleet_sweep(const std::string& json_path, int max_sites) {
   // apps_per_hour scales with fleet size so per-site load stays realistic;
   // the headline year accumulates millions of VM placements.
   const std::vector<FleetCase> cases = {
@@ -215,9 +204,9 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
   std::printf("fleet sweep (%zu thread%s)\n",
               util::ThreadPool::default_threads(),
               util::ThreadPool::default_threads() == 1 ? "" : "s");
-  std::printf("  %5s %-10s %7s %5s %7s %9s | %9s | %9s %9s | %s\n",
-              "sites", "scenario", "servers", "days", "apps", "vms",
-              "setup ms", "serial ms", "pool ms", "identical");
+  std::printf("  %5s %-10s %7s %5s %7s %9s | %9s | %9s | %s\n", "sites",
+              "scenario", "servers", "days", "apps", "vms", "setup ms",
+              "serial ms", "identical");
 
   std::vector<FleetRow> rows;
   bool all_identical = true;
@@ -266,42 +255,26 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
     }
 
     core::VmLevelResult fleet_serial{graph.n_sites(), ticks};
-    core::VmLevelResult fleet_pool{graph.n_sites(), ticks};
     row.fleet_serial_ms = best_of_ms(repeats, [&] {
       core::GreedyScheduler scheduler;
-      core::FleetSimOptions options;
-      options.n_shards = 8;
-      fleet_serial =
-          core::run_fleet_simulation(graph, apps, scheduler, config, options);
+      fleet_serial = core::run_fleet_simulation(graph, apps, scheduler, config);
     });
-    row.fleet_pool_ms = best_of_ms(repeats, [&] {
-      core::GreedyScheduler scheduler;
-      core::FleetSimOptions options;
-      options.pool = pool;  // shard count follows the pool width
-      fleet_pool =
-          core::run_fleet_simulation(graph, apps, scheduler, config, options);
-    });
-    // The two sharded configurations must always agree; small enough
-    // cells must also match the oracle.
-    row.bit_identical =
-        testkit::diff_vm_results(fleet_serial, fleet_pool, graph.n_sites())
-            .empty();
+    // Small enough cells must match the oracle.
     if (c.check) {
       core::GreedyScheduler scheduler;
       const core::VmLevelResult oracle =
           testkit::reference_vm_run(graph, apps, scheduler, config);
       row.bit_identical =
-          row.bit_identical &&
           testkit::diff_vm_results(oracle, fleet_serial, graph.n_sites())
               .empty();
     }
     all_identical = all_identical && row.bit_identical;
     rows.push_back(row);
 
-    std::printf("  %5d %-10s %7d %5zu %7zu %9zu | %9.1f | %9.1f %9.1f | %s\n",
+    std::printf("  %5d %-10s %7d %5zu %7zu %9zu | %9.1f | %9.1f | %s\n",
                 row.sites, row.scenario.c_str(), row.servers, row.days,
                 row.apps, row.vms, row.setup_ms, row.fleet_serial_ms,
-                row.fleet_pool_ms, row.bit_identical ? "yes" : "NO");
+                row.bit_identical ? "yes" : "NO");
   }
 
   if (!json_path.empty()) {
@@ -312,8 +285,7 @@ int run_fleet_sweep(const std::string& json_path, int max_sites,
     std::printf("json -> %s\n", json_path.c_str());
   }
   if (!all_identical) {
-    std::fprintf(stderr,
-                 "FAIL: sharded engine diverged from the reference\n");
+    std::fprintf(stderr, "FAIL: fleet engine diverged from the reference\n");
     return 1;
   }
   return 0;
@@ -343,19 +315,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  util::ThreadPool* pool = shared.size() > 0 ? &shared : nullptr;
   if (fleet) {
     // Fleet mode replaces the per-site sweep; --json names the fleet
     // archive (conventionally BENCH_fleet.json).
-    return run_fleet_sweep(json_path, fleet_max_sites, pool);
+    return run_fleet_sweep(json_path, fleet_max_sites);
   }
   std::printf("vm-level engine sweep (%zu thread%s)\n",
               util::ThreadPool::default_threads(),
               util::ThreadPool::default_threads() == 1 ? "" : "s");
-  std::printf("  %5s %7s %5s %6s %7s | %9s | %9s %9s %9s | %7s %7s | %s\n",
-              "sites", "servers", "days", "apps", "vms", "setup ms", "ref ms",
-              "serial ms", "par ms", "ser x", "par x", "identical");
+  std::printf("  %5s %7s %5s %6s %7s | %9s | %9s %9s | %7s | %s\n", "sites",
+              "servers", "days", "apps", "vms", "setup ms", "ref ms",
+              "serial ms", "ser x", "identical");
 
   // servers/site = 400 MW peak x cores_per_mw / 40 cores; the last row is
   // the headline: the paper's ~700-server site over a year of 15-min ticks.
@@ -393,38 +363,28 @@ int main(int argc, char** argv) {
 
     core::VmLevelResult ref{graph.n_sites(), ticks};
     core::VmLevelResult serial{graph.n_sites(), ticks};
-    core::VmLevelResult parallel{graph.n_sites(), ticks};
     row.ref_ms = best_of_ms(repeats, [&] {
       core::GreedyScheduler scheduler;
       ref = testkit::reference_vm_run(graph, apps, scheduler, {});
     });
     row.serial_ms = best_of_ms(repeats, [&] {
       core::GreedyScheduler scheduler;
-      serial = core::run_fleet_simulation(graph, apps, scheduler, {},
-                                          {.n_shards = 1});
-    });
-    row.parallel_ms = best_of_ms(repeats, [&] {
-      core::GreedyScheduler scheduler;
-      parallel = core::run_fleet_simulation(graph, apps, scheduler, {},
-                                            {.pool = pool});
+      serial = core::run_fleet_simulation(graph, apps, scheduler);
     });
     row.bit_identical =
-        testkit::diff_vm_results(ref, serial, graph.n_sites()).empty() &&
-        testkit::diff_vm_results(serial, parallel, graph.n_sites()).empty();
+        testkit::diff_vm_results(ref, serial, graph.n_sites()).empty();
     all_identical = all_identical && row.bit_identical;
     if (c.headline) {
       headline_speedup = row.ref_ms / std::max(1e-9, row.serial_ms);
     }
     rows.push_back(row);
 
-    std::printf(
-        "  %5d %7d %5zu %6zu %7zu | %9.1f | %9.1f %9.1f %9.1f | %6.1fx %6.1fx "
-        "| %s\n",
-        row.sites, row.servers, row.days, row.apps, row.vms, row.setup_ms,
-        row.ref_ms, row.serial_ms, row.parallel_ms,
-        row.ref_ms / std::max(1e-9, row.serial_ms),
-        row.ref_ms / std::max(1e-9, row.parallel_ms),
-        row.bit_identical ? "yes" : "NO");
+    std::printf("  %5d %7d %5zu %6zu %7zu | %9.1f | %9.1f %9.1f | %6.1fx "
+                "| %s\n",
+                row.sites, row.servers, row.days, row.apps, row.vms,
+                row.setup_ms, row.ref_ms, row.serial_ms,
+                row.ref_ms / std::max(1e-9, row.serial_ms),
+                row.bit_identical ? "yes" : "NO");
   }
 
   std::printf("headline (700 servers x 1 year): %.1fx vs pre-index engine\n",

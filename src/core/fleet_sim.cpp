@@ -65,53 +65,21 @@ class SlotBits {
 VmLevelResult run_fleet_simulation(
     const VbGraph& graph, const std::vector<workload::Application>& apps,
     Scheduler& scheduler, const VmLevelConfig& config,
-    const FleetSimOptions& options) {
+    const FleetSimOptions& /*options: accepted and ignored*/) {
   const std::size_t n_sites = graph.n_sites();
   const std::size_t n_ticks = graph.n_ticks();
   VmLevelResult result{n_sites, n_ticks};
 
-  util::ThreadPool* const pool = options.pool;
-  const std::size_t lanes = pool != nullptr ? pool->size() + 1 : 1;
-  const std::size_t n_shards = std::clamp<std::size_t>(
-      options.n_shards > 0 ? static_cast<std::size_t>(options.n_shards)
-                           : lanes,
-      1, std::max<std::size_t>(1, n_sites));
-
-  // --- Shards: contiguous site ranges, hot site state as one SiteBlock
-  // per shard. site_shard maps a global site to its owner.
-  struct Shard {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    dcsim::SiteBlock block;
-    /// Coordinator-built work lists consumed in the next parallel phase.
-    std::vector<std::int64_t> removals;
-    std::vector<std::pair<std::size_t, int>> repairs;
-    /// Parallel-phase outputs read by the coordinator after the barrier.
-    int max_headroom = 0;
-  };
-  std::vector<Shard> shards;
-  std::vector<std::int32_t> site_shard(n_sites, 0);
-  {
-    shards.reserve(n_shards);
-    for (std::size_t k = 0; k < n_shards; ++k) {
-      const std::size_t lo = k * n_sites / n_shards;
-      const std::size_t hi = (k + 1) * n_sites / n_shards;
-      std::vector<dcsim::SiteConfig> configs;
-      configs.reserve(hi - lo);
-      for (std::size_t s = lo; s < hi; ++s) {
-        dcsim::SiteConfig site_config;
-        site_config.n_servers =
-            std::max(1, graph.site(s).capacity_cores / config.server.cores);
-        site_config.server = config.server;
-        configs.push_back(site_config);
-        site_shard[s] = static_cast<std::int32_t>(k);
-      }
-      shards.push_back(Shard{lo, hi, dcsim::SiteBlock{configs}, {}, {}, 0});
+  // --- Sites: one SiteBlock spans the fleet; block site s is graph site s.
+  dcsim::SiteBlock block = [&] {
+    std::vector<dcsim::SiteConfig> configs(n_sites);
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      configs[s].n_servers =
+          std::max(1, graph.site(s).capacity_cores / config.server.cores);
+      configs[s].server = config.server;
     }
-  }
-  const auto shard_of = [&](std::size_t s) -> Shard& {
-    return shards[static_cast<std::size_t>(site_shard[s])];
-  };
+    return dcsim::SiteBlock{configs};
+  }();
 
   // --- App slots: rank of app_id in sorted order, so slot order ==
   // app_id order and every bitset walk reproduces the oracle's ordered
@@ -307,11 +275,10 @@ VmLevelResult run_fleet_simulation(
 
   const auto place_vm = [&](std::int64_t vm_id, std::int32_t slot,
                             bool degradable, std::size_t s) -> bool {
-    Shard& shard = shard_of(s);
     const int cores = app_cores[static_cast<std::size_t>(slot)];
     const double mem = app_mem[static_cast<std::size_t>(slot)];
-    const int server = shard.block.place(s - shard.lo, vm_id, cores, mem,
-                                         degradable, config.placement);
+    const int server =
+        block.place(s, vm_id, cores, mem, degradable, config.placement);
     if (server < 0) return false;
     (degradable ? state.degradable_cores : state.stable_cores)[s] += cores;
     VmRec& rec = vm_recs[static_cast<std::size_t>(vm_id)];
@@ -321,12 +288,11 @@ VmLevelResult run_fleet_simulation(
   };
   /// Detach a VM known to be resident at site `s`.
   const auto remove_vm_at = [&](std::int64_t vm_id, std::size_t s) {
-    Shard& shard = shard_of(s);
     VmRec& rec = vm_recs[static_cast<std::size_t>(vm_id)];
     const auto slot = static_cast<std::size_t>(rec.slot);
     const bool degradable = rec.degr != 0;
-    shard.block.remove(s - shard.lo, rec.server, vm_id, app_cores[slot],
-                       app_mem[slot], degradable);
+    block.remove(s, rec.server, vm_id, app_cores[slot], app_mem[slot],
+                 degradable);
     (degradable ? state.degradable_cores : state.stable_cores)[s] -=
         app_cores[slot];
     rec.site = -1;
@@ -336,24 +302,15 @@ VmLevelResult run_fleet_simulation(
   const double hours_per_tick = graph.axis().minutes_per_tick() / 60.0;
   const util::Tick replan_period = scheduler.replan_period_ticks();
 
-  // Per-site scratch reused every tick by the parallel phases; each shard
-  // writes only its own slices, so results are thread-count-invariant.
-  std::vector<std::vector<dcsim::SiteBlock::Evicted>> evicted_by_site(
-      n_sites);
-  std::vector<int> site_powered(n_sites, 0);
-  std::vector<double> site_mwh(n_sites, 0.0);
+  // This tick's power budget per site (graph.available_cores is pure in
+  // (s, t), so it is read once per tick), and eviction scratch.
   std::vector<int> avail(n_sites, 0);
-  std::vector<dcsim::SiteBlock::Evicted> failed_evicted;
-  std::vector<ServerOutage> outages;    // this tick's server failures
-  std::vector<std::int32_t> departing;  // slots departing this tick
-  // Replan scratch: per-shard slices of the rebuilt FleetState.apps.
-  std::vector<std::vector<std::pair<std::int64_t, LiveApp>>> replan_parts(
-      n_shards);
+  state.avail_cache = &avail;
+  std::vector<dcsim::SiteBlock::Evicted> evicted;
 
-  // Opt-in scenario extensions (coordinator-only state, so the shard count
-  // cannot perturb them). The overlay steps at the same serial point as the
-  // oracle; econ terms accumulate in the deferred-metering
-  // reductions below in the identical (tick, site) order.
+  // Opt-in scenario extensions. The overlay steps at the same point as the
+  // oracle; econ terms accumulate in meter() below in the identical
+  // (tick, site) order.
   const bool has_overlay = config.ext != nullptr &&
                            config.ext->batch != nullptr &&
                            !config.ext->batch->empty();
@@ -367,19 +324,35 @@ VmLevelResult run_fleet_simulation(
   std::vector<std::int64_t> overlay_free;
   if (has_overlay) overlay_free.assign(n_sites, 0);
 
-  const auto run_sharded = [&](const auto& body) {
-    if (pool != nullptr && n_shards > 1) {
-      pool->parallel_for(n_shards, [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) body(k);
-      });
-    } else {
-      for (std::size_t k = 0; k < n_shards; ++k) body(k);
+  /// Meter tick `tick`'s energy (and its price and carbon) from the
+  /// block's counters, adding each site's share in site order. A tick is
+  /// metered once its last mutation is done: at the top of the next tick,
+  /// before any repair or departure touches a site, or after the loop.
+  const auto meter = [&](std::size_t tick) {
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      const int powered = block.powered_servers(s);
+      const double mwh = (powered * config.power.server_idle_watts +
+                          block.active_cores(s) *
+                              config.power.watts_per_active_core) *
+                         hours_per_tick / 1e6;
+      result.powered_server_ticks += powered;
+      result.base.energy_mwh += mwh;
+      result.base.energy_mwh_per_tick[tick] += mwh;
+      if (price != nullptr) {
+        const double usd = price->value(s, static_cast<double>(tick)) * mwh;
+        result.base.cost_usd += usd;
+        result.base.cost_usd_per_tick[tick] += usd;
+      }
+      if (carbon != nullptr) {
+        const double kg = carbon->value(s, static_cast<double>(tick)) * mwh;
+        result.base.carbon_kg += kg;
+        result.base.carbon_kg_per_tick[tick] += kg;
+      }
     }
   };
 
   /// Fold a batch of evicted VMs (power shrink or server failure at site
-  /// `s`) into the displaced/paused machinery — coordinator only, in
-  /// global site order.
+  /// `s`) into the displaced/paused machinery, in site order.
   const auto absorb_evicted =
       [&](std::size_t s, const std::vector<dcsim::SiteBlock::Evicted>& batch) {
         for (const dcsim::SiteBlock::Evicted& vm : batch) {
@@ -409,14 +382,9 @@ VmLevelResult run_fleet_simulation(
     state.now = t;
     ++result.base.completed_ticks;
 
-    // 0. Serial fault prologue: link transitions apply inside begin_tick;
-    //    due server repairs are handed to their shards for phase A. A
+    // 0. Fault prologue: link transitions apply inside begin_tick. A
     //    topology-epoch advance tells the scheduler to drop cached state
     //    keyed to the old fleet.
-    for (Shard& shard : shards) {
-      shard.removals.clear();
-      shard.repairs.clear();
-    }
     if (hooks) {
       hooks->begin_tick(t);
       if (const std::uint64_t epoch = hooks->topology_epoch();
@@ -424,154 +392,38 @@ VmLevelResult run_fleet_simulation(
         topo_epoch = epoch;
         scheduler.on_topology_change();
       }
-      if (const auto due = repairs.find(t); due != repairs.end()) {
-        for (const auto& [s, count] : due->second) {
-          shard_of(s).repairs.emplace_back(s, count);
-        }
-        repairs.erase(due);
-      }
     }
 
-    // 1a. Serial departure prologue: pop the app calendar (end_tick,
-    //     app_id order) and route each resident VM's removal to the shard
-    //     owning its site. Removals of distinct VMs commute, so shards
-    //     can apply them concurrently in phase A.
-    departing.clear();
+    // 1. Meter tick t-1: no site has changed since it ended. Then apply
+    //    due server repairs and fill this tick's power budget.
+    if (i > 0) meter(i - 1);
+    if (const auto due = repairs.find(t); due != repairs.end()) {
+      for (const auto& [s, count] : due->second) block.repair_servers(s, count);
+      repairs.erase(due);
+    }
+    for (std::size_t s = 0; s < n_sites; ++s) {
+      avail[s] = graph.available_cores(s, t);
+    }
+
+    // 1b. Departures: pop the app calendar (end_tick, app_id order),
+    //     detach each resident VM, retire the paused/displaced aggregates
+    //     and drop the app.
     while (!app_departures.empty() && app_departures.top().first <= t) {
       const std::int32_t slot = app_departures.top().second;
       app_departures.pop();
-      // Defensive (apps depart once), and it also dedups same-tick
-      // calendar entries before the removal lists are built: the live
-      // bit drops here, the rest of the bookkeeping follows in 1b.
-      if (!live_bits.test(static_cast<std::size_t>(slot))) continue;
-      live_bits.clear(static_cast<std::size_t>(slot));
-      departing.push_back(slot);
-      const auto route = [&](std::int64_t id) {
-        const std::int32_t at = vm_recs[static_cast<std::size_t>(id)].site;
-        if (at >= 0) {
-          shards[static_cast<std::size_t>(site_shard[at])].removals.push_back(
-              id);
-        }
-      };
-      const std::int64_t stable_lo =
-          app_stable_base[static_cast<std::size_t>(slot)];
-      const std::int64_t stable_hi =
-          stable_lo + app_stable_n[static_cast<std::size_t>(slot)];
-      for (std::int64_t id = stable_lo; id < stable_hi; ++id) {
-        route(id);
-      }
-      for (const std::int64_t id :
-           app_degr_ids[static_cast<std::size_t>(slot)]) {
-        route(id);
-      }
-    }
-
-    // Phase A (parallel over shards): per-site work with no cross-site
-    // order — meter the *previous* tick's energy (site state is untouched
-    // between the end of tick t-1 and the mutations below, so the fused
-    // reading is exact), apply server repairs, fill the tick's power
-    // budget, and detach departing VMs.
-    const auto phase_a = [&](std::size_t k) {
-      Shard& shard = shards[k];
-      if (i > 0) {
-        for (std::size_t s = shard.lo; s < shard.hi; ++s) {
-          const std::size_t local = s - shard.lo;
-          const int powered = shard.block.powered_servers(local);
-          const int active_cores = shard.block.active_cores(local);
-          site_powered[s] = powered;
-          site_mwh[s] =
-              (powered * config.power.server_idle_watts +
-               active_cores * config.power.watts_per_active_core) *
-              hours_per_tick / 1e6;
-        }
-      }
-      for (const auto& [s, count] : shard.repairs) {
-        shard.block.repair_servers(s - shard.lo, count);
-      }
-      for (std::size_t s = shard.lo; s < shard.hi; ++s) {
-        avail[s] = graph.available_cores(s, t);
-      }
-      for (const std::int64_t id : shard.removals) {
-        remove_vm_at(
-            id, static_cast<std::size_t>(vm_recs[static_cast<std::size_t>(id)]
-                                             .site));
-      }
-    };
-
-    // Phase B (parallel over shards): power shrinks are site-local; each
-    // shard also reports its max headroom so the coordinator's
-    // "can anything fit anywhere" checks stay O(shards).
-    const auto phase_b = [&](std::size_t k) {
-      Shard& shard = shards[k];
-      int max_headroom = std::numeric_limits<int>::min();
-      for (std::size_t s = shard.lo; s < shard.hi; ++s) {
-        evicted_by_site[s].clear();
-        shard.block.shrink_to(s - shard.lo, avail[s], evicted_by_site[s]);
-        max_headroom = std::max(
-            max_headroom, avail[s] - shard.block.allocated_cores(s - shard.lo));
-      }
-      shard.max_headroom = max_headroom;
-    };
-
-    // Quiet-tick detection: when no serial step between phases A and B
-    // touches shard blocks or the avail budget — no replan, no arrivals,
-    // no due or retried moves, no server failures — phase B commutes with
-    // the serial middle (energy reduction and departure bookkeeping write
-    // only coordinator aggregates), so both phases fuse into a single
-    // pooled dispatch per tick. Each shard runs A then B over its own
-    // sites in the same order the split dispatches would, so the fused
-    // tick is bit-identical; the common steady-state tick pays one
-    // barrier instead of two. The events that *would* add same-tick work
-    // after this test (a replan or arrival scheduling a move due now)
-    // already force their flag, so quiet never misses them.
-    const bool replan_tick =
-        replan_period > 0 && t > 0 && t % replan_period == 0;
-    const bool has_arrivals =
-        next_app < apps.size() && apps[next_app].arrival <= t;
-    const bool has_due_moves =
-        due_moves.find(t) != due_moves.end() ||
-        (hooks && retry_queue.find(t) != retry_queue.end());
-    outages.clear();
-    if (hooks) outages = hooks->server_outages_at(t);
-    const bool quiet =
-        !replan_tick && !has_arrivals && !has_due_moves && outages.empty();
-
-    if (quiet) {
-      run_sharded([&](std::size_t k) {
-        phase_a(k);
-        phase_b(k);
-      });
-    } else {
-      run_sharded(phase_a);
-    }
-    state.avail_cache = &avail;
-
-    // Epoch barrier: serial reductions in global site order. Energy for
-    // tick t-1 lands exactly where a per-tick serial engine adds it.
-    if (i > 0) {
-      for (std::size_t s = 0; s < n_sites; ++s) {
-        result.powered_server_ticks += site_powered[s];
-        result.base.energy_mwh += site_mwh[s];
-        result.base.energy_mwh_per_tick[i - 1] += site_mwh[s];
-        if (price != nullptr) {
-          const double usd =
-              price->value(s, static_cast<double>(i - 1)) * site_mwh[s];
-          result.base.cost_usd += usd;
-          result.base.cost_usd_per_tick[i - 1] += usd;
-        }
-        if (carbon != nullptr) {
-          const double kg =
-              carbon->value(s, static_cast<double>(i - 1)) * site_mwh[s];
-          result.base.carbon_kg += kg;
-          result.base.carbon_kg_per_tick[i - 1] += kg;
-        }
-      }
-    }
-
-    // 1b. Departure bookkeeping (serial, calendar pop order): retire
-    //     paused/displaced aggregates and drop the app.
-    for (const std::int32_t slot : departing) {
       const auto u = static_cast<std::size_t>(slot);
+      if (!live_bits.test(u)) continue;  // defensive: apps depart once
+      live_bits.clear(u);
+      const auto detach = [&](std::int64_t id) {
+        const std::int32_t at = vm_recs[static_cast<std::size_t>(id)].site;
+        if (at >= 0) remove_vm_at(id, static_cast<std::size_t>(at));
+      };
+      const std::int64_t stable_hi = app_stable_base[u] + app_stable_n[u];
+      for (std::int64_t id = app_stable_base[u]; id < stable_hi; ++id) {
+        detach(id);
+      }
+      for (const std::int64_t id : app_degr_ids[u]) detach(id);
+
       fleet_degradable_ids -= static_cast<std::int64_t>(app_degr_ids[u].size());
       fleet_paused -= app_paused[u];
       if (app_paused[u] > 0) {
@@ -598,40 +450,24 @@ VmLevelResult run_fleet_simulation(
     }
 
     // 2. Replanning. The FleetState mirror is rebuilt from the app
-    //    columns: shards each build one contiguous slot range (order-free
-    //    construction), the coordinator splices them in slot order, so
-    //    the ordered map comes out identical to a serial build.
+    //    columns in slot (== app_id) order.
     if (replan_period > 0 && t > 0 && t % replan_period == 0) {
       state.apps.clear();
-      run_sharded([&](std::size_t k) {
-        std::vector<std::pair<std::int64_t, LiveApp>>& part = replan_parts[k];
-        part.clear();
-        const std::size_t lo = k * n_apps / n_shards;
-        const std::size_t hi = (k + 1) * n_apps / n_shards;
-        for (std::size_t u = lo; u < hi; ++u) {
-          if (!live_bits.test(u)) continue;
-          LiveApp summary;
-          summary.app = apps[static_cast<std::size_t>(app_index[u])];
-          summary.end_tick = app_end[u];
-          summary.site = static_cast<std::size_t>(app_home[u]);
-          const AllowedList& list =
-              allowed_lists[static_cast<std::size_t>(app_allowed[u])];
-          summary.allowed.reserve(static_cast<std::size_t>(list.size));
-          for (std::int32_t j = 0; j < list.size; ++j) {
-            summary.allowed.push_back(static_cast<std::size_t>(list.data[j]));
-          }
-          summary.active_degradable = static_cast<int>(app_degr_ids[u].size());
-          part.emplace_back(slot_app_id[u], std::move(summary));
+      live_bits.for_each([&](std::size_t u) {
+        LiveApp summary;
+        summary.app = apps[static_cast<std::size_t>(app_index[u])];
+        summary.end_tick = app_end[u];
+        summary.site = static_cast<std::size_t>(app_home[u]);
+        const AllowedList& list =
+            allowed_lists[static_cast<std::size_t>(app_allowed[u])];
+        summary.allowed.reserve(static_cast<std::size_t>(list.size));
+        for (std::int32_t j = 0; j < list.size; ++j) {
+          summary.allowed.push_back(static_cast<std::size_t>(list.data[j]));
         }
+        summary.active_degradable = static_cast<int>(app_degr_ids[u].size());
+        state.apps.emplace_hint(state.apps.end(), slot_app_id[u],
+                                std::move(summary));
       });
-      for (std::vector<std::pair<std::int64_t, LiveApp>>& part :
-           replan_parts) {
-        for (std::pair<std::int64_t, LiveApp>& entry : part) {
-          state.apps.emplace_hint(state.apps.end(), entry.first,
-                                  std::move(entry.second));
-        }
-        part.clear();
-      }
       pending_moves.clear();
       due_moves.clear();
       retry_queue.clear();  // a replan supersedes every outstanding move
@@ -641,8 +477,8 @@ VmLevelResult run_fleet_simulation(
       }
     }
 
-    // 3. Arrivals (serial: every placement consults the scheduler and
-    //    changes the capacity the next one sees).
+    // 3. Arrivals, in order: every placement consults the scheduler and
+    //    changes the capacity the next one sees.
     while (next_app < apps.size() && apps[next_app].arrival <= t) {
       const workload::Application& app = apps[next_app];
       const Scheduler::Placement placement = scheduler.place(app, state);
@@ -687,8 +523,8 @@ VmLevelResult run_fleet_simulation(
       ++next_app;
     }
 
-    // 4. Execute due proactive moves (serial: capacity interactions
-    //    between same-tick moves are order-dependent).
+    // 4. Execute due proactive moves, in order: capacity interactions
+    //    between same-tick moves are order-dependent.
     const auto move_blocked = [&](std::int32_t slot, const Move& move) {
       return hooks->site_down(move.to_site, t) ||
              !graph.latency().connected(
@@ -810,45 +646,39 @@ VmLevelResult run_fleet_simulation(
         }
       }
 
-      // 4c. Server failures beginning this tick (fetched up top for the
-      //     quiet-tick test; the injector lookup is a pure map read).
-      for (const ServerOutage& outage : outages) {
+      // 4c. Server failures beginning this tick.
+      for (const ServerOutage& outage : hooks->server_outages_at(t)) {
         if (outage.site >= n_sites || outage.count <= 0) continue;
-        Shard& shard = shard_of(outage.site);
-        failed_evicted.clear();
-        shard.block.fail_servers(outage.site - shard.lo, outage.count,
-                                 failed_evicted);
-        absorb_evicted(outage.site, failed_evicted);
+        evicted.clear();
+        block.fail_servers(outage.site, outage.count, evicted);
+        absorb_evicted(outage.site, evicted);
         if (outage.repair_tick > t) {
           repairs[outage.repair_tick].emplace_back(outage.site, outage.count);
         }
       }
     }
 
-    // Phase B dispatch: already ran fused with phase A on quiet ticks;
-    // eventful ticks (replan/arrival/move/outage mutated shard blocks
-    // since phase A) re-shrink here, after all serial mutations.
-    if (!quiet) run_sharded(phase_b);
-    // 5. Eviction bookkeeping merges serially in global site order.
+    // 5. Shrink every site to its power budget, absorbing the evictions
+    //    in site order, and note the largest headroom left.
+    int max_headroom = std::numeric_limits<int>::min();
     for (std::size_t s = 0; s < n_sites; ++s) {
-      absorb_evicted(s, evicted_by_site[s]);
+      evicted.clear();
+      block.shrink_to(s, avail[s], evicted);
+      max_headroom =
+          std::max(max_headroom, avail[s] - block.allocated_cores(s));
+      absorb_evicted(s, evicted);
     }
 
-    // 6. Re-home displaced stable VMs (serial rotation, identical to the
-    //    oracle's pass; the any_can_fit proof uses the per-shard maxima
-    //    — absorb_evicted changed no allocation, so they are still exact).
+    // 6. Re-home displaced stable VMs (rotation identical to the oracle's
+    //    pass). max_headroom proves in O(1) when nothing can fit: absorbing
+    //    evictions changed no allocation, so it is still exact.
     bool any_can_fit = false;
     if (displaced_entries > 0) {
       int min_cores = 0;
       while (displaced_core_counts[static_cast<std::size_t>(min_cores)] == 0) {
         ++min_cores;
       }
-      for (const Shard& shard : shards) {
-        if (shard.lo < shard.hi && shard.max_headroom >= min_cores) {
-          any_can_fit = true;
-          break;
-        }
-      }
+      any_can_fit = max_headroom >= min_cores;
     }
     std::int64_t displaced_this_tick = 0;
     if (!any_can_fit) {
@@ -871,9 +701,8 @@ VmLevelResult run_fleet_simulation(
             allowed_lists[static_cast<std::size_t>(app_allowed[u])];
         for (std::int32_t j = 0; j < list.size; ++j) {
           const auto cand = static_cast<std::size_t>(list.data[j]);
-          // Coordinator-side headroom: outside phases A/B the state
-          // columns mirror the block's allocation exactly, and three
-          // flat-array reads beat a pointer chase into the shard header.
+          // The state columns mirror the block's allocation exactly, and
+          // three flat-array reads beat a read of the block's site header.
           if (avail[cand] - state.stable_cores[cand] -
                   state.degradable_cores[cand] <
               cores) {
@@ -903,9 +732,9 @@ VmLevelResult run_fleet_simulation(
       }
     }
 
-    // 7. Resume paused degradable VMs (serial, slot == app_id order). The
+    // 7. Resume paused degradable VMs (slot == app_id order). The
     //    any_can_resume scan re-checks live headroom because step 6's
-    //    placements may have consumed what phase B reported.
+    //    placements may have consumed what step 5 reported.
     bool any_can_resume = false;
     if (fleet_paused > 0) {
       int min_cores = 0;
@@ -940,9 +769,8 @@ VmLevelResult run_fleet_simulation(
     result.base.paused_degradable_vm_ticks += fleet_paused;
     result.base.degradable_active_vm_ticks += fleet_degradable_ids;
 
-    // 7b. Batch overlay (serial): identical free-core formula and step
-    //     point as the oracle, so the overlay trajectory is
-    //     bit-identical at every shard/thread count.
+    // 7b. Batch overlay: identical free-core formula and step point as
+    //     the oracle, so the overlay trajectory is bit-identical.
     if (has_overlay) {
       for (std::size_t s = 0; s < n_sites; ++s) {
         const std::int64_t free = static_cast<std::int64_t>(avail[s]) -
@@ -953,9 +781,8 @@ VmLevelResult run_fleet_simulation(
       overlay.step(t, overlay_free);
     }
 
-    // 8. Energy for this tick is metered in the next tick's phase A (or
-    //    the trailing pass below for the last tick): the site counters it
-    //    reads do not change between here and there.
+    // 8. This tick's energy is metered at the top of the next one (step 1),
+    //    or after the loop for the last tick.
 
     // 9. Fault accounting and end-of-tick observation.
     result.base.displaced_stable_cores_per_tick[i] = displaced_this_tick;
@@ -974,37 +801,10 @@ VmLevelResult run_fleet_simulation(
     }
   }
 
-  // Trailing energy pass for the final tick.
-  if (n_ticks > 0) {
-    run_sharded([&](std::size_t k) {
-      Shard& shard = shards[k];
-      for (std::size_t s = shard.lo; s < shard.hi; ++s) {
-        const std::size_t local = s - shard.lo;
-        const int powered = shard.block.powered_servers(local);
-        const int active_cores = shard.block.active_cores(local);
-        site_powered[s] = powered;
-        site_mwh[s] = (powered * config.power.server_idle_watts +
-                       active_cores * config.power.watts_per_active_core) *
-                      hours_per_tick / 1e6;
-      }
-    });
-    for (std::size_t s = 0; s < n_sites; ++s) {
-      result.powered_server_ticks += site_powered[s];
-      result.base.energy_mwh += site_mwh[s];
-      result.base.energy_mwh_per_tick[n_ticks - 1] += site_mwh[s];
-      if (price != nullptr) {
-        const double usd =
-            price->value(s, static_cast<double>(n_ticks - 1)) * site_mwh[s];
-        result.base.cost_usd += usd;
-        result.base.cost_usd_per_tick[n_ticks - 1] += usd;
-      }
-      if (carbon != nullptr) {
-        const double kg =
-            carbon->value(s, static_cast<double>(n_ticks - 1)) * site_mwh[s];
-        result.base.carbon_kg += kg;
-        result.base.carbon_kg_per_tick[n_ticks - 1] += kg;
-      }
-    }
+  // The last completed tick has no next tick to meter it (on a shutdown
+  // request that is not the last tick of the axis).
+  if (result.base.completed_ticks > 0) {
+    meter(static_cast<std::size_t>(result.base.completed_ticks - 1));
   }
 
   if (has_overlay) {

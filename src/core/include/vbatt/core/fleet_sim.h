@@ -1,5 +1,5 @@
-// VM-granular multi-site simulation (§3.1 step 4 integrated), sharded for
-// fleet scale.
+// VM-granular multi-site simulation (§3.1 step 4 integrated) at fleet
+// scale.
 //
 // The app-level simulator (simulation.h) treats each VB node as a bag of
 // cores — the right granularity for Table 1. This engine additionally
@@ -13,32 +13,24 @@
 //     servers rather than whole applications.
 //
 // At fleet scale (1000 sites, millions of VMs) per-VM heap objects and
-// global sweeps would dominate, so the fleet is split into contiguous site
-// ranges, each owning its sites' hot state as one SoA dcsim::SiteBlock,
-// and each tick alternates between
-//
-//   * parallel shard phases — work that only touches one site and
-//     commutes across sites (energy metering, server repairs, power-budget
-//     fill, departure removals, power shrinks), fanned over the
-//     ThreadPool with every shard writing only its own slices; and
-//   * serial coordinator phases — every decision whose outcome depends on
-//     cross-site order (scheduler calls, proactive moves, displaced
-//     re-home, resume, and all floating-point reductions), executed in
-//     global site / app_id order.
-//
-// Cross-shard effects (inter-site migrations, displacements) are emitted
-// as per-shard logs during parallel phases and merged by the coordinator
-// in global site order at the epoch barrier between phases, so the result
-// is bit-identical for every VBATT_THREADS and shard-count setting, and
-// field-for-field equal to the frozen linear-scan oracle
-// testkit::reference_vm_run. The determinism contract and the phase
-// schedule are documented in docs/SIMULATOR.md.
+// global sweeps would dominate, so the hot per-site state of the whole
+// fleet lives in one SoA dcsim::SiteBlock, per-VM and per-app state in
+// flat columns, and departures in a calendar queue. The engine is serial:
+// each tick runs its steps in a fixed order (meter the previous tick,
+// repairs, departures, replan, arrivals, moves, server failures, shrink,
+// re-home, resume, overlay), walking sites in site order and apps in
+// app_id order, so the result is field-for-field equal to the frozen
+// linear-scan oracle testkit::reference_vm_run. The tick order is
+// documented in docs/SIMULATOR.md.
 #pragma once
 
 #include "vbatt/core/scheduler.h"
 #include "vbatt/core/simulation.h"
 #include "vbatt/dcsim/site_block.h"
-#include "vbatt/util/thread_pool.h"
+
+namespace vbatt::util {
+class ThreadPool;
+}
 
 namespace vbatt::core {
 
@@ -51,9 +43,8 @@ struct VmLevelConfig {
   /// byte-identical) plus the move retry/backoff discipline.
   FaultConfig faults{};
   /// Opt-in scenario extensions (batch overlay, price/carbon series); null
-  /// keeps the run byte-identical. The overlay is stepped at a serial
-  /// point after degradable resume, so its trajectory is the same at any
-  /// shard or thread count.
+  /// keeps the run byte-identical. The overlay is stepped after degradable
+  /// resume, the same point the oracle steps it.
   const ScenarioExtensions* ext = nullptr;
 };
 
@@ -71,19 +62,17 @@ struct VmLevelResult {
       : base{n_sites, n_ticks} {}
 };
 
+/// Accepted and ignored: the engine is serial and has no knobs. The
+/// frozen end-to-end benchmark still sets both fields; delete the struct
+/// and run_fleet_simulation's 5th parameter with the next benchmark change.
 struct FleetSimOptions {
-  /// Number of shards (contiguous site ranges). 0 = one shard per pool
-  /// lane (pool size + 1; 1 when pool is null), clamped to [1, n_sites].
-  /// The shard count never changes the result, only the partitioning.
   int n_shards = 0;
-  /// Pool for the parallel shard phases; nullptr runs them inline.
   util::ThreadPool* pool = nullptr;
 };
 
 /// Run `apps` against `graph` at VM granularity under `scheduler` (the
-/// same Scheduler implementations the app-level simulator uses). The
-/// result is the same, field-for-field and bit-for-bit, for every
-/// `options` setting. Throws std::invalid_argument on duplicate app ids.
+/// same Scheduler implementations the app-level simulator uses). Throws
+/// std::invalid_argument on duplicate app ids.
 VmLevelResult run_fleet_simulation(
     const VbGraph& graph, const std::vector<workload::Application>& apps,
     Scheduler& scheduler, const VmLevelConfig& config = {},

@@ -1,12 +1,13 @@
 // SoA container for a contiguous block of sites — the one site container.
-// The fleet engine runs one block per shard; simulate_site (site_sim.h)
-// runs a one-site block. It models §3's site: power down unallocated cores
-// first, then evict VMs from servers in round-robin order.
+// The fleet engine runs one block that spans the fleet; simulate_site
+// (site_sim.h) runs a one-site block. It models §3's site: power down
+// unallocated cores first, then evict VMs from servers in round-robin
+// order.
 //
 // State lives in flat parallel arrays shared by every site in the block —
 // server free-resource columns, one contiguous free-cores bucket-bitset
 // region, per-server victim lists (degradable first, then vm_id) that
-// carry the victim's shape inline — so a shard's tick touches a few dense
+// carry the victim's shape inline — so a tick touches a few dense
 // arrays instead of chasing pointers, and shrink_to never rebuilds or
 // sorts. testkit::RefSite (vbatt/testkit/ref_site.h) is the frozen
 // linear-scan oracle: tests/test_dcsim_site_block.cpp and the

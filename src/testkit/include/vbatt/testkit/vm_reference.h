@@ -21,8 +21,8 @@
 namespace vbatt::testkit {
 
 /// Run the frozen seed engine. Must produce results field-for-field
-/// identical to core::run_fleet_simulation on the same inputs (at any
-/// shard and thread count) — that identity is the differential property.
+/// identical to core::run_fleet_simulation on the same inputs — that
+/// identity is the differential property.
 /// Fault runs need a fresh, identically seeded hooks instance per engine:
 /// injectors are stateful.
 core::VmLevelResult reference_vm_run(

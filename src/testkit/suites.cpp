@@ -267,41 +267,28 @@ CaseResult eval_chaos_zero(const Spec& spec) {
   return CaseResult::pass();
 }
 
-/// The fleet engine at k shards, serial and on a 3-lane pool, against the
-/// frozen linear-scan oracle: field-for-field, bit-for-bit.
+/// The fleet engine against the frozen linear-scan oracle: field-for-field,
+/// bit-for-bit.
 CaseResult eval_engine_diff(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   const core::VmLevelConfig config = make_vm_config(spec);
   const auto sched_ref = make_scheduler(spec);
   const core::VmLevelResult ref =
       reference_vm_run(sc.graph, sc.apps, *sched_ref, config);
-  util::ThreadPool pool{3};
-  core::FleetSimOptions options;
-  options.n_shards = static_cast<int>(
-      std::clamp<std::int64_t>(spec.get("shards", 2), 1, 64));
-  for (util::ThreadPool* p :
-       {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    options.pool = p;
-    const auto scheduler = make_scheduler(spec);
-    const core::VmLevelResult fleet =
-        core::run_fleet_simulation(sc.graph, sc.apps, *scheduler, config,
-                                   options);
-    const std::string diff = diff_vm_results(ref, fleet, sc.graph.n_sites());
-    if (!diff.empty()) {
-      return fail_str("oracle vs " + std::to_string(options.n_shards) +
-                      "-shard engine" +
-                      (p != nullptr ? ", 4 lanes: " : ", serial: ") + diff);
-    }
-  }
+  const auto scheduler = make_scheduler(spec);
+  const core::VmLevelResult fleet =
+      core::run_fleet_simulation(sc.graph, sc.apps, *scheduler, config);
+  const std::string diff = diff_vm_results(ref, fleet, sc.graph.n_sites());
+  if (!diff.empty()) return fail_str("oracle vs engine: " + diff);
   return CaseResult::pass();
 }
 
 // --- fleet suite ---------------------------------------------------------
 
-/// Shard-count and thread-count bit-invariance under a chaos schedule:
-/// every (shards, pool) combination must reproduce the oracle's faulted
-/// run exactly, fault counters included.
-CaseResult eval_fleet_shard_invariance(const Spec& spec) {
+/// The fleet engine under a chaos schedule must reproduce the oracle's
+/// faulted run exactly, fault counters included. (The name predates the
+/// serial engine; it is kept so archived results and replays stay valid.)
+CaseResult eval_fleet_chaos_diff(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   fault::ChaosConfig chaos;
   chaos.intensity = std::max<std::int64_t>(0, spec.get("i100", 150)) / 100.0;
@@ -321,27 +308,13 @@ CaseResult eval_fleet_shard_invariance(const Spec& spec) {
           const core::VmLevelConfig& config) {
         return reference_vm_run(graph, sc.apps, scheduler, config);
       });
-  util::ThreadPool pool{3};
-  for (const int shards : {1, 2, 7}) {
-    for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr),
-                                &pool}) {
-      const core::VmLevelResult sharded = faulted_run(
-          [&](const core::VbGraph& graph, core::Scheduler& scheduler,
-              const core::VmLevelConfig& config) {
-            core::FleetSimOptions options;
-            options.n_shards = shards;
-            options.pool = p;
-            return core::run_fleet_simulation(graph, sc.apps, scheduler,
-                                              config, options);
-          });
-      const std::string diff =
-          diff_vm_results(baseline, sharded, sc.graph.n_sites());
-      if (!diff.empty()) {
-        return fail_str("chaos run, shards=" + std::to_string(shards) +
-                        (p != nullptr ? ", 4 lanes: " : ", serial: ") + diff);
-      }
-    }
-  }
+  const core::VmLevelResult fleet = faulted_run(
+      [&](const core::VbGraph& graph, core::Scheduler& scheduler,
+          const core::VmLevelConfig& config) {
+        return core::run_fleet_simulation(graph, sc.apps, scheduler, config);
+      });
+  const std::string diff = diff_vm_results(baseline, fleet, sc.graph.n_sites());
+  if (!diff.empty()) return fail_str("chaos run: " + diff);
   return CaseResult::pass();
 }
 
@@ -603,9 +576,8 @@ CaseResult eval_objective_identity(const Spec& spec) {
   return CaseResult::pass();
 }
 
-/// Sharded fleet engine vs the oracle on the full extension surface (batch
-/// overlay + price + carbon), serial and pooled: bit-for-bit, fingerprint
-/// included.
+/// Fleet engine vs the oracle on the full extension surface (batch overlay
+/// + price + carbon): bit-for-bit, fingerprint included.
 CaseResult eval_batch_fleet_diff(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   const workload::BatchWorkload batch =
@@ -624,25 +596,14 @@ CaseResult eval_batch_fleet_diff(const Spec& spec) {
   const auto sched_a = make_scheduler(spec);
   const core::VmLevelResult ref =
       reference_vm_run(sc.graph, sc.apps, *sched_a, config);
-  util::ThreadPool pool{3};
-  core::FleetSimOptions options;
-  options.n_shards = static_cast<int>(
-      std::clamp<std::int64_t>(spec.get("shards", 2), 1, 64));
-  for (util::ThreadPool* p :
-       {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-    options.pool = p;
-    const auto sched_b = make_scheduler(spec);
-    const core::VmLevelResult sharded = core::run_fleet_simulation(
-        sc.graph, sc.apps, *sched_b, config, options);
-    const std::string diff = diff_vm_results(ref, sharded, sc.graph.n_sites());
-    if (!diff.empty()) {
-      return fail_str("extensions, shards=" + std::to_string(options.n_shards) +
-                      (p != nullptr ? ", 4 lanes: " : ", serial: ") + diff);
-    }
-    if (svc::result_fingerprint(ref.base) !=
-        svc::result_fingerprint(sharded.base)) {
-      return fail_str("fingerprints diverge despite field-level equality");
-    }
+  const auto sched_b = make_scheduler(spec);
+  const core::VmLevelResult fleet =
+      core::run_fleet_simulation(sc.graph, sc.apps, *sched_b, config);
+  const std::string diff = diff_vm_results(ref, fleet, sc.graph.n_sites());
+  if (!diff.empty()) return fail_str("extensions: " + diff);
+  if (svc::result_fingerprint(ref.base) !=
+      svc::result_fingerprint(fleet.base)) {
+    return fail_str("fingerprints diverge despite field-level equality");
   }
   return CaseResult::pass();
 }
@@ -2166,14 +2127,8 @@ std::vector<Property> all_properties() {
                       kScenarioShrink});
   registry.push_back({"sim", "chaos_zero", scenario_gen_sched,
                       eval_chaos_zero, kScenarioShrink});
-  registry.push_back({"sim", "engine_diff",
-                      [oracle_gen](util::Rng& rng) {
-                        Spec spec = oracle_gen(rng);
-                        spec.set("shards", 1 + static_cast<std::int64_t>(
-                                                   rng.below(8)));
-                        return spec;
-                      },
-                      eval_engine_diff, kScenarioShrink});
+  registry.push_back({"sim", "engine_diff", oracle_gen, eval_engine_diff,
+                      kScenarioShrink});
   registry.push_back({"sim", "ledger_parity",
                       [](util::Rng& rng) {
                         Spec spec;
@@ -2198,7 +2153,7 @@ std::vector<Property> all_properties() {
                                                   rng.below(250)));
                         return spec;
                       },
-                      eval_fleet_shard_invariance, kScenarioShrink});
+                      eval_fleet_chaos_diff, kScenarioShrink});
 
   registry.push_back({"sim", "deadline_conservation",
                       [](util::Rng& rng) {
@@ -2240,8 +2195,6 @@ std::vector<Property> all_properties() {
                         Spec spec = oracle_gen(rng);
                         gen_batch_keys(spec, rng);
                         gen_econ_keys(spec, rng);
-                        spec.set("shards", 1 + static_cast<std::int64_t>(
-                                                   rng.below(8)));
                         return spec;
                       },
                       eval_batch_fleet_diff, kBatchScenarioShrink});

@@ -1,7 +1,8 @@
 // Fixed-size thread pool and a deterministic parallel_for.
 //
 // The scheduler hot path (clique ranking, per-site capacity refresh) and
-// the sharded fleet engine fan independent work items across cores.
+// the input builds (fleet generation, the forecast fill) fan independent
+// work items across cores.
 // Determinism is part of the contract: parallel_for cuts [0, n) into
 // contiguous chunks and every index is executed exactly once, with every
 // item writing only its own pre-assigned output slot — so parallel

@@ -1,6 +1,8 @@
 #!/bin/sh
-# CLI golden bytes: `vbatt schedule --days=7` for each MIP flow, and for
-# three chaos runs (a seeded MIP schedule, a seeded VM-level greedy
+# CLI golden bytes: `vbatt schedule --days=7` for each MIP flow, for a
+# VM-level MIP run on the mixed workload under the cost objective (batch
+# overlay, price metering and planned moves through the fleet engine), and
+# for three chaos runs (a seeded MIP schedule, a seeded VM-level greedy
 # schedule and a replayed CSV schedule, tests/golden/chaos_7d.csv), must
 # print exactly the stdout checked in under tests/golden/. Unlike
 # cli_thread_invariance, which compares two thread counts of one build,
@@ -49,6 +51,8 @@ check mip24h --policy=mip24h
 check mippeak --policy=mippeak
 check cost --objective=cost
 check carbon --objective=carbon
+check mip_vm_mixed_cost --policy=mip --vm-level --workload=mixed \
+    --objective=cost
 check mip_chaos --policy=mip --chaos=1
 check greedy_vm_chaos --policy=greedy --vm-level --chaos=2 --chaos-seed=3
 check mip24h_chaos_csv --policy=mip24h --chaos-csv="$golden/chaos_7d.csv" \

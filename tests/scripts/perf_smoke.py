@@ -93,7 +93,7 @@ def main():
     # overlay + price/carbon metering) at the same site count.
     fleet_keys = ("sites", "scenario")
     # setup_ms: fleet generation + VbGraph build (forecasts) per cell.
-    fleet_fields = ("setup_ms", "fleet_serial_ms", "fleet_pool_ms")
+    fleet_fields = ("setup_ms", "fleet_serial_ms")
     # ingest_ms: the full streamed run per policy, log and snapshots
     # included (decode/apply/log/snapshot write path).
     svc_keys = ("policy",)

@@ -1,6 +1,5 @@
-// Directed differentials for the sharded fleet engine: every configuration
-// of shard count and worker pool must reproduce the frozen oracle
-// (testkit::reference_vm_run) bit for bit, fault counters included. The
+// Directed differentials for the fleet engine: it must reproduce the frozen
+// oracle (testkit::reference_vm_run) bit for bit, fault counters included. The
 // random-scenario versions of these checks live in the testkit "sim" and
 // "fleet" suites; these pin the small deterministic cases.
 #include "vbatt/core/fleet_sim.h"
@@ -16,7 +15,7 @@
 #include "vbatt/testkit/generators.h"
 #include "vbatt/testkit/spec.h"
 #include "vbatt/testkit/vm_reference.h"
-#include "vbatt/util/thread_pool.h"
+#include "vbatt/util/signal.h"
 
 namespace vbatt::core {
 namespace {
@@ -52,29 +51,16 @@ std::vector<workload::Application> apps_of(int count, int stable = 6,
 }
 
 /// Runs the oracle and the fleet engine on the same scenario and expects
-/// bit-identity across shard counts 1, 2, and 7, serially and on a 3-lane
-/// pool.
+/// bit-identity.
 void expect_engines_agree(const VbGraph& graph,
                           const std::vector<workload::Application>& apps,
                           const VmLevelConfig& config = {}) {
   GreedyScheduler reference_sched;
   const VmLevelResult reference =
       testkit::reference_vm_run(graph, apps, reference_sched, config);
-  util::ThreadPool pool{3};
-  for (const int shards : {1, 2, 7}) {
-    for (util::ThreadPool* p :
-         {static_cast<util::ThreadPool*>(nullptr), &pool}) {
-      GreedyScheduler sched;
-      FleetSimOptions options;
-      options.n_shards = shards;
-      options.pool = p;
-      const VmLevelResult sharded =
-          run_fleet_simulation(graph, apps, sched, config, options);
-      EXPECT_EQ("", testkit::diff_vm_results(reference, sharded,
-                                             graph.n_sites()))
-          << "shards=" << shards << " pool=" << (p != nullptr);
-    }
-  }
+  GreedyScheduler sched;
+  const VmLevelResult fleet = run_fleet_simulation(graph, apps, sched, config);
+  EXPECT_EQ("", testkit::diff_vm_results(reference, fleet, graph.n_sites()));
 }
 
 TEST(FleetSim, MatchesOracleGreedy) {
@@ -103,16 +89,9 @@ TEST(FleetSim, MatchesOracleWithMipScheduler) {
   MipScheduler reference_sched{make_mip24h_config()};
   const VmLevelResult reference =
       testkit::reference_vm_run(graph, apps, reference_sched);
-  for (const int shards : {2, 7}) {
-    MipScheduler sched{make_mip24h_config()};
-    FleetSimOptions options;
-    options.n_shards = shards;
-    const VmLevelResult sharded =
-        run_fleet_simulation(graph, apps, sched, {}, options);
-    EXPECT_EQ("", testkit::diff_vm_results(reference, sharded,
-                                           graph.n_sites()))
-        << "shards=" << shards;
-  }
+  MipScheduler sched{make_mip24h_config()};
+  const VmLevelResult fleet = run_fleet_simulation(graph, apps, sched);
+  EXPECT_EQ("", testkit::diff_vm_results(reference, fleet, graph.n_sites()));
 }
 
 TEST(FleetSim, MatchesOracleUnderChaos) {
@@ -136,20 +115,12 @@ TEST(FleetSim, MatchesOracleUnderChaos) {
         GreedyScheduler sched;
         return testkit::reference_vm_run(g, apps, sched, config);
       });
-  util::ThreadPool pool{3};
-  for (const int shards : {1, 2, 7}) {
-    const VmLevelResult sharded =
-        faulted([&](const VbGraph& g, const VmLevelConfig& config) {
-          GreedyScheduler sched;
-          FleetSimOptions options;
-          options.n_shards = shards;
-          options.pool = &pool;
-          return run_fleet_simulation(g, apps, sched, config, options);
-        });
-    EXPECT_EQ("", testkit::diff_vm_results(reference, sharded,
-                                           graph.n_sites()))
-        << "shards=" << shards;
-  }
+  const VmLevelResult fleet =
+      faulted([&](const VbGraph& g, const VmLevelConfig& config) {
+        GreedyScheduler sched;
+        return run_fleet_simulation(g, apps, sched, config);
+      });
+  EXPECT_EQ("", testkit::diff_vm_results(reference, fleet, graph.n_sites()));
 }
 
 TEST(FleetSim, MatchesOracleOnBlockedMoveRetries) {
@@ -185,8 +156,7 @@ TEST(FleetSim, MatchesOracleOnBlockedMoveRetries) {
     }
     const VmLevelResult fleet = faulted(
         [&](const VbGraph& g, Scheduler& sched, const VmLevelConfig& config) {
-          return run_fleet_simulation(g, sc.apps, sched, config,
-                                      FleetSimOptions{2, nullptr});
+          return run_fleet_simulation(g, sc.apps, sched, config);
         });
     EXPECT_EQ("", testkit::diff_vm_results(reference, fleet,
                                            sc.graph.n_sites()))
@@ -194,20 +164,29 @@ TEST(FleetSim, MatchesOracleOnBlockedMoveRetries) {
   }
 }
 
-TEST(FleetSim, DefaultShardCountFollowsPool) {
-  // n_shards = 0 sizes the shard set from the pool; the result must still
-  // match the explicit single-shard run bit for bit.
+TEST(FleetSim, ShutdownMetersTheLastCompletedTick) {
+  // Requests shutdown from the arrival at tick 30, so the engine stops at
+  // the top of tick 31: ticks 0..30 completed, and tick 30's energy must
+  // land in its own slot, not in the axis's last one.
+  struct StopAtTick30 final : Scheduler {
+    GreedyScheduler greedy;
+    std::string name() const override { return "StopAtTick30"; }
+    Placement place(const workload::Application& app,
+                    const FleetState& state) override {
+      if (state.now >= 30) util::request_shutdown();
+      return greedy.place(app, state);
+    }
+  };
   const VbGraph graph = small_graph();
-  const auto apps = apps_of(9);
-  GreedyScheduler s1;
-  const VmLevelResult explicit_one =
-      run_fleet_simulation(graph, apps, s1, {}, FleetSimOptions{1, nullptr});
-  util::ThreadPool pool{3};
-  GreedyScheduler s2;
-  const VmLevelResult defaulted =
-      run_fleet_simulation(graph, apps, s2, {}, FleetSimOptions{0, &pool});
-  EXPECT_EQ("", testkit::diff_vm_results(explicit_one, defaulted,
-                                         graph.n_sites()));
+  StopAtTick30 sched;
+  const VmLevelResult r = run_fleet_simulation(graph, apps_of(12), sched);
+  util::reset_shutdown_flag();
+  ASSERT_EQ(r.base.completed_ticks, 31);
+  const std::vector<double>& energy = r.base.energy_mwh_per_tick;
+  EXPECT_GT(energy[30], 0.0);
+  for (std::size_t i = 31; i < energy.size(); ++i) {
+    EXPECT_EQ(energy[i], 0.0) << "tick " << i;
+  }
 }
 
 TEST(FleetSim, EmptyWorkload) {

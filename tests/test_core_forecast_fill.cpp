@@ -144,11 +144,8 @@ TEST(ForecastFill, GreedyRunsLeaveTheGraphUnfilled) {
   EXPECT_FALSE(graph.forecasts_built());
 
   GreedyScheduler fleet_greedy;
-  FleetSimOptions options;
-  options.n_shards = 3;
-  options.pool = &util::ThreadPool::shared();
   const VmLevelResult vm_level =
-      run_fleet_simulation(graph, apps, fleet_greedy, {}, options);
+      run_fleet_simulation(graph, apps, fleet_greedy);
   EXPECT_GT(vm_level.base.apps_placed, 0);
   EXPECT_FALSE(graph.forecasts_built());
 }

@@ -1,6 +1,5 @@
-// Directed behaviour tests for the VM-level engine (run_fleet_simulation
-// at its default single shard): placement, eviction, energy and ledger
-// accounting at server granularity.
+// Directed behaviour tests for the VM-level engine (run_fleet_simulation):
+// placement, eviction, energy and ledger accounting at server granularity.
 #include "vbatt/core/fleet_sim.h"
 
 #include <gtest/gtest.h>
@@ -145,43 +144,6 @@ TEST(VmLevelSim, MipSchedulerWorksAtVmGranularity) {
   // Proactive app moves translate into per-VM migrations.
   if (r.base.planned_migrations > 0) {
     EXPECT_GE(r.vm_migrations, r.base.planned_migrations);
-  }
-}
-
-TEST(VmLevelSim, ParallelRunIsBitIdenticalToSerial) {
-  // The pool runs the per-shard phases; every lane writes only its own
-  // shard's slots, so the thread count must never change the answer.
-  const VbGraph graph = small_graph(96 * 3);
-  const auto apps = apps_of(25, 8, 4, 96 * 2);
-  GreedyScheduler g1;
-  GreedyScheduler g2;
-  util::ThreadPool pool{3};
-  const VmLevelResult serial = run_fleet_simulation(graph, apps, g1);
-  const VmLevelResult parallel =
-      run_fleet_simulation(graph, apps, g2, {}, {.pool = &pool});
-
-  EXPECT_EQ(serial.vm_migrations, parallel.vm_migrations);
-  EXPECT_EQ(serial.fragmentation_failures, parallel.fragmentation_failures);
-  EXPECT_EQ(serial.powered_server_ticks, parallel.powered_server_ticks);
-  EXPECT_EQ(serial.base.apps_placed, parallel.base.apps_placed);
-  EXPECT_EQ(serial.base.planned_migrations, parallel.base.planned_migrations);
-  EXPECT_EQ(serial.base.forced_migrations, parallel.base.forced_migrations);
-  EXPECT_EQ(serial.base.displaced_stable_core_ticks,
-            parallel.base.displaced_stable_core_ticks);
-  EXPECT_EQ(serial.base.paused_degradable_vm_ticks,
-            parallel.base.paused_degradable_vm_ticks);
-  EXPECT_EQ(serial.base.degradable_active_vm_ticks,
-            parallel.base.degradable_active_vm_ticks);
-  EXPECT_EQ(serial.base.energy_mwh, parallel.base.energy_mwh);  // bit-equal
-  ASSERT_EQ(serial.base.moved_gb.size(), parallel.base.moved_gb.size());
-  for (std::size_t i = 0; i < serial.base.moved_gb.size(); ++i) {
-    EXPECT_EQ(serial.base.moved_gb[i], parallel.base.moved_gb[i]);
-    EXPECT_EQ(serial.base.energy_mwh_per_tick[i],
-              parallel.base.energy_mwh_per_tick[i]);
-  }
-  for (std::size_t s = 0; s < graph.n_sites(); ++s) {
-    EXPECT_EQ(serial.base.ledger.out_series(s), parallel.base.ledger.out_series(s));
-    EXPECT_EQ(serial.base.ledger.in_series(s), parallel.base.ledger.in_series(s));
   }
 }
 

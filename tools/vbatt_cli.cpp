@@ -15,6 +15,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <utility>
 
 #include "args.h"
 #include "vbatt/fault/stream.h"
@@ -269,15 +270,12 @@ int cmd_schedule(const Args& args) {
       return 2;
     }
     if (args.flag("vm-level")) {
-      // The pool runs the fleet engine's per-shard phases; the shard
-      // count follows its width and never changes the output.
       core::VmLevelConfig vm_config;
       vm_config.faults.hooks = injector.get();
       vm_config.ext = ext.any() ? &ext : nullptr;
-      const core::VmLevelResult vm = core::run_fleet_simulation(
-          sim_graph, apps, *scheduler, vm_config,
-          core::FleetSimOptions{.pool = &util::ThreadPool::shared()});
-      result = vm.base;
+      core::VmLevelResult vm =
+          core::run_fleet_simulation(sim_graph, apps, *scheduler, vm_config);
+      result = std::move(vm.base);
       std::printf("vm-level: %lld VM migrations, %lld fragmentation "
                   "failures, %lld powered server-ticks\n",
                   static_cast<long long>(vm.vm_migrations),
