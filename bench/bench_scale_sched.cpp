@@ -176,8 +176,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  util::ThreadPool& shared = util::ThreadPool::shared();
-  util::ThreadPool* pool = shared.size() > 0 ? &shared : nullptr;
+  util::ThreadPool serial_pool{0};
+  util::ThreadPool& pool = util::ThreadPool::shared();
   std::printf("scheduler hot-path sweep (window %lld ticks, %zu thread%s)\n",
               static_cast<long long>(kWindow),
               util::ThreadPool::default_threads(),
@@ -201,8 +201,9 @@ int main(int argc, char** argv) {
           repeats, [&] { ref = reference_rank(graph, k, 0, kWindow); });
       row.serial_ms = best_of_ms(repeats, [&] {
         core::ForecastCache cache;
-        cache.refresh(graph, 0, 0, kWindow);
-        serial = core::rank_subgraphs(graph, k, 0, kWindow, cache, nullptr);
+        cache.refresh(graph, 0, 0, kWindow, serial_pool);
+        serial =
+            core::rank_subgraphs(graph, k, 0, kWindow, cache, serial_pool);
       });
       row.parallel_ms = best_of_ms(repeats, [&] {
         core::ForecastCache cache;

@@ -77,7 +77,7 @@ void extend_clique(const net::LatencyGraph& graph, int k,
 
 std::vector<RankedSubgraph> score_cliques(
     std::vector<std::vector<std::size_t>> cliques, const ForecastCache& cache,
-    util::Tick now, util::Tick end, util::ThreadPool* pool) {
+    util::Tick now, util::Tick end, util::ThreadPool& pool) {
   const std::size_t n_ticks = static_cast<std::size_t>(end - now);
   const std::size_t offset = static_cast<std::size_t>(now - cache.begin());
 
@@ -91,11 +91,7 @@ std::vector<RankedSubgraph> score_cliques(
   const auto score_range = [&](std::size_t first, std::size_t last) {
     combined_series_stats(cliques, series, n_ticks, first, last, stats);
   };
-  if (pool != nullptr) {
-    pool->parallel_for(cliques.size(), score_range);
-  } else {
-    score_range(0, cliques.size());
-  }
+  pool.parallel_for(cliques.size(), score_range);
 
   std::vector<RankedSubgraph> out(cliques.size());
   for (std::size_t c = 0; c < cliques.size(); ++c) {
@@ -177,7 +173,7 @@ std::vector<RankedSubgraph> rank_subgraphs(const VbGraph& graph, int k,
                                            util::Tick now,
                                            util::Tick window_ticks,
                                            const ForecastCache& cache,
-                                           util::ThreadPool* pool) {
+                                           util::ThreadPool& pool) {
   const util::Tick end = std::min<util::Tick>(
       static_cast<util::Tick>(graph.n_ticks()), now + window_ticks);
   if (now < 0 || now >= end) {
@@ -199,10 +195,9 @@ std::vector<RankedSubgraph> rank_subgraphs(const VbGraph& graph, int k,
     throw std::out_of_range{"rank_subgraphs: bad window"};
   }
   util::ThreadPool& pool = util::ThreadPool::shared();
-  util::ThreadPool* pool_ptr = pool.size() > 0 ? &pool : nullptr;
   ForecastCache cache;
-  cache.refresh(graph, now, now, end, pool_ptr);
-  return rank_subgraphs(graph, k, now, window_ticks, cache, pool_ptr);
+  cache.refresh(graph, now, now, end, pool);
+  return rank_subgraphs(graph, k, now, window_ticks, cache, pool);
 }
 
 }  // namespace vbatt::core

@@ -88,7 +88,8 @@ std::vector<RankedSubgraph> peel_candidate_groups(const VbGraph& graph,
   // One forecast materialization for the whole peel instead of a
   // forecast_cores call per (site, tick, candidate-evaluation).
   ForecastCache cache;
-  cache.refresh(graph, now, now, end);
+  util::ThreadPool serial{0};
+  cache.refresh(graph, now, now, end, serial);
   const std::size_t window = static_cast<std::size_t>(end - now);
 
   const auto group_stats = [&](const std::vector<std::size_t>& sites) {

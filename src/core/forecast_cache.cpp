@@ -6,7 +6,7 @@ namespace vbatt::core {
 
 void ForecastCache::refresh(const VbGraph& graph, util::Tick now,
                             util::Tick begin, util::Tick end,
-                            util::ThreadPool* pool) {
+                            util::ThreadPool& pool) {
   if (matches(&graph, now, begin, end)) return;
   graph_ = &graph;
   now_ = now;
@@ -14,8 +14,8 @@ void ForecastCache::refresh(const VbGraph& graph, util::Tick now,
   end_ = end;
 
   // Fill the graph's forecasts here, on the calling thread, where the
-  // fill can fan over the shared pool; a first read inside a pool task
-  // below would fill serially.
+  // fill can fan over the shared pool; a first read inside one of the
+  // shared pool's chunks below would fill inline.
   graph.build_forecasts();
   const std::size_t n_sites = graph.n_sites();
   series_.assign(n_sites, {});
@@ -33,11 +33,7 @@ void ForecastCache::refresh(const VbGraph& graph, util::Tick now,
       }
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(n_sites, materialize);
-  } else {
-    materialize(0, n_sites);
-  }
+  pool.parallel_for(n_sites, materialize);
 }
 
 std::int64_t ForecastCache::range_sum(std::size_t s, util::Tick a,

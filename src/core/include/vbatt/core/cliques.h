@@ -56,14 +56,15 @@ std::vector<RankedSubgraph> rank_subgraphs(const VbGraph& graph, int k,
 
 /// Same ranking against a caller-owned cache (must cover
 /// [now, min(n_ticks, now + window)) as seen from `now`) and an explicit
-/// pool (nullptr = serial). This is the replan path: MipScheduler shares
-/// one cache between capacity refresh and ranking. Clique scoring is
-/// embarrassingly parallel — each clique owns one output slot — so the
-/// pool changes wall-clock time only, never a bit of the result.
+/// pool (a zero-worker pool runs serially). This is the replan path:
+/// MipScheduler shares one cache between capacity refresh and ranking.
+/// Clique scoring is embarrassingly parallel — each clique owns one output
+/// slot — so the pool changes wall-clock time only, never a bit of the
+/// result.
 std::vector<RankedSubgraph> rank_subgraphs(const VbGraph& graph, int k,
                                            util::Tick now,
                                            util::Tick window_ticks,
                                            const ForecastCache& cache,
-                                           util::ThreadPool* pool);
+                                           util::ThreadPool& pool);
 
 }  // namespace vbatt::core

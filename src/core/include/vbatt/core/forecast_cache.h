@@ -22,10 +22,10 @@ class ForecastCache {
  public:
   /// Materialize every site's forecast-cores series for ticks
   /// [begin, end) as seen from `now`. No-op when the cache already holds
-  /// exactly this key. Site materialization fans out over `pool` when
-  /// given (deterministic: each site owns its slot).
+  /// exactly this key. Site materialization fans out over `pool`
+  /// (deterministic: each site owns its slot).
   void refresh(const VbGraph& graph, util::Tick now, util::Tick begin,
-               util::Tick end, util::ThreadPool* pool = nullptr);
+               util::Tick end, util::ThreadPool& pool);
 
   /// Does the cache currently hold (graph, now, begin, end)?
   bool matches(const VbGraph* graph, util::Tick now, util::Tick begin,

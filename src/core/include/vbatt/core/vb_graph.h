@@ -67,15 +67,14 @@ struct VbGraphConfig {
 ///     the power series can never feed, or be overwritten by, a later fill;
 ///   - build_forecasts(), for callers that want the cost paid up front.
 /// The fill fans the per-site work over util::ThreadPool::shared(); a first
-/// read on one of that pool's own workers (where parallel_for throws) fills
-/// serially instead. Both give the same bytes: the noise is keyed per
-/// (seed, source, lead) and each site writes only its own slot. Concurrent
-/// first reads are safe: one thread fills, the others wait for it. The
-/// filling thread holds the fill lock while it waits for the shared pool,
-/// so two threads outside the pool must not race a fill against a
-/// shared-pool job whose tasks first-read the same graph (those tasks
-/// would wait on the lock, the filler on that job). Fill before fanning
-/// such tasks out, as ForecastCache::refresh does.
+/// read inside one of that pool's chunks, on the caller or on a worker,
+/// fills inline (the pool's nesting rule). Both give the same bytes: the
+/// noise is keyed per (seed, source, lead) and each site writes only its
+/// own slot. Concurrent first reads are safe: one thread fills, the others
+/// wait for it. The filler never waits on another thread's pool job (a
+/// pool that is busy runs the fill inline), so a fill racing a shared-pool
+/// job whose chunks first-read the same graph cannot deadlock; it only
+/// loses the fan-out. ForecastCache::refresh fills before it fans out.
 ///
 /// Copies and moves are independent graphs. A filled graph's copy carries
 /// its forecasts; an unfilled graph's copy fills on its own first read, to

@@ -64,8 +64,7 @@ void MipScheduler::refresh_capacity(const FleetState& state) {
       trace_end,
       cache_now_ + config_.bucket_ticks * static_cast<util::Tick>(buckets));
 
-  util::ThreadPool& shared_pool = util::ThreadPool::shared();
-  util::ThreadPool* pool = shared_pool.size() > 0 ? &shared_pool : nullptr;
+  util::ThreadPool& pool = util::ThreadPool::shared();
 
   // One forecast materialization per replan; capacity bucketing and clique
   // ranking both read from it instead of per-tick forecast_cores calls.
@@ -98,11 +97,7 @@ void MipScheduler::refresh_capacity(const FleetState& state) {
       }
     }
   };
-  if (pool != nullptr) {
-    pool->parallel_for(n_sites, fill_sites);
-  } else {
-    fill_sites(0, n_sites);
-  }
+  pool.parallel_for(n_sites, fill_sites);
 
   ranked_ = rank_subgraphs(*state.graph, config_.clique_k, cache_now_,
                            config_.bucket_ticks *

@@ -108,10 +108,8 @@ void VbGraph::build_forecasts() const {
     for (const VbSite& site : sites_) {
       inputs.push_back({site.power_norm, site.source});
     }
-    util::ThreadPool& pool = util::ThreadPool::shared();
     forecasts_.series = energy::Forecaster{forecaster_}.forecast(
-        inputs, axis_, leads_hours_,
-        pool.on_worker_thread() ? nullptr : &pool);
+        inputs, axis_, leads_hours_, util::ThreadPool::shared());
   }
   forecasts_.built.store(true, std::memory_order_release);
 }

@@ -35,15 +35,16 @@ std::vector<double> Forecaster::climatology(
 std::vector<double> Forecaster::forecast(const PowerTrace& actual,
                                          double lead_hours) const {
   const ForecastInput input{actual.normalized_series(), actual.source()};
+  util::ThreadPool serial{0};  // one input: nothing to fan out
   return std::move(forecast(std::span{&input, 1}, actual.axis(),
-                            std::span{&lead_hours, 1})
+                            std::span{&lead_hours, 1}, serial)
                        .front()
                        .front());
 }
 
 std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
     std::span<const ForecastInput> inputs, const util::TimeAxis& axis,
-    std::span<const double> leads, util::ThreadPool* pool) const {
+    std::span<const double> leads, util::ThreadPool& pool) const {
   for (const double lead : leads) {
     if (lead < 0.0) throw std::invalid_argument{"forecast: negative lead"};
   }
@@ -80,11 +81,7 @@ std::vector<std::vector<std::vector<double>>> Forecaster::forecast(
                      out[s]);
     }
   };
-  if (pool != nullptr && pool->size() > 0) {
-    pool->parallel_for(inputs.size(), run);
-  } else {
-    run(0, inputs.size());
-  }
+  pool.parallel_for(inputs.size(), run);
   return out;
 }
 

@@ -83,11 +83,11 @@ class Forecaster {
   /// (source, lead) for all inputs. Every series must have the same
   /// length. The noise tables are drawn and every output buffer is sized
   /// on the calling thread; the per-input work then fans over `pool`
-  /// (serial when null or workerless). Each input writes only its own
+  /// (serial when it has no workers). Each input writes only its own
   /// presized slot, so the result is the same at any lane count.
   std::vector<std::vector<std::vector<double>>> forecast(
       std::span<const ForecastInput> inputs, const util::TimeAxis& axis,
-      std::span<const double> leads, util::ThreadPool* pool = nullptr) const;
+      std::span<const double> leads, util::ThreadPool& pool) const;
 
   /// Empirical climatology of a normalized series on `axis`: mean power
   /// per tick-of-day. Returned series has ticks_per_day entries.

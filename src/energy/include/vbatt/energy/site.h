@@ -67,14 +67,13 @@ struct Fleet {
 
 /// Deterministically generate a fleet per the config. Site layout and
 /// the shared wind fronts are drawn on the calling thread; the per-site
-/// traces then fan over `pool` (serial when null or workerless) into
+/// traces then fan over `pool` (serial when it has no workers) into
 /// buffers the caller allocated. Every site's trace depends only on its
 /// own spec and front, so the fleet is the same at any lane count.
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
-                     std::size_t n_ticks, util::ThreadPool* pool);
+                     std::size_t n_ticks, util::ThreadPool& pool);
 
-/// generate_fleet on util::ThreadPool::shared(); like any user of that
-/// pool, not to be called from inside one of its tasks.
+/// generate_fleet on util::ThreadPool::shared().
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
                      std::size_t n_ticks);
 

@@ -17,11 +17,11 @@ PowerTrace SiteSpec::generate(const util::TimeAxis& axis,
 
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
                      std::size_t n_ticks) {
-  return generate_fleet(config, axis, n_ticks, &util::ThreadPool::shared());
+  return generate_fleet(config, axis, n_ticks, util::ThreadPool::shared());
 }
 
 Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
-                     std::size_t n_ticks, util::ThreadPool* pool) {
+                     std::size_t n_ticks, util::ThreadPool& pool) {
   if (config.n_solar < 0 || config.n_wind < 0 ||
       config.n_solar + config.n_wind == 0) {
     throw std::invalid_argument{"FleetConfig: need at least one site"};
@@ -113,11 +113,7 @@ Fleet generate_fleet(const FleetConfig& config, const util::TimeAxis& axis,
       }
     }
   };
-  if (pool != nullptr && pool->size() > 0) {
-    pool->parallel_for(n_sites, run);
-  } else {
-    run(0, n_sites);
-  }
+  pool.parallel_for(n_sites, run);
   fleet.traces.reserve(n_sites);
   for (std::size_t s = 0; s < n_sites; ++s) {
     const SiteSpec& spec = fleet.specs[s];

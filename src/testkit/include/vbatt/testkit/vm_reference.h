@@ -42,4 +42,15 @@ std::string diff_vm_results(const core::VmLevelResult& a,
                             const core::VmLevelResult& b,
                             std::size_t n_sites, bool fault_counters = true);
 
+/// The conservation laws every fleet-engine result obeys, whatever its
+/// size: no counter is negative; per-app and per-tick displacement sum to
+/// the fleet total; every degradable VM of a live app is active or paused
+/// on every tick of its residency; the ledger's out and in totals equal
+/// the moved-GB series; total energy equals the per-tick series (to 1e-9
+/// relative). `r` is the run of `apps` on `graph`. Returns "" when every
+/// law holds, else a description of the first violation.
+std::string conservation_violation(
+    const core::VbGraph& graph, const std::vector<workload::Application>& apps,
+    const core::VmLevelResult& r);
+
 }  // namespace vbatt::testkit

@@ -141,92 +141,8 @@ CaseResult eval_conservation(const Spec& spec) {
   const auto scheduler = make_scheduler(spec);
   const core::VmLevelResult r =
       core::run_fleet_simulation(sc.graph, sc.apps, *scheduler);
-  const auto n_ticks = static_cast<util::Tick>(sc.graph.n_ticks());
-
-  // Non-negativity of every counter.
-  for (const auto& [name, v] :
-       {std::pair{"apps_placed", r.base.apps_placed},
-        {"planned_migrations", r.base.planned_migrations},
-        {"forced_migrations", r.base.forced_migrations},
-        {"displaced_stable_core_ticks", r.base.displaced_stable_core_ticks},
-        {"paused_degradable_vm_ticks", r.base.paused_degradable_vm_ticks},
-        {"degradable_active_vm_ticks", r.base.degradable_active_vm_ticks},
-        {"vm_migrations", r.vm_migrations},
-        {"fragmentation_failures", r.fragmentation_failures},
-        {"powered_server_ticks", r.powered_server_ticks}}) {
-    if (v < 0) {
-      return fail_str(std::string{name} + " negative: " + std::to_string(v));
-    }
-  }
-
-  // Per-app displacement must sum to the fleet total, and so must the
-  // per-tick series (both integer-exact).
-  std::int64_t by_app = 0;
-  for (const auto& [app_id, cores] : r.base.displaced_by_app) {
-    if (cores < 0) return fail_str("negative displaced_by_app entry");
-    by_app += cores;
-  }
-  if (by_app != r.base.displaced_stable_core_ticks) {
-    return fail_str("sum(displaced_by_app)=" + std::to_string(by_app) +
-                    " != displaced_stable_core_ticks=" +
-                    std::to_string(r.base.displaced_stable_core_ticks));
-  }
-  std::int64_t by_tick = 0;
-  for (const std::int64_t v : r.base.displaced_stable_cores_per_tick) {
-    by_tick += v;
-  }
-  if (by_tick != r.base.displaced_stable_core_ticks) {
-    return fail_str("sum(displaced_stable_cores_per_tick)=" +
-                    std::to_string(by_tick) +
-                    " != displaced_stable_core_ticks=" +
-                    std::to_string(r.base.displaced_stable_core_ticks));
-  }
-
-  // Degradable bookkeeping closes exactly: every degradable VM of a live
-  // app is active or paused on every tick of the app's residency.
-  std::int64_t expected_degradable = 0;
-  for (const workload::Application& app : sc.apps) {
-    if (app.arrival >= n_ticks) continue;
-    const util::Tick end = app.lifetime_ticks < 0
-                               ? n_ticks
-                               : std::min(n_ticks, app.arrival +
-                                                       app.lifetime_ticks);
-    expected_degradable +=
-        static_cast<std::int64_t>(app.n_degradable) *
-        std::max<util::Tick>(0, end - app.arrival);
-  }
-  const std::int64_t got = r.base.degradable_active_vm_ticks +
-                           r.base.paused_degradable_vm_ticks;
-  if (got != expected_degradable) {
-    return fail_str("degradable active+paused=" + std::to_string(got) +
-                    " != n_degradable x live-ticks=" +
-                    std::to_string(expected_degradable));
-  }
-
-  // Ledger totals equal per-step sums: every migration records the same GB
-  // out, in, and into moved_gb.
-  double moved = 0.0;
-  for (const double gb : r.base.moved_gb) moved += gb;
-  double out_total = 0.0;
-  double in_total = 0.0;
-  for (std::size_t s = 0; s < sc.graph.n_sites(); ++s) {
-    for (const double gb : r.base.ledger.out_series(s)) out_total += gb;
-    for (const double gb : r.base.ledger.in_series(s)) in_total += gb;
-  }
-  if (!near(out_total, moved, 1e-9) || !near(in_total, moved, 1e-9)) {
-    return fail_str("ledger totals out=" + std::to_string(out_total) +
-                    " in=" + std::to_string(in_total) +
-                    " != moved_gb sum=" + std::to_string(moved));
-  }
-
-  // Total energy equals the per-tick series (per-tick sums re-add in a
-  // different order, so this is a tolerance check, not bitwise).
-  double energy = 0.0;
-  for (const double mwh : r.base.energy_mwh_per_tick) energy += mwh;
-  if (!near(energy, r.base.energy_mwh, 1e-9)) {
-    return fail_str("energy_mwh=" + std::to_string(r.base.energy_mwh) +
-                    " != per-tick sum=" + std::to_string(energy));
-  }
+  const std::string violation = conservation_violation(sc.graph, sc.apps, r);
+  if (!violation.empty()) return fail_str(violation);
   return CaseResult::pass();
 }
 
@@ -1724,7 +1640,7 @@ CaseResult eval_forecast_identity(const Spec& spec) {
   switch (route) {
     case 0: {
       core::ForecastCache cache;
-      cache.refresh(graph, -1, 0, n_ticks, &util::ThreadPool::shared());
+      cache.refresh(graph, -1, 0, n_ticks, util::ThreadPool::shared());
       break;
     }
     case 1:
@@ -1751,19 +1667,20 @@ CaseResult eval_forecast_identity(const Spec& spec) {
   }
 
   // The bulk forecast and generate_fleet fan their per-site work over a
-  // pool; no pool, a zero-worker pool, one worker and three workers must
-  // all give the same bytes.
+  // pool; a zero-worker pool, one worker and three workers must all give
+  // the same bytes.
   const std::vector<energy::ForecastInput> inputs =
       forecast_inputs(fleet.traces);
+  util::ThreadPool serial_pool{0};
   const std::vector<std::vector<std::vector<double>>> serial =
       energy::Forecaster{config.forecaster}.forecast(
-          inputs, fleet.axis, config.forecast_leads_hours);
+          inputs, fleet.axis, config.forecast_leads_hours, serial_pool);
   const energy::FleetConfig fleet_config = make_model_fleet_config(spec);
   for (const std::size_t workers : {0u, 1u, 3u}) {
     util::ThreadPool pool{workers};
     const std::string lanes = std::to_string(workers) + " workers";
     const auto pooled = energy::Forecaster{config.forecaster}.forecast(
-        inputs, fleet.axis, config.forecast_leads_hours, &pool);
+        inputs, fleet.axis, config.forecast_leads_hours, pool);
     for (std::size_t s = 0; s < fleet.size(); ++s) {
       for (std::size_t l = 0; l < serial[s].size(); ++l) {
         if (first_byte_diff(pooled[s][l], serial[s][l]) != std::string::npos) {
@@ -1775,7 +1692,7 @@ CaseResult eval_forecast_identity(const Spec& spec) {
     }
     if (!model) continue;
     const energy::Fleet again = energy::generate_fleet(
-        fleet_config, fleet.axis, fleet.traces.front().size(), &pool);
+        fleet_config, fleet.axis, fleet.traces.front().size(), pool);
     for (std::size_t s = 0; s < fleet.size(); ++s) {
       if (first_byte_diff(again.traces[s].normalized_series(),
                           fleet.traces[s].normalized_series()) !=

@@ -1,10 +1,12 @@
 #include "vbatt/testkit/vm_reference.h"
 
 #include <algorithm>
+#include <cmath>
 #include <deque>
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -597,6 +599,99 @@ std::string diff_vm_results(const core::VmLevelResult& a,
     return mismatch("stable_vm_downtime_ticks",
                     a.base.stable_vm_downtime_ticks,
                     b.base.stable_vm_downtime_ticks);
+  }
+  return {};
+}
+
+std::string conservation_violation(
+    const core::VbGraph& graph, const std::vector<workload::Application>& apps,
+    const core::VmLevelResult& r) {
+  const auto n_ticks = static_cast<util::Tick>(graph.n_ticks());
+  const auto near = [](double a, double b, double tol_rel) {
+    return std::abs(a - b) <=
+           tol_rel * std::max({1.0, std::abs(a), std::abs(b)});
+  };
+
+  // Non-negativity of every counter.
+  for (const auto& [name, v] :
+       {std::pair{"apps_placed", r.base.apps_placed},
+        {"planned_migrations", r.base.planned_migrations},
+        {"forced_migrations", r.base.forced_migrations},
+        {"displaced_stable_core_ticks", r.base.displaced_stable_core_ticks},
+        {"paused_degradable_vm_ticks", r.base.paused_degradable_vm_ticks},
+        {"degradable_active_vm_ticks", r.base.degradable_active_vm_ticks},
+        {"vm_migrations", r.vm_migrations},
+        {"fragmentation_failures", r.fragmentation_failures},
+        {"powered_server_ticks", r.powered_server_ticks}}) {
+    if (v < 0) return std::string{name} + " negative: " + std::to_string(v);
+  }
+
+  // Per-app displacement must sum to the fleet total, and so must the
+  // per-tick series (both integer-exact).
+  std::int64_t by_app = 0;
+  for (const auto& [app_id, cores] : r.base.displaced_by_app) {
+    if (cores < 0) return "negative displaced_by_app entry";
+    by_app += cores;
+  }
+  if (by_app != r.base.displaced_stable_core_ticks) {
+    return "sum(displaced_by_app)=" + std::to_string(by_app) +
+           " != displaced_stable_core_ticks=" +
+           std::to_string(r.base.displaced_stable_core_ticks);
+  }
+  std::int64_t by_tick = 0;
+  for (const std::int64_t v : r.base.displaced_stable_cores_per_tick) {
+    by_tick += v;
+  }
+  if (by_tick != r.base.displaced_stable_core_ticks) {
+    return "sum(displaced_stable_cores_per_tick)=" + std::to_string(by_tick) +
+           " != displaced_stable_core_ticks=" +
+           std::to_string(r.base.displaced_stable_core_ticks);
+  }
+
+  // Degradable bookkeeping closes exactly: every degradable VM of a live
+  // app is active or paused on every tick of the app's residency.
+  std::int64_t expected_degradable = 0;
+  for (const workload::Application& app : apps) {
+    if (app.arrival >= n_ticks) continue;
+    const util::Tick end = app.lifetime_ticks < 0
+                               ? n_ticks
+                               : std::min(n_ticks, app.arrival +
+                                                       app.lifetime_ticks);
+    expected_degradable +=
+        static_cast<std::int64_t>(app.n_degradable) *
+        std::max<util::Tick>(0, end - app.arrival);
+  }
+  const std::int64_t got = r.base.degradable_active_vm_ticks +
+                           r.base.paused_degradable_vm_ticks;
+  if (got != expected_degradable) {
+    return "degradable active+paused=" + std::to_string(got) +
+           " != n_degradable x live-ticks=" +
+           std::to_string(expected_degradable);
+  }
+
+  // Ledger totals equal per-step sums: every migration records the same GB
+  // out, in, and into moved_gb.
+  double moved = 0.0;
+  for (const double gb : r.base.moved_gb) moved += gb;
+  double out_total = 0.0;
+  double in_total = 0.0;
+  for (std::size_t s = 0; s < graph.n_sites(); ++s) {
+    for (const double gb : r.base.ledger.out_series(s)) out_total += gb;
+    for (const double gb : r.base.ledger.in_series(s)) in_total += gb;
+  }
+  if (!near(out_total, moved, 1e-9) || !near(in_total, moved, 1e-9)) {
+    return "ledger totals out=" + std::to_string(out_total) +
+           " in=" + std::to_string(in_total) +
+           " != moved_gb sum=" + std::to_string(moved);
+  }
+
+  // Total energy equals the per-tick series (per-tick sums re-add in a
+  // different order, so this is a tolerance check, not bitwise).
+  double energy = 0.0;
+  for (const double mwh : r.base.energy_mwh_per_tick) energy += mwh;
+  if (!near(energy, r.base.energy_mwh, 1e-9)) {
+    return "energy_mwh=" + std::to_string(r.base.energy_mwh) +
+           " != per-tick sum=" + std::to_string(energy);
   }
   return {};
 }

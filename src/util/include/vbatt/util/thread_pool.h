@@ -1,8 +1,8 @@
-// Fixed-size thread pool and a deterministic parallel_for.
+// Fixed-size fork-join thread pool with a deterministic parallel_for.
 //
-// The scheduler hot path (clique ranking, per-site capacity refresh) and
-// the input builds (fleet generation, the forecast fill) fan independent
-// work items across cores.
+// The scheduler's replan work (clique ranking, per-site capacity refresh,
+// the forecast-cache fill) and two input builds (fleet generation, the
+// forecast fill) fan independent work items across cores.
 // Determinism is part of the contract: parallel_for cuts [0, n) into
 // contiguous chunks and every index is executed exactly once, with every
 // item writing only its own pre-assigned output slot — so parallel
@@ -10,31 +10,33 @@
 // thread happens to claim which chunk) changes wall-clock time, never
 // the answer.
 //
-// Dispatch is built for barrier-heavy callers: a parallel_for publishes
-// one job descriptor and a packed atomic claim word; the caller and any
-// awake workers claim chunks with a CAS each, the caller participating
-// until no chunks remain. Workers spin briefly between jobs before
-// parking on a condition variable; a publisher wakes at most one parked
-// worker and claimants chain further wakeups only while unclaimed chunks
-// remain. On a single-core host the caller typically claims every chunk
-// itself and a barrier costs little more than the CAS loop — the pooled
-// path stays within a few percent of serial instead of paying a
-// wake/park round-trip per chunk.
+// Dispatch: a parallel_for takes the pool, writes one job descriptor,
+// opens the job and wakes the workers (they wait on a publish counter);
+// the caller and the workers claim chunks from an atomic counter until
+// none are left. The caller then closes the job and returns once every
+// worker that joined it has left. Idle workers, and a caller waiting for
+// its last worker, poll briefly before they park: a replan publishes
+// jobs back to back.
 //
-// Sizing: ThreadPool::shared() holds `default_threads() - 1` workers
-// (the calling thread participates as the extra lane). default_threads()
-// honors the VBATT_THREADS environment variable; VBATT_THREADS=1 (or a
-// zero-worker pool) is the serial fallback — the body runs inline on the
-// caller with no synchronization at all.
+// One job holds the workers at a time. A parallel_for that finds them on
+// a job runs inline as body(0, n) on its own thread instead of waiting.
+// That is the nesting rule — a parallel_for from inside one of the same
+// pool's chunks, on the caller or on a worker, runs inline — and it also
+// covers a second external thread calling while a job is in flight. No
+// caller ever blocks on another's job, so no lock a chunk takes can
+// deadlock against the pool.
+//
+// Sizing: shared() holds default_threads() - 1 workers (the caller is the
+// extra lane). A zero-worker pool, such as shared() at VBATT_THREADS=1,
+// runs every body inline on the caller with no synchronization at all.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -42,10 +44,13 @@ namespace vbatt::util {
 
 class ThreadPool {
  public:
+  /// Largest VBATT_THREADS value parse_threads accepts.
+  static constexpr std::size_t kMaxThreads = 256;
+
   /// Spawn `n_workers` worker threads (0 = serial pool, no threads).
   explicit ThreadPool(std::size_t n_workers);
 
-  /// Drains every queued task, then joins all workers.
+  /// Joins all workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -55,43 +60,22 @@ class ThreadPool {
   /// parallel_for).
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueue a fire-and-forget task. Runs inline when the pool has no
-  /// workers. Exception-safe: a task that throws never terminates the
-  /// process — the first exception is captured and rethrown by the next
-  /// drain() (mirroring parallel_for's caller-rethrow contract).
-  void submit(std::function<void()> task);
-
-  /// Block until every task submitted so far has finished, then rethrow
-  /// the first exception any of them threw (clearing it). Safe to call
-  /// repeatedly; a no-op on an idle pool. Throws std::logic_error when
-  /// called from one of this pool's own workers (it would deadlock:
-  /// running_ counts the caller itself).
-  void drain();
-
   /// Run `body(begin, end)` over contiguous chunks of [0, n). The calling
   /// thread claims and executes chunks alongside the workers; returns
   /// after every chunk finished. The first exception thrown by any chunk
   /// is rethrown on the caller (remaining chunks still complete). With no
-  /// workers (or n too small to split) the body runs inline as
-  /// body(0, n) — the serial fallback. Concurrent parallel_for calls from
-  /// different external threads are serialized on an internal gate.
-  /// Throws std::logic_error when called from one of this pool's own
-  /// workers: the nested job would wait on lanes that are already
-  /// occupied, a silent deadlock once every worker nests. Nested
-  /// parallelism needs a separate pool (or a serial inner loop).
+  /// workers, n == 1, or while the workers are on a job (another
+  /// thread's, or the one whose chunk makes this call), the body runs
+  /// inline on the caller as body(0, n).
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Whether the calling thread is one of this pool's own workers, where
-  /// parallel_for and drain throw. Callers that may run either inside or
-  /// outside a pool task use it to pick a serial path instead.
-  bool on_worker_thread() const noexcept;
-
-  /// Intended total parallelism: VBATT_THREADS if set (clamped to >= 1),
+  /// Intended total parallelism: VBATT_THREADS if set and valid,
   /// otherwise std::thread::hardware_concurrency().
   static std::size_t default_threads();
 
-  /// Parse a VBATT_THREADS-style value; nullptr/empty/garbage fall back
+  /// Parse a VBATT_THREADS-style value: a decimal in [1, kMaxThreads].
+  /// nullptr, empty, garbage, overflow and out-of-range values fall back
   /// to `fallback`. Exposed for tests.
   static std::size_t parse_threads(const char* value, std::size_t fallback);
 
@@ -101,48 +85,28 @@ class ThreadPool {
 
  private:
   void worker_loop();
-  bool run_one_task();
-  bool run_job_chunks();
-  bool try_claim(std::size_t& chunk);
-  void run_chunk(std::size_t chunk);
-  bool job_available() const;
+  /// Claim and run chunks of the current job until none are left.
+  void run_chunks(const std::function<void(std::size_t, std::size_t)>& body,
+                  std::size_t n, std::size_t chunks);
 
-  // Submit/drain machinery: a mutex-guarded task queue, as in the
-  // original design (submissions are rare and latency-insensitive).
-  std::mutex mutex_;
-  std::condition_variable ready_;
-  std::condition_variable idle_;
-  std::queue<std::function<void()>> tasks_;
-  /// Lock-free mirror of tasks_.size() so spinning workers can poll the
-  /// queue without touching mutex_.
-  std::atomic<std::size_t> pending_tasks_{0};
+  // The job descriptor. The publisher writes it while holding taken_ and
+  // before it opens the job; a worker reads it only after counting itself
+  // into busy_ and seeing the job open, and the publisher does not return
+  // (nor release taken_) until busy_ is back to 0.
+  const std::function<void(std::size_t, std::size_t)>* body_ = nullptr;
+  std::size_t n_ = 0;
+  std::size_t chunks_ = 0;
+  std::atomic<std::size_t> next_{0};  // next unclaimed chunk
+
+  std::atomic<bool> taken_{false};  // a caller owns the workers
+  std::atomic<bool> open_{false};   // workers may join the current job
+  std::atomic<std::size_t> busy_{0};  // workers inside the current job
+  // Bumped to publish a job and to stop; idle workers wait on it.
+  std::atomic<std::uint64_t> job_{0};
   std::atomic<bool> stopping_{false};
-  /// Tasks popped from the queue but still running (guarded by mutex_).
-  std::size_t running_ = 0;
-  /// Workers parked on ready_ (modified under mutex_; read relaxed as a
-  /// wake heuristic — a stale read costs parallelism, never correctness:
-  /// the publisher always completes its own job).
-  std::atomic<int> sleepers_{0};
-  /// First exception thrown by a submitted task; rethrown by drain().
-  std::exception_ptr submit_error_;
 
-  // parallel_for job slot. One job is in flight at a time (job_gate_
-  // serializes publishers); the descriptor below is written by the
-  // publisher before the release-store of job_word_ and read by workers
-  // after their acquire CAS on it.
-  std::mutex job_gate_;
-  /// Packed [unused:40][n_chunks:12][next:12]. A claim CASes next+1 while
-  /// next < n_chunks; once all chunks are claimed the word is inert until
-  /// the next publish.
-  std::atomic<std::uint64_t> job_word_{0};
-  const std::function<void(std::size_t, std::size_t)>* job_body_ = nullptr;
-  std::size_t job_n_ = 0;
-  std::size_t job_chunks_ = 0;
-  std::atomic<std::size_t> job_done_{0};
-  std::mutex job_error_mutex_;
-  std::exception_ptr job_error_;
-  std::mutex job_wait_mutex_;
-  std::condition_variable job_cv_;
+  std::mutex error_mutex_;
+  std::exception_ptr error_;  // first chunk exception of the current job
 
   std::vector<std::thread> workers_;
 };

@@ -63,28 +63,30 @@ TEST(ForecastSeries, RejectsBadRanges) {
 }
 
 TEST(ForecastCache, MaterializesOncePerKeyAndInvalidatesOnNow) {
+  util::ThreadPool serial{0};
   const VbGraph graph = make_graph();
   ForecastCache cache;
   EXPECT_TRUE(cache.empty());
-  cache.refresh(graph, 0, 0, 96);
+  cache.refresh(graph, 0, 0, 96, serial);
   EXPECT_TRUE(cache.matches(&graph, 0, 0, 96));
   EXPECT_FALSE(cache.matches(&graph, 24, 0, 96));  // `now` moved on
 
   const int first = cache.series(0)[0];
-  cache.refresh(graph, 0, 0, 96);  // same key: no-op
+  cache.refresh(graph, 0, 0, 96, serial);  // same key: no-op
   EXPECT_EQ(cache.series(0)[0], first);
 
-  cache.refresh(graph, 24, 24, 120);
+  cache.refresh(graph, 24, 24, 120, serial);
   EXPECT_TRUE(cache.matches(&graph, 24, 24, 120));
   EXPECT_EQ(cache.series(0).size(), 96u);
 }
 
 TEST(ForecastCache, SeriesAndPrefixSumsMatchPerTickApi) {
+  util::ThreadPool serial{0};
   const VbGraph graph = make_graph();
   const util::Tick now = 12;
   const util::Tick end = 96 * 4;
   ForecastCache cache;
-  cache.refresh(graph, now, now, end);
+  cache.refresh(graph, now, now, end, serial);
   for (std::size_t s = 0; s < graph.n_sites(); ++s) {
     std::int64_t rolling = 0;
     for (util::Tick t = now; t < end; ++t) {
@@ -100,12 +102,13 @@ TEST(ForecastCache, SeriesAndPrefixSumsMatchPerTickApi) {
 }
 
 TEST(ForecastCache, ParallelRefreshMatchesSerial) {
+  util::ThreadPool serial_pool{0};
   const VbGraph graph = make_graph(3, 4);
   ForecastCache serial;
-  serial.refresh(graph, 0, 0, 96 * 4);
+  serial.refresh(graph, 0, 0, 96 * 4, serial_pool);
   util::ThreadPool pool{3};
   ForecastCache parallel;
-  parallel.refresh(graph, 0, 0, 96 * 4, &pool);
+  parallel.refresh(graph, 0, 0, 96 * 4, pool);
   ASSERT_EQ(serial.n_sites(), parallel.n_sites());
   for (std::size_t s = 0; s < serial.n_sites(); ++s) {
     EXPECT_EQ(serial.series(s), parallel.series(s));
@@ -113,17 +116,18 @@ TEST(ForecastCache, ParallelRefreshMatchesSerial) {
 }
 
 TEST(RankSubgraphs, ParallelIsBitIdenticalToSerial) {
+  util::ThreadPool serial_pool{0};
   const VbGraph graph = make_graph(3, 5);  // C(8,3) = 56 cliques
   const util::Tick now = 0;
   const util::Tick window = 96 * 3;
   ForecastCache cache;
-  cache.refresh(graph, now, now, now + window);
+  cache.refresh(graph, now, now, now + window, serial_pool);
 
   const std::vector<RankedSubgraph> serial =
-      rank_subgraphs(graph, 3, now, window, cache, nullptr);
+      rank_subgraphs(graph, 3, now, window, cache, serial_pool);
   util::ThreadPool pool{4};
   const std::vector<RankedSubgraph> parallel =
-      rank_subgraphs(graph, 3, now, window, cache, &pool);
+      rank_subgraphs(graph, 3, now, window, cache, pool);
 
   ASSERT_EQ(serial.size(), parallel.size());
   ASSERT_FALSE(serial.empty());
@@ -136,14 +140,15 @@ TEST(RankSubgraphs, ParallelIsBitIdenticalToSerial) {
 }
 
 TEST(RankSubgraphs, CacheOverloadMatchesConvenienceOverload) {
+  util::ThreadPool serial{0};
   const VbGraph graph = make_graph(2, 3);
   const util::Tick window = 96 * 2;
   const std::vector<RankedSubgraph> convenience =
       rank_subgraphs(graph, 2, 0, window);
   ForecastCache cache;
-  cache.refresh(graph, 0, 0, window);
+  cache.refresh(graph, 0, 0, window, serial);
   const std::vector<RankedSubgraph> cached =
-      rank_subgraphs(graph, 2, 0, window, cache, nullptr);
+      rank_subgraphs(graph, 2, 0, window, cache, serial);
   ASSERT_EQ(convenience.size(), cached.size());
   for (std::size_t i = 0; i < convenience.size(); ++i) {
     EXPECT_EQ(convenience[i].sites, cached[i].sites);
@@ -153,14 +158,15 @@ TEST(RankSubgraphs, CacheOverloadMatchesConvenienceOverload) {
 }
 
 TEST(RankSubgraphs, RejectsMismatchedCache) {
+  util::ThreadPool serial{0};
   const VbGraph graph = make_graph(2, 2);
   ForecastCache cache;
-  cache.refresh(graph, 24, 24, 96);
+  cache.refresh(graph, 24, 24, 96, serial);
   // Window as seen from a different `now` than the cache was keyed to.
-  EXPECT_THROW(rank_subgraphs(graph, 2, 0, 48, cache, nullptr),
+  EXPECT_THROW(rank_subgraphs(graph, 2, 0, 48, cache, serial),
                std::invalid_argument);
   // Cache too short for the requested window.
-  EXPECT_THROW(rank_subgraphs(graph, 2, 24, 96 * 4, cache, nullptr),
+  EXPECT_THROW(rank_subgraphs(graph, 2, 24, 96 * 4, cache, serial),
                std::invalid_argument);
 }
 

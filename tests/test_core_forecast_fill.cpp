@@ -1,7 +1,7 @@
 // The first-read forecast fill of VbGraph: a graph builds no forecast at
 // construction, fills the whole lead set exactly once on the first read,
 // and whatever the route (plain read, concurrent reads, a read inside a
-// pool task, a copy, a move, a fault injector) the bytes are those of the
+// pool chunk, a copy, a move, a fault injector) the bytes are those of the
 // eager bulk Forecaster call.
 #include <gtest/gtest.h>
 
@@ -47,9 +47,10 @@ VbGraphConfig graph_config() {
 /// What the eager build computed: the bulk forecast of every trace.
 std::vector<Series> eager_forecasts(const energy::Fleet& fleet,
                                     const VbGraphConfig& config) {
+  util::ThreadPool serial{0};
   return energy::Forecaster{config.forecaster}.forecast(
       testkit::forecast_inputs(fleet.traces), fleet.axis,
-      config.forecast_leads_hours);
+      config.forecast_leads_hours, serial);
 }
 
 bool same_bytes(const Series& a, const Series& b) {
@@ -120,7 +121,7 @@ TEST(ForecastFill, EveryReaderFillsTheEagerBytes) {
 
   const VbGraph by_cache{fleet, graph_config()};
   ForecastCache cache;
-  cache.refresh(by_cache, 0, 0, n_ticks, &util::ThreadPool::shared());
+  cache.refresh(by_cache, 0, 0, n_ticks, util::ThreadPool::shared());
   expect_forecasts(by_cache, want);
 
   VbGraph by_mutable{fleet, graph_config()};
@@ -181,10 +182,10 @@ TEST(ForecastFill, ConcurrentFirstReadsAllSeeTheEagerBytes) {
   expect_forecasts(graph, want);
 }
 
-// A first read inside one of the shared pool's tasks, where a nested
-// parallel_for would throw, fills serially instead: no throw, no deadlock,
-// the same bytes.
-TEST(ForecastFill, AFirstReadInsideAPoolTaskFillsSerially) {
+// A first read inside one of the shared pool's chunks, where the fill's
+// own parallel_for nests, fills inline: no throw, no deadlock, the same
+// bytes, on the caller's lane and on a worker's.
+TEST(ForecastFill, AFirstReadInsideAPoolChunkFillsInline) {
   const energy::Fleet fleet = small_fleet();
   const std::vector<Series> want = eager_forecasts(fleet, graph_config());
   util::ThreadPool& shared = util::ThreadPool::shared();
@@ -201,16 +202,28 @@ TEST(ForecastFill, AFirstReadInsideAPoolTaskFillsSerially) {
     EXPECT_TRUE(same_bytes(seen[s], want[s])) << "site " << s;
   }
 
-  // A submitted task runs on a worker whenever the pool has one.
-  const VbGraph in_task{fleet, graph_config()};
-  std::atomic<bool> on_worker{false};
-  shared.submit([&] {
-    on_worker = shared.on_worker_thread();
-    in_task.build_forecasts();
-  });
-  EXPECT_NO_THROW(shared.drain());
-  EXPECT_EQ(on_worker.load(), shared.size() > 0);
-  expect_forecasts(in_task, want);
+  // The caller's lane holds its chunk until a worker has made the first
+  // read, so the read lands on a worker whenever the pool has one.
+  if (shared.size() > 0) {
+    const VbGraph on_worker{fleet, graph_config()};
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> read{false};
+    EXPECT_NO_THROW(shared.parallel_for(2, [&](std::size_t, std::size_t) {
+      if (std::this_thread::get_id() == caller) {
+        while (!read.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        return;
+      }
+      // Set even if the read throws, so the caller's lane cannot hang.
+      struct SetOnExit {
+        std::atomic<bool>& flag;
+        ~SetOnExit() { flag.store(true, std::memory_order_release); }
+      } done{read};
+      (void)on_worker.forecast_norm(0);
+    }));
+    expect_forecasts(on_worker, want);
+  }
 
   // Workers of another pool fill over the shared one.
   const VbGraph other_pool{fleet, graph_config()};

@@ -154,8 +154,9 @@ TEST(Forecaster, MatchesFrozenReferenceOverAYear) {
   const std::vector<PowerTrace> traces{year_solar(), year_wind()};
   const std::vector<double> leads{0.0, 3.0, 6.0, 12.0, 24.0, 48.0, 96.0,
                                   168.0};
+  util::ThreadPool serial{0};
   const auto bulk =
-      fc.forecast(testkit::forecast_inputs(traces), axis15(), leads);
+      fc.forecast(testkit::forecast_inputs(traces), axis15(), leads, serial);
   ASSERT_EQ(bulk.size(), traces.size());
   for (std::size_t s = 0; s < traces.size(); ++s) {
     ASSERT_EQ(bulk[s].size(), leads.size());
@@ -169,8 +170,8 @@ TEST(Forecaster, MatchesFrozenReferenceOverAYear) {
   }
 }
 
-// The bulk forecast fans its per-trace work over a pool; any lane count
-// (none, a zero-worker pool, one worker, three) must give the serial bytes.
+// The bulk forecast fans its per-trace work over a pool; one worker and
+// three must give the bytes of a zero-worker pool.
 TEST(Forecaster, BulkIsTheSameOnAnyPool) {
   const Forecaster fc;
   std::vector<PowerTrace> traces;
@@ -184,10 +185,11 @@ TEST(Forecaster, BulkIsTheSameOnAnyPool) {
   }
   const std::vector<double> leads{0.0, 3.0, 24.0, 96.0, 168.0};
   const auto inputs = testkit::forecast_inputs(traces);
-  const auto serial = fc.forecast(inputs, axis15(), leads);
-  for (const std::size_t workers : {0u, 1u, 3u}) {
+  util::ThreadPool serial_pool{0};
+  const auto serial = fc.forecast(inputs, axis15(), leads, serial_pool);
+  for (const std::size_t workers : {1u, 3u}) {
     util::ThreadPool pool{workers};
-    const auto pooled = fc.forecast(inputs, axis15(), leads, &pool);
+    const auto pooled = fc.forecast(inputs, axis15(), leads, pool);
     ASSERT_EQ(pooled.size(), serial.size());
     for (std::size_t s = 0; s < traces.size(); ++s) {
       ASSERT_EQ(pooled[s].size(), leads.size());
@@ -202,25 +204,29 @@ TEST(Forecaster, BulkIsTheSameOnAnyPool) {
 TEST(Forecaster, BulkValidatesInputs) {
   const Forecaster fc;
   const std::vector<double> leads{3.0, 24.0};
+  util::ThreadPool serial{0};
   EXPECT_TRUE(
-      fc.forecast(std::vector<ForecastInput>{}, axis15(), leads).empty());
+      fc.forecast(std::vector<ForecastInput>{}, axis15(), leads, serial)
+          .empty());
 
   WindConfig wind;
   std::vector<PowerTrace> traces{WindModel{wind}.generate(axis15(), 96u),
                                  WindModel{wind}.generate(axis15(), 97u)};
   std::vector<ForecastInput> inputs = testkit::forecast_inputs(traces);
-  EXPECT_THROW(fc.forecast(inputs, axis15(), leads), std::invalid_argument);
+  EXPECT_THROW(fc.forecast(inputs, axis15(), leads, serial),
+               std::invalid_argument);
   util::ThreadPool pool{2};
-  EXPECT_THROW(fc.forecast(inputs, axis15(), leads, &pool),
+  EXPECT_THROW(fc.forecast(inputs, axis15(), leads, pool),
                std::invalid_argument);
   inputs.pop_back();
-  EXPECT_THROW(fc.forecast(inputs, axis15(), std::vector<double>{3.0, -1.0}),
-               std::invalid_argument);
+  EXPECT_THROW(
+      fc.forecast(inputs, axis15(), std::vector<double>{3.0, -1.0}, serial),
+      std::invalid_argument);
 
   const std::vector<PowerTrace> empty{
       PowerTrace{axis15(), 100.0, {}, Source::wind}};
   const auto out =
-      fc.forecast(testkit::forecast_inputs(empty), axis15(), leads);
+      fc.forecast(testkit::forecast_inputs(empty), axis15(), leads, serial);
   ASSERT_EQ(out.size(), 1u);
   ASSERT_EQ(out[0].size(), leads.size());
   for (const auto& series : out[0]) EXPECT_TRUE(series.empty());

@@ -2,8 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -59,62 +59,6 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
   EXPECT_EQ(sum.load(), 1000u);
 }
 
-TEST(ThreadPool, DrainsQueuedTasksOnDestruction) {
-  std::atomic<int> ran{0};
-  {
-    ThreadPool pool{2};
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&ran] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        ran.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Destructor must wait for (not drop) everything still queued.
-  }
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, SubmitExceptionRethrownOnDrainNotTerminate) {
-  ThreadPool pool{2};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([i] {
-      if (i == 3) throw std::runtime_error{"task failed"};
-    });
-  }
-  EXPECT_THROW(pool.drain(), std::runtime_error);
-  // The error is cleared once reported; the pool stays usable.
-  std::atomic<int> ran{0};
-  pool.submit([&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  pool.drain();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPool, DrainWaitsForAllSubmittedTasks) {
-  ThreadPool pool{3};
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.submit([&ran] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      ran.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.drain();
-  EXPECT_EQ(ran.load(), 64);
-}
-
-TEST(ThreadPool, DrainOnSerialPoolReportsInlineFailure) {
-  ThreadPool pool{0};  // tasks run inline on submit
-  pool.submit([] { throw std::logic_error{"inline"}; });  // must not throw here
-  EXPECT_THROW(pool.drain(), std::logic_error);
-  pool.drain();  // idempotent: error already consumed
-}
-
-TEST(ThreadPool, DrainOnIdlePoolIsANoOp) {
-  ThreadPool pool{2};
-  pool.drain();
-  pool.drain();
-}
-
 TEST(ThreadPool, StressManyRoundsStaysConsistent) {
   ThreadPool pool{4};
   for (int round = 0; round < 200; ++round) {
@@ -136,6 +80,13 @@ TEST(ThreadPool, ParseThreadsHonorsOverrideAndFallsBack) {
   EXPECT_EQ(ThreadPool::parse_threads("-2", 4), 4u);
   EXPECT_EQ(ThreadPool::parse_threads("lots", 4), 4u);
   EXPECT_EQ(ThreadPool::parse_threads("3x", 4), 4u);
+  // Values past kMaxThreads, and ones strtol cannot hold, fall back too:
+  // no pool is ever sized from them.
+  EXPECT_EQ(ThreadPool::parse_threads("256", 4), 256u);
+  EXPECT_EQ(ThreadPool::parse_threads("257", 4), 4u);
+  EXPECT_EQ(ThreadPool::parse_threads("100000", 4), 4u);
+  EXPECT_EQ(ThreadPool::parse_threads("99999999999999999999999", 4), 4u);
+  EXPECT_EQ(ThreadPool::parse_threads("-99999999999999999999999", 4), 4u);
 }
 
 TEST(ThreadPool, ZeroItemsIsANoOp) {
@@ -145,69 +96,76 @@ TEST(ThreadPool, ZeroItemsIsANoOp) {
   EXPECT_FALSE(called);
 }
 
-TEST(ThreadPool, NestedParallelForFromWorkerFailsFast) {
-  // A worker re-entering parallel_for on its own pool would block in the
-  // nested wait while occupying the lane the nested chunks need — with
-  // every lane nested, a silent deadlock. The pool must refuse instead.
-  // submit() is the deterministic way to land on a worker: parallel_for
-  // chunks are claimed greedily and may all run on the caller.
+/// Sets `flag` when it goes out of scope, also when a chunk throws, so a
+/// lane waiting on the flag cannot hang on a failing chunk.
+struct SetOnExit {
+  std::atomic<bool>& flag;
+  ~SetOnExit() { flag.store(true, std::memory_order_release); }
+};
+
+TEST(ThreadPool, NestedParallelForFromWorkerRunsInline) {
+  // Every chunk, on the caller or on a worker, nests a parallel_for on
+  // the same pool; each nested call must run inline on the chunk's own
+  // thread and cover every index once. The caller's lane holds its chunk
+  // until a worker has run one, so a worker's chunk nests for certain
+  // (it is picked out by thread id).
   ThreadPool pool{2};
-  std::atomic<int> caught{0};
-  pool.submit([&] {
-    try {
-      pool.parallel_for(2, [](std::size_t, std::size_t) {});
-    } catch (const std::logic_error&) {
-      caught.fetch_add(1, std::memory_order_relaxed);
+  const auto caller = std::this_thread::get_id();
+  std::atomic<bool> worker_nested{false};
+  std::atomic<int> worker_chunks{0};
+  std::atomic<int> bad{0};
+  const auto nest = [&] {
+    const auto me = std::this_thread::get_id();
+    std::vector<int> hits(100, 0);
+    pool.parallel_for(hits.size(), [&](std::size_t begin, std::size_t end) {
+      if (std::this_thread::get_id() != me) bad.fetch_add(1);
+      for (std::size_t i = begin; i < end; ++i) ++hits[i];
+    });
+    if (!std::all_of(hits.begin(), hits.end(),
+                     [](int h) { return h == 1; })) {
+      bad.fetch_add(1);
     }
-  });
-  pool.drain();
-  EXPECT_GT(caught.load(), 0);
-
-  // The external caller, by contrast, may re-enter parallel_for from one
-  // of its own chunks: the nested call degrades to the serial inline
-  // fallback instead of deadlocking on the in-flight job. A chunk that
-  // happens to land on a worker is still refused — either way the outer
-  // call must complete.
-  std::atomic<std::size_t> nested_sum{0};
-  pool.parallel_for(4, [&](std::size_t begin, std::size_t end) {
-    (void)begin;
-    (void)end;
-    try {
-      pool.parallel_for(8, [&](std::size_t b, std::size_t e) {
-        nested_sum.fetch_add(e - b, std::memory_order_relaxed);
-      });
-    } catch (const std::logic_error&) {
-      // chunk ran on a worker: nesting correctly refused
+  };
+  EXPECT_NO_THROW(pool.parallel_for(2, [&](std::size_t, std::size_t) {
+    if (std::this_thread::get_id() == caller) {
+      nest();
+      while (!worker_nested.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      return;
     }
-  });
-  EXPECT_EQ(nested_sum.load() % 8, 0u);  // inner loops ran whole or not at all
-
-  // Zero items must be rejected too: whether the guard fires cannot
-  // depend on the data size, or small inputs would mask the bug.
-  std::atomic<bool> zero_caught{false};
-  pool.submit([&] {
-    try {
-      pool.parallel_for(0, [](std::size_t, std::size_t) {});
-    } catch (const std::logic_error&) {
-      zero_caught.store(true, std::memory_order_relaxed);
-    }
-  });
-  pool.drain();
-  EXPECT_TRUE(zero_caught.load());
+    const SetOnExit done{worker_nested};
+    worker_chunks.fetch_add(1);
+    nest();
+  }));
+  EXPECT_GT(worker_chunks.load(), 0);
+  EXPECT_EQ(bad.load(), 0);
 }
 
-TEST(ThreadPool, NestedDrainFromWorkerFailsFast) {
+TEST(ThreadPool, ConcurrentExternalCallersEachCoverEveryIndexOnce) {
+  // Two external threads call one pool at once. One job holds the workers
+  // at a time and a caller that finds them busy runs inline; either way
+  // every index of every job runs exactly once.
   ThreadPool pool{2};
-  std::atomic<bool> caught{false};
-  pool.submit([&] {
-    try {
-      pool.drain();
-    } catch (const std::logic_error&) {
-      caught.store(true, std::memory_order_relaxed);
+  std::atomic<int> bad{0};
+  const auto publish = [&](std::size_t salt) {
+    for (std::size_t round = 0; round < 200; ++round) {
+      const std::size_t n = 1 + (round * 37 + salt) % 300;
+      std::vector<int> hits(n, 0);
+      pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) ++hits[i];
+      });
+      if (!std::all_of(hits.begin(), hits.end(),
+                       [](int h) { return h == 1; })) {
+        bad.fetch_add(1);
+      }
     }
-  });
-  pool.drain();
-  EXPECT_TRUE(caught.load());
+  };
+  std::thread a{publish, 0};
+  std::thread b{publish, 11};
+  a.join();
+  b.join();
+  EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ThreadPool, WorkerMayDriveADifferentPool) {
