@@ -16,12 +16,14 @@
 // global sweeps would dominate, so the hot per-site state of the whole
 // fleet lives in one SoA dcsim::SiteBlock, per-VM and per-app state in
 // flat columns, and departures in a calendar queue. The engine is serial:
-// each tick runs its steps in a fixed order (meter the previous tick,
-// repairs, departures, replan, arrivals, moves, server failures, shrink,
-// re-home, resume, overlay), walking sites in site order and apps in
-// app_id order, so the result is field-for-field equal to the frozen
-// linear-scan oracle testkit::reference_vm_run. The tick order is
-// documented in docs/SIMULATOR.md.
+// run_fleet_simulation drives a FleetEngine (private to fleet_sim.cpp)
+// with one member per step of the tick order in docs/SIMULATOR.md (meter,
+// repairs and budget, departures, replan, arrivals, moves and outages,
+// shrink and absorb, re-home, resume, overlay), walking sites in site
+// order and apps in app_id order, so the result is field-for-field equal
+// to the frozen linear-scan oracle testkit::reference_vm_run. The move
+// book, fault and econ code are the tick parts it shares with the
+// app-level SimStepper (tick_parts.h).
 #pragma once
 
 #include "vbatt/core/scheduler.h"

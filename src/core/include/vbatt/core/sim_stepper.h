@@ -5,10 +5,11 @@
 // (vbatt::svc) needs the same engine advanced one phase at a time by
 // *streamed* events — arrivals, departures, and replans arrive from the
 // outside world instead of a trace. SimStepper is that seam: it holds all
-// the per-run state (fleet ledgers, pending proactive moves, retry queue,
-// departure calendar, result accumulators) and exposes the tick phases in
-// the exact order the batch loop runs them, so a trace-driven run through
-// the stepper is byte-identical to the historical run_simulation body.
+// the per-run state (fleet ledgers, move book, departure calendar, result
+// accumulators) and exposes the tick phases in the order the batch loop
+// runs them. The move book, the fault prologue and epilogue, the econ
+// meter and the overlay step are the tick parts it shares with the
+// VM-level fleet engine (tick_parts.h).
 //
 // Phase order per tick t (the batch loop's steps 0-7):
 //   begin_tick(t)          fault bookkeeping, topology-epoch watch
@@ -20,20 +21,17 @@
 //   enforce_and_meter()    capacity enforcement, energy, fault accounting
 //
 // save()/restore() serialize the complete logical state between ticks
-// (after enforce_and_meter, before the next begin_tick), so a restored
-// stepper continues bit-identically. The scheduler is NOT serialized:
-// recovery constructs a fresh one, which is output-identical only for
-// schedulers that carry no result-bearing state across replans: Greedy,
-// and MipScheduler, whose only cross-replan cache (the model cache) is
-// bitwise-identical to a scratch build.
+// (after enforce_and_meter, before the next begin_tick), including the
+// scheduler's decision-bearing caches (Scheduler::save_state), so a
+// restored stepper continues bit-identically.
 #pragma once
 
-#include <map>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "vbatt/core/simulation.h"
+#include "vbatt/core/tick_parts.h"
 #include "vbatt/util/wire.h"
 
 namespace vbatt::core {
@@ -51,9 +49,6 @@ class SimStepper {
 
   /// Last tick fully stepped (-1 before the first begin_tick).
   util::Tick now() const noexcept { return now_; }
-  std::size_t n_sites() const noexcept { return n_sites_; }
-  std::size_t n_ticks() const noexcept { return n_ticks_; }
-  const FleetState& fleet() const noexcept { return state_; }
   const SimResult& result() const noexcept { return result_; }
 
   // -- tick phases, in order -----------------------------------------------
@@ -90,44 +85,32 @@ class SimStepper {
   void restore(util::wire::Reader& r);
 
  private:
-  struct PendingRetry {
-    Move move;
-    int attempts = 0;  // failed attempts so far
-  };
-
-  bool move_blocked(const LiveApp& app, const Move& move) const;
-  void execute_move(std::int64_t app_id, LiveApp& app, const Move& move);
-  void defer_move(const Move& move, int prior_attempts);
-  void adopt_replan(std::vector<Move> moves);
+  /// Add (sign +1) or remove (sign -1) `app` at its site: the state's
+  /// core ledgers and the per-site index.
+  void seat(std::int64_t app_id, const LiveApp& app, int sign);
+  /// Move `app` to site `to`, charging its stable memory to the WAN ledger.
+  void relocate(std::int64_t app_id, LiveApp& app, std::size_t to);
 
   const VbGraph& graph_;
   Scheduler& scheduler_;
   SitePowerModel power_model_;
   FaultHooks* hooks_ = nullptr;
-  MoveRetryPolicy retry_;
+  /// Pending proactive moves, their due-tick index and the retry queue.
+  MoveBook book_;
+  EconMeter econ_;
   std::size_t n_sites_ = 0;
-  std::size_t n_ticks_ = 0;
-  util::Tick replan_period_ = 0;
 
   util::Tick now_ = -1;
   FleetState state_;
   SimResult result_;
-  std::vector<int> avail_cache_;  // per-tick available, for the snapshot
+  std::vector<int> avail_cache_;  // this tick's available cores per site
 
-  /// Opt-in extensions: the overlay executor plus econ series pointers.
-  /// has_overlay_ flips on when a BatchWorkload is attached or the first
-  /// dynamic submission arrives; a default run never touches these.
+  /// Opt-in batch overlay. has_overlay_ flips on when a BatchWorkload is
+  /// attached or the first dynamic submission arrives; a default run never
+  /// touches these.
   workload::BatchOverlay overlay_;
   bool has_overlay_ = false;
-  const energy::SiteSeries* price_ = nullptr;
-  const energy::SiteSeries* carbon_ = nullptr;
   std::vector<std::int64_t> overlay_free_;  // scratch, per-site free cores
-
-  /// Pending proactive moves per app (replans replace the whole set), plus
-  /// a due-tick index so each tick touches only apps with a move due now.
-  std::map<std::int64_t, std::vector<Move>> pending_;
-  std::map<util::Tick, std::set<std::int64_t>> due_moves_;
-  std::map<util::Tick, std::vector<PendingRetry>> retry_queue_;
 
   /// Departure calendar, ordered (end_tick, app_id) — pop order identical
   /// to the historical min-heap, and trivially serializable.

@@ -637,8 +637,7 @@ void MipScheduler::save_state(util::wire::Writer& w) const {
   save_matrix(objective_sum_);
   w.u64(ranked_.size());
   for (const RankedSubgraph& sub : ranked_) {
-    w.u64(sub.sites.size());
-    for (const std::size_t s : sub.sites) w.u64(s);
+    w.vec_u64(sub.sites);
     w.f64(sub.cov);
     w.f64(sub.mean_cores);
   }
@@ -648,8 +647,7 @@ void MipScheduler::save_state(util::wire::Writer& w) const {
     w.f64(trajectory.cost);
     w.f64(trajectory.objective_cost);
     w.i64(trajectory.start);
-    w.u64(trajectory.sites.size());
-    for (const std::size_t s : trajectory.sites) w.u64(s);
+    w.vec_u64(trajectory.sites);
   }
 }
 
@@ -661,15 +659,6 @@ void MipScheduler::restore_state(util::wire::Reader& r) {
     for (std::uint64_t i = 0; i < n; ++i) m.push_back(r.vec_f64());
     return m;
   };
-  const auto load_sites = [&r] {
-    const std::uint64_t n = r.u64();
-    std::vector<std::size_t> v;
-    v.reserve(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      v.push_back(static_cast<std::size_t>(r.u64()));
-    }
-    return v;
-  };
   cache_now_ = r.i64();
   capacity_ = load_matrix();
   load_ = load_matrix();
@@ -679,7 +668,7 @@ void MipScheduler::restore_state(util::wire::Reader& r) {
   const std::uint64_t n_ranked = r.u64();
   for (std::uint64_t i = 0; i < n_ranked; ++i) {
     RankedSubgraph sub;
-    sub.sites = load_sites();
+    sub.sites = r.vec_u64();
     sub.cov = r.f64();
     sub.mean_cores = r.f64();
     ranked_.push_back(std::move(sub));
@@ -692,7 +681,7 @@ void MipScheduler::restore_state(util::wire::Reader& r) {
     trajectory.cost = r.f64();
     trajectory.objective_cost = r.f64();
     trajectory.start = r.i64();
-    trajectory.sites = load_sites();
+    trajectory.sites = r.vec_u64();
     prev_trajectories_.emplace(id, std::move(trajectory));
   }
 }

@@ -5,23 +5,6 @@
 
 namespace vbatt::core {
 
-namespace {
-
-/// Move an app between sites in the state ledgers and the per-site index.
-void relocate(FleetState& state, std::vector<std::set<std::int64_t>>& by_site,
-              std::int64_t app_id, LiveApp& app, std::size_t to) {
-  state.stable_cores[app.site] -= app.app.stable_cores();
-  state.degradable_cores[app.site] -=
-      app.active_degradable * app.app.shape.cores;
-  by_site[app.site].erase(app_id);
-  app.site = to;
-  state.stable_cores[to] += app.app.stable_cores();
-  state.degradable_cores[to] += app.active_degradable * app.app.shape.cores;
-  by_site[to].insert(app_id);
-}
-
-}  // namespace
-
 SimStepper::SimStepper(const VbGraph& graph, Scheduler& scheduler,
                        const SitePowerModel& power_model,
                        const FaultConfig* faults,
@@ -30,24 +13,20 @@ SimStepper::SimStepper(const VbGraph& graph, Scheduler& scheduler,
       scheduler_{scheduler},
       power_model_{power_model},
       hooks_{faults ? faults->hooks : nullptr},
-      retry_{faults ? faults->retry : MoveRetryPolicy{}},
+      book_{graph.latency(), hooks_,
+            faults ? faults->retry : MoveRetryPolicy{}},
+      econ_{power_model, graph, ext},
       n_sites_{graph.n_sites()},
-      n_ticks_{graph.n_ticks()},
-      replan_period_{scheduler.replan_period_ticks()},
       result_{graph.n_sites(), graph.n_ticks()},
+      avail_cache_(graph.n_sites(), 0),
       site_apps_(graph.n_sites()) {
-  if (hooks_) avail_cache_.assign(n_sites_, 0);
   state_.graph = &graph;
   state_.stable_cores.assign(n_sites_, 0);
   state_.degradable_cores.assign(n_sites_, 0);
   topo_epoch_ = hooks_ ? hooks_->topology_epoch() : 0;
-  if (ext != nullptr) {
-    if (ext->batch != nullptr && !ext->batch->empty()) {
-      overlay_ = workload::BatchOverlay{*ext->batch};
-      has_overlay_ = true;
-    }
-    price_ = ext->price;
-    carbon_ = ext->carbon;
+  if (ext != nullptr && ext->batch != nullptr && !ext->batch->empty()) {
+    overlay_ = workload::BatchOverlay{*ext->batch};
+    has_overlay_ = true;
   }
 }
 
@@ -64,49 +43,28 @@ void SimStepper::submit_harvest_task(const workload::HarvestTask& task) {
 void SimStepper::begin_tick(util::Tick t) {
   now_ = t;
   state_.now = t;
-  // Fault bookkeeping for this tick (link up/down transitions apply to the
-  // graph inside begin_tick). A topology-epoch advance tells the scheduler
-  // to drop cached state keyed to the old fleet.
-  if (hooks_) {
-    hooks_->begin_tick(t);
-    if (const std::uint64_t epoch = hooks_->topology_epoch();
-        epoch != topo_epoch_) {
-      topo_epoch_ = epoch;
-      scheduler_.on_topology_change();
-    }
+  begin_fault_tick(hooks_, t, topo_epoch_, scheduler_);
+}
+
+void SimStepper::seat(std::int64_t app_id, const LiveApp& app, int sign) {
+  state_.stable_cores[app.site] += sign * app.app.stable_cores();
+  state_.degradable_cores[app.site] +=
+      sign * app.active_degradable * app.app.shape.cores;
+  if (sign > 0) {
+    site_apps_[app.site].insert(app_id);
+  } else {
+    site_apps_[app.site].erase(app_id);
   }
 }
 
-bool SimStepper::move_blocked(const LiveApp& app, const Move& move) const {
-  return hooks_->site_down(move.to_site, now_) ||
-         !graph_.latency().connected(app.site, move.to_site);
-}
-
-void SimStepper::execute_move(std::int64_t app_id, LiveApp& app,
-                              const Move& move) {
+void SimStepper::relocate(std::int64_t app_id, LiveApp& app, std::size_t to) {
   const double gb = app.app.stable_memory_gb();
   result_.ledger.record_out(app.site, now_, gb);
-  result_.ledger.record_in(move.to_site, now_, gb);
+  result_.ledger.record_in(to, now_, gb);
   result_.moved_gb[static_cast<std::size_t>(now_)] += gb;
-  relocate(state_, site_apps_, app_id, app, move.to_site);
-  ++result_.planned_migrations;
-}
-
-void SimStepper::defer_move(const Move& move, int prior_attempts) {
-  const int attempts = prior_attempts + 1;
-  if (attempts >= retry_.max_attempts) {
-    ++result_.abandoned_moves;
-    return;
-  }
-  util::Tick backoff = retry_.base_backoff_ticks;
-  for (int a = 1; a < attempts && backoff < retry_.max_backoff_ticks; ++a) {
-    backoff *= 2;
-  }
-  backoff = std::min(backoff, retry_.max_backoff_ticks);
-  Move again = move;
-  again.at_tick = now_ + backoff;
-  retry_queue_[again.at_tick].push_back({again, attempts});
-  ++result_.retried_moves;
+  seat(app_id, app, -1);
+  app.site = to;
+  seat(app_id, app, +1);
 }
 
 void SimStepper::process_departures() {
@@ -120,32 +78,19 @@ void SimStepper::process_departures() {
 void SimStepper::depart_now(std::int64_t app_id) {
   const auto it = state_.apps.find(app_id);
   if (it == state_.apps.end()) return;  // defensive: apps depart once
-  LiveApp& app = it->second;
-  state_.stable_cores[app.site] -= app.app.stable_cores();
-  state_.degradable_cores[app.site] -=
-      app.active_degradable * app.app.shape.cores;
-  site_apps_[app.site].erase(app_id);
-  pending_.erase(app_id);
+  seat(app_id, it->second, -1);
+  book_.drop(app_id);
   state_.apps.erase(it);
 }
 
-void SimStepper::adopt_replan(std::vector<Move> moves) {
-  pending_.clear();
-  due_moves_.clear();
-  retry_queue_.clear();  // a replan supersedes every outstanding move
-  for (Move& move : moves) {
-    due_moves_[move.at_tick].insert(move.app_id);
-    pending_[move.app_id].push_back(move);
-  }
-}
-
 void SimStepper::maybe_replan() {
-  if (replan_period_ > 0 && now_ > 0 && now_ % replan_period_ == 0) {
-    adopt_replan(scheduler_.replan(state_));
+  const util::Tick period = scheduler_.replan_period_ticks();
+  if (period > 0 && now_ > 0 && now_ % period == 0) {
+    force_replan();
   }
 }
 
-void SimStepper::force_replan() { adopt_replan(scheduler_.replan(state_)); }
+void SimStepper::force_replan() { book_.supersede(scheduler_.replan(state_)); }
 
 void SimStepper::arrive(const workload::Application& app) {
   const Scheduler::Placement placement = scheduler_.place(app, state_);
@@ -155,63 +100,25 @@ void SimStepper::arrive(const workload::Application& app) {
   live.site = placement.site;
   live.allowed = placement.allowed;
   live.active_degradable = app.n_degradable;
-  state_.stable_cores[live.site] += app.stable_cores();
-  state_.degradable_cores[live.site] +=
-      live.active_degradable * app.shape.cores;
-  site_apps_[live.site].insert(app.app_id);
+  seat(app.app_id, live, +1);
   if (live.end_tick >= 0) departures_.emplace(live.end_tick, app.app_id);
   state_.apps.emplace(app.app_id, std::move(live));
-  if (!placement.scheduled_moves.empty()) {
-    for (const Move& move : placement.scheduled_moves) {
-      due_moves_[move.at_tick].insert(app.app_id);
-    }
-    pending_[app.app_id] = placement.scheduled_moves;
-  }
+  book_.schedule(app.app_id, placement.scheduled_moves);
   ++result_.apps_placed;
 }
 
 void SimStepper::execute_due_moves() {
-  const util::Tick t = now_;
-  // Execute due proactive moves (only apps with a move due now).
-  if (const auto due = due_moves_.find(t); due != due_moves_.end()) {
-    for (const std::int64_t app_id : due->second) {
-      const auto pend = pending_.find(app_id);
-      if (pend == pending_.end()) continue;
-      const auto live_it = state_.apps.find(app_id);
-      if (live_it == state_.apps.end()) continue;
-      LiveApp& app = live_it->second;
-      for (const Move& move : pend->second) {
-        if (move.at_tick > t) break;  // moves are emitted in time order
-        if (move.at_tick == t && move.to_site != app.site) {
-          if (hooks_ && move_blocked(app, move)) {
-            defer_move(move, 0);
-          } else {
-            execute_move(app_id, app, move);
-          }
-        }
-      }
-    }
-    due_moves_.erase(due);
-  }
-
-  // Retry moves whose backoff expires now (fault runs only).
-  if (hooks_) {
-    if (const auto due = retry_queue_.find(t); due != retry_queue_.end()) {
-      std::vector<PendingRetry> batch = std::move(due->second);
-      retry_queue_.erase(due);
-      for (const PendingRetry& pr : batch) {
-        const auto live_it = state_.apps.find(pr.move.app_id);
-        if (live_it == state_.apps.end()) continue;  // departed meanwhile
-        LiveApp& app = live_it->second;
-        if (pr.move.to_site == app.site) continue;  // already there
-        if (move_blocked(app, pr.move)) {
-          defer_move(pr.move, pr.attempts);
-        } else {
-          execute_move(pr.move.app_id, app, pr.move);
-        }
-      }
-    }
-  }
+  book_.execute_due(
+      now_, result_,
+      [&](std::int64_t app_id) -> std::optional<std::size_t> {
+        const auto it = state_.apps.find(app_id);
+        if (it == state_.apps.end()) return std::nullopt;
+        return it->second.site;
+      },
+      [&](std::int64_t app_id, const Move& move) {
+        relocate(app_id, state_.apps.at(app_id), move.to_site);
+        ++result_.planned_migrations;
+      });
 }
 
 void SimStepper::enforce_and_meter() {
@@ -227,7 +134,7 @@ void SimStepper::enforce_and_meter() {
   std::int64_t displaced_this_tick = 0;
   for (std::size_t s = 0; s < n_sites_; ++s) {
     const int avail = graph_.available_cores(s, t);
-    if (hooks_) avail_cache_[s] = avail;
+    avail_cache_[s] = avail;
 
     // a. Degradable VMs absorb the dip first: pause until the site's
     //    stable + active-degradable demand fits (or all are paused).
@@ -274,11 +181,7 @@ void SimStepper::enforce_and_meter() {
           }
         }
         if (target == s) continue;  // nowhere to go
-        const double gb = app.app.stable_memory_gb();
-        result_.ledger.record_out(s, t, gb);
-        result_.ledger.record_in(target, t, gb);
-        result_.moved_gb[i] += gb;
-        relocate(state_, site_apps_, id, app, target);
+        relocate(id, app, target);
         ++result_.forced_migrations;
         stable = state_.stable_cores[s];
       }
@@ -303,58 +206,22 @@ void SimStepper::enforce_and_meter() {
   // whatever the service workload left free this tick. Strictly opt-in —
   // a run without an overlay never enters this branch.
   if (has_overlay_) {
-    overlay_free_.assign(n_sites_, 0);
-    for (std::size_t s = 0; s < n_sites_; ++s) {
-      const int free = graph_.available_cores(s, t) -
-                       state_.stable_cores[s] - state_.degradable_cores[s];
-      overlay_free_[s] = std::max(0, free);
-    }
-    overlay_.step(t, overlay_free_);
+    step_overlay(overlay_, t, avail_cache_, state_, overlay_free_);
   }
 
-  // Compute energy accounting (goal iii): powered servers draw idle power,
-  // active cores draw incremental power.
-  const double hours_per_tick = graph_.axis().minutes_per_tick() / 60.0;
+  // Energy accounting: a site powers ceil(active / cores_per_server)
+  // servers.
   for (std::size_t s = 0; s < n_sites_; ++s) {
     const int active = state_.stable_cores[s] + state_.degradable_cores[s];
     if (active <= 0) continue;
     const int servers = (active + power_model_.cores_per_server - 1) /
                         power_model_.cores_per_server;
-    const double watts = servers * power_model_.server_idle_watts +
-                         active * power_model_.watts_per_active_core;
-    const double mwh = watts * hours_per_tick / 1e6;
-    result_.energy_mwh += mwh;
-    result_.energy_mwh_per_tick[i] += mwh;
-    if (price_ != nullptr) {
-      const double usd =
-          price_->value(s, static_cast<double>(t)) * mwh;
-      result_.cost_usd += usd;
-      result_.cost_usd_per_tick[i] += usd;
-    }
-    if (carbon_ != nullptr) {
-      // gCO2/kWh × MWh = kgCO2.
-      const double kg =
-          carbon_->value(s, static_cast<double>(t)) * mwh;
-      result_.carbon_kg += kg;
-      result_.carbon_kg_per_tick[i] += kg;
-    }
+    econ_.add(result_, s, i, servers, active);
   }
 
   // Fault accounting and end-of-tick observation.
-  result_.displaced_stable_cores_per_tick[i] = displaced_this_tick;
-  if (hooks_) {
-    if (displaced_this_tick > 0) ++result_.stable_vm_downtime_ticks;
-    for (std::size_t s = 0; s < n_sites_; ++s) {
-      if (hooks_->site_degraded(s, t)) ++result_.faulted_site_ticks;
-    }
-    TickSnapshot snap;
-    snap.t = t;
-    snap.available = &avail_cache_;
-    snap.stable_cores = &state_.stable_cores;
-    snap.degradable_cores = &state_.degradable_cores;
-    snap.displaced_stable_cores = displaced_this_tick;
-    hooks_->on_tick_end(snap);
-  }
+  end_fault_tick(hooks_, t, avail_cache_, state_, displaced_this_tick,
+                 result_);
 }
 
 std::int64_t SimStepper::fallback_activations() const {
@@ -381,20 +248,6 @@ namespace {
 // Version 2 appends the batch-overlay state and the econ ledgers.
 constexpr std::uint32_t kStepperFormatVersion = 2;
 
-void save_move(util::wire::Writer& w, const Move& m) {
-  w.i64(m.app_id);
-  w.u64(m.to_site);
-  w.i64(m.at_tick);
-}
-
-Move load_move(util::wire::Reader& r) {
-  Move m;
-  m.app_id = r.i64();
-  m.to_site = static_cast<std::size_t>(r.u64());
-  m.at_tick = r.i64();
-  return m;
-}
-
 void save_app(util::wire::Writer& w, const LiveApp& a) {
   w.i64(a.app.app_id);
   w.i64(a.app.arrival);
@@ -405,8 +258,7 @@ void save_app(util::wire::Writer& w, const LiveApp& a) {
   w.i64(a.app.n_degradable);
   w.i64(a.end_tick);
   w.u64(a.site);
-  w.u64(a.allowed.size());
-  for (const std::size_t s : a.allowed) w.u64(s);
+  w.vec_u64(a.allowed);
   w.i64(a.active_degradable);
 }
 
@@ -421,11 +273,7 @@ LiveApp load_app(util::wire::Reader& r) {
   a.app.n_degradable = static_cast<int>(r.i64());
   a.end_tick = r.i64();
   a.site = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n = r.u64();
-  a.allowed.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    a.allowed.push_back(static_cast<std::size_t>(r.u64()));
-  }
+  a.allowed = r.vec_u64();
   a.active_degradable = static_cast<int>(r.i64());
   return a;
 }
@@ -443,27 +291,7 @@ void SimStepper::save(util::wire::Writer& w) const {
   w.vec_int(state_.stable_cores);
   w.vec_int(state_.degradable_cores);
 
-  w.u64(pending_.size());
-  for (const auto& [id, moves] : pending_) {
-    w.i64(id);
-    w.u64(moves.size());
-    for (const Move& m : moves) save_move(w, m);
-  }
-  w.u64(due_moves_.size());
-  for (const auto& [tick, ids] : due_moves_) {
-    w.i64(tick);
-    w.u64(ids.size());
-    for (const std::int64_t id : ids) w.i64(id);
-  }
-  w.u64(retry_queue_.size());
-  for (const auto& [tick, batch] : retry_queue_) {
-    w.i64(tick);
-    w.u64(batch.size());
-    for (const PendingRetry& pr : batch) {
-      save_move(w, pr.move);
-      w.i64(pr.attempts);
-    }
-  }
+  book_.save(w);
   w.u64(departures_.size());
   for (const auto& [tick, id] : departures_) {
     w.i64(tick);
@@ -537,39 +365,7 @@ void SimStepper::restore(util::wire::Reader& r) {
     throw std::runtime_error{"SimStepper::restore: site count mismatch"};
   }
 
-  pending_.clear();
-  const std::uint64_t n_pending = r.u64();
-  for (std::uint64_t i = 0; i < n_pending; ++i) {
-    const std::int64_t id = r.i64();
-    const std::uint64_t n_moves = r.u64();
-    std::vector<Move>& moves = pending_[id];
-    moves.reserve(n_moves);
-    for (std::uint64_t k = 0; k < n_moves; ++k) {
-      moves.push_back(load_move(r));
-    }
-  }
-  due_moves_.clear();
-  const std::uint64_t n_due = r.u64();
-  for (std::uint64_t i = 0; i < n_due; ++i) {
-    const util::Tick tick = r.i64();
-    const std::uint64_t n_ids = r.u64();
-    std::set<std::int64_t>& ids = due_moves_[tick];
-    for (std::uint64_t k = 0; k < n_ids; ++k) ids.insert(r.i64());
-  }
-  retry_queue_.clear();
-  const std::uint64_t n_retry = r.u64();
-  for (std::uint64_t i = 0; i < n_retry; ++i) {
-    const util::Tick tick = r.i64();
-    const std::uint64_t n_batch = r.u64();
-    std::vector<PendingRetry>& batch = retry_queue_[tick];
-    batch.reserve(n_batch);
-    for (std::uint64_t k = 0; k < n_batch; ++k) {
-      PendingRetry pr;
-      pr.move = load_move(r);
-      pr.attempts = static_cast<int>(r.i64());
-      batch.push_back(pr);
-    }
-  }
+  book_.restore(r);
   departures_.clear();
   const std::uint64_t n_dep = r.u64();
   for (std::uint64_t i = 0; i < n_dep; ++i) {
@@ -578,7 +374,7 @@ void SimStepper::restore(util::wire::Reader& r) {
     departures_.emplace(tick, id);
   }
 
-  result_ = SimResult{n_sites_, n_ticks_};
+  result_ = SimResult{n_sites_, graph_.n_ticks()};
   result_.moved_gb = r.vec_f64();
   for (std::size_t s = 0; s < n_sites_; ++s) {
     const std::vector<double> out = r.vec_f64();
@@ -618,11 +414,10 @@ void SimStepper::restore(util::wire::Reader& r) {
   result_.cost_usd_per_tick = r.vec_f64();
   result_.carbon_kg = r.f64();
   result_.carbon_kg_per_tick = r.vec_f64();
-  if (result_.moved_gb.size() != n_ticks_ ||
-      result_.energy_mwh_per_tick.size() != n_ticks_) {
+  if (result_.moved_gb.size() != graph_.n_ticks() ||
+      result_.energy_mwh_per_tick.size() != graph_.n_ticks()) {
     throw std::runtime_error{"SimStepper::restore: tick count mismatch"};
   }
-  if (hooks_) avail_cache_.assign(n_sites_, 0);
   scheduler_.restore_state(r);
 }
 

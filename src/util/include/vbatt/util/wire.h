@@ -93,6 +93,8 @@ class Writer {
 
   void vec_f64(const std::vector<double>& v) { words(v); }
   void vec_i64(const std::vector<std::int64_t>& v) { words(v); }
+  /// Index lists (site ids): each std::size_t as a u64.
+  void vec_u64(const std::vector<std::size_t>& v) { words(v); }
   void vec_int(const std::vector<int>& v) {
     u64(v.size());
     for (const int x : v) i64(x);
@@ -152,6 +154,7 @@ class Reader {
 
   std::vector<double> vec_f64() { return words<double>(); }
   std::vector<std::int64_t> vec_i64() { return words<std::int64_t>(); }
+  std::vector<std::size_t> vec_u64() { return words<std::size_t>(); }
   std::vector<int> vec_int() {
     const std::uint64_t n = checked_count(u64(), 8);
     std::vector<int> v(n);

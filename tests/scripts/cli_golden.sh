@@ -2,9 +2,10 @@
 # CLI golden bytes: `vbatt schedule --days=7` for each MIP flow, for a
 # VM-level MIP run on the mixed workload under the cost objective (batch
 # overlay, price metering and planned moves through the fleet engine), and
-# for three chaos runs (a seeded MIP schedule, a seeded VM-level greedy
-# schedule and a replayed CSV schedule, tests/golden/chaos_7d.csv), must
-# print exactly the stdout checked in under tests/golden/. Unlike
+# for five chaos runs (a seeded MIP schedule, a seeded VM-level greedy
+# schedule, a replayed CSV schedule, tests/golden/chaos_7d.csv, and two
+# MIP-24h runs whose blocked moves are retried, one app-level and one
+# VM-level), must print exactly the stdout checked in under tests/golden/. Unlike
 # cli_thread_invariance, which compares two thread counts of one build,
 # this pins the output across commits, so a refactor that claims to keep
 # behaviour has to keep every byte.
@@ -57,4 +58,6 @@ check mip_chaos --policy=mip --chaos=1
 check greedy_vm_chaos --policy=greedy --vm-level --chaos=2 --chaos-seed=3
 check mip24h_chaos_csv --policy=mip24h --chaos-csv="$golden/chaos_7d.csv" \
     --chaos-seed=5
+check mip24h_chaos3 --policy=mip24h --chaos=3
+check mip24h_vm_chaos --policy=mip24h --vm-level --chaos=2
 exit $status

@@ -259,37 +259,58 @@ std::uint32_t bitwise_crc32(std::string_view bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
-TEST(SvcFormat, BytesPinned) {
+struct PinnedBytes {
+  std::string snapshot;
+  std::string log;
+};
+
+/// The 2-day chaos-1.0 heartbeat scenario under `policy`, with a durable
+/// log and the snapshot taken after the tick_advance that completes tick
+/// 96 (the vbatt_svc --snapshot-every cadence rule).
+PinnedBytes pinned_run(const std::string& policy) {
   ScenarioConfig scenario_config;
   scenario_config.days = 2;
   scenario_config.chaos_intensity = 1.0;
   const Scenario scenario = make_scenario(scenario_config);
   const std::vector<Event> events =
       scenario_events(scenario, /*heartbeats=*/true);
-  const auto log_path = temp_log("format");
+  const auto log_path = temp_log(policy.c_str());
 
-  ControlPlane service{scenario.graph, service_config("greedy")};
+  ControlPlane service{scenario.graph, service_config(policy)};
   service.attach_log(
       std::make_unique<EventLogWriter>(log_path.string(), true));
-  std::string snapshot;
+  PinnedBytes bytes;
   for (const Event& e : events) {
     service.submit(e);
-    // Same cadence rule as vbatt_svc --snapshot-every: after the
-    // tick_advance that completes tick 96.
     if (e.kind == EventKind::tick_advance && service.now() + 1 == 96) {
-      snapshot = service.snapshot_bytes();
+      bytes.snapshot = service.snapshot_bytes();
     }
   }
   service.attach_log(nullptr);
   std::ifstream in{log_path, std::ios::binary};
-  const std::string log{std::istreambuf_iterator<char>{in},
-                        std::istreambuf_iterator<char>{}};
+  bytes.log.assign(std::istreambuf_iterator<char>{in},
+                   std::istreambuf_iterator<char>{});
   std::filesystem::remove(log_path);
+  return bytes;
+}
 
-  EXPECT_EQ(snapshot.size(), 172289u);
-  EXPECT_EQ(bitwise_crc32(snapshot), 0xAE3C6A54u);
-  EXPECT_EQ(log.size(), 186109u);
-  EXPECT_EQ(bitwise_crc32(log), 0xA1811649u);
+TEST(SvcFormat, BytesPinned) {
+  const PinnedBytes bytes = pinned_run("greedy");
+  EXPECT_EQ(bytes.snapshot.size(), 172289u);
+  EXPECT_EQ(bitwise_crc32(bytes.snapshot), 0xAE3C6A54u);
+  EXPECT_EQ(bytes.log.size(), 186109u);
+  EXPECT_EQ(bitwise_crc32(bytes.log), 0xA1811649u);
+}
+
+// Greedy never replans, so the snapshot above holds an empty move book.
+// MIP-24h replans every 24 ticks: at tick 96 the book holds 16 apps'
+// pending moves and their due-tick index, and these bytes pin its
+// encoding (and the scheduler's saved state) across commits. The log
+// records events, not decisions, so it is the Greedy run's log.
+TEST(SvcFormat, BytesPinnedMip24h) {
+  const PinnedBytes bytes = pinned_run("mip24h");
+  EXPECT_EQ(bytes.snapshot.size(), 181105u);
+  EXPECT_EQ(bitwise_crc32(bytes.snapshot), 0x175642C6u);
 }
 
 }  // namespace

@@ -159,6 +159,8 @@ TEST(WireWriter, ContainersMatchPerByteReference) {
   const std::vector<int> ints = {0, -1, 2, std::numeric_limits<int>::min(),
                                  std::numeric_limits<int>::max()};
   const std::vector<char> raw = {'\0', '\x7f', '\x80', '\xff'};
+  const std::vector<std::size_t> sites = {
+      0, 3, 1000, std::numeric_limits<std::size_t>::max()};
 
   Writer w;
   w.str(text);
@@ -168,6 +170,7 @@ TEST(WireWriter, ContainersMatchPerByteReference) {
   w.vec_i64(i64s);
   w.vec_int(ints);
   w.vec_u8(raw);
+  w.vec_u64(sites);
 
   RefWriter ref;
   ref.le(text.size(), 8);
@@ -184,6 +187,8 @@ TEST(WireWriter, ContainersMatchPerByteReference) {
   }
   ref.le(raw.size(), 8);
   ref.out.append(raw.data(), raw.size());
+  ref.le(sites.size(), 8);
+  for (std::size_t v : sites) ref.le(v, 8);
 
   EXPECT_EQ(w.data(), ref.out);
 }
@@ -211,6 +216,7 @@ TEST(WireReader, RoundTripsEveryType) {
   const std::vector<int> ints = {-3, 0, std::numeric_limits<int>::min(),
                                  std::numeric_limits<int>::max()};
   const std::vector<char> raw = {'a', '\0', '\xff'};
+  const std::vector<std::size_t> sites = {7, 0, 42};
 
   Writer w;
   w.u8(0xAB);
@@ -223,6 +229,7 @@ TEST(WireReader, RoundTripsEveryType) {
   w.vec_i64(i64s);
   w.vec_int(ints);
   w.vec_u8(raw);
+  w.vec_u64(sites);
   w.vec_f64({});
 
   Reader r{w.data()};
@@ -240,6 +247,7 @@ TEST(WireReader, RoundTripsEveryType) {
   EXPECT_EQ(r.vec_i64(), i64s);
   EXPECT_EQ(r.vec_int(), ints);
   EXPECT_EQ(r.vec_u8(), raw);
+  EXPECT_EQ(r.vec_u64(), sites);
   EXPECT_TRUE(r.vec_f64().empty());
   EXPECT_TRUE(r.done());
 }
