@@ -6,30 +6,22 @@
 #include "vbatt/core/evaluation.h"
 #include "vbatt/core/mip_scheduler.h"
 #include "vbatt/energy/carbon.h"
-#include "vbatt/energy/site.h"
+#include "vbatt/svc/config.h"
+#include "vbatt/svc/scenario.h"
 #include "vbatt/util/csv.h"
-#include "vbatt/workload/app.h"
 
 namespace {
 
 using namespace vbatt;
 
-constexpr std::size_t kSpan = 96u * 7u;
+constexpr std::size_t kDays = 7;
+constexpr std::size_t kSpan = 96u * kDays;
 
 void reproduce() {
   const util::TimeAxis axis{15};
-  energy::FleetConfig fleet_config;
-  fleet_config.n_solar = 4;
-  fleet_config.n_wind = 6;
-  fleet_config.region_km = 2500.0;
-  const energy::Fleet fleet = energy::generate_fleet(fleet_config, axis, kSpan);
-  core::VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 20.0;
-  const core::VbGraph graph{fleet, graph_config};
-
-  workload::AppGeneratorConfig app_config;
-  app_config.apps_per_hour = 2.2;
-  const auto apps = workload::generate_apps(app_config, axis, kSpan);
+  const svc::Scenario scenario = svc::make_scenario({.days = kDays});
+  const core::VbGraph& graph = scenario.graph;
+  const auto& apps = scenario.apps;
 
   util::CsvWriter csv{bench::out_path("carbon_availability.csv"),
                       {"policy", "energy_mwh", "grid_tco2", "vb_tco2",
@@ -38,7 +30,8 @@ void reproduce() {
 
   std::printf("  %-9s %9s %9s %8s %8s %8s %8s %8s\n", "policy", "MWh",
               "grid tCO2", "VB tCO2", "avoid%", "avail", "min", "3x9s%");
-  const auto run = [&](std::unique_ptr<core::Scheduler> scheduler) {
+  for (const char* policy : {"greedy", "mip24h", "mip", "mippeak"}) {
+    const auto scheduler = svc::make_service_scheduler(policy);
     const core::SimResult result =
         core::run_simulation(graph, apps, *scheduler);
     const energy::CarbonReport carbon = energy::compare_carbon(
@@ -55,11 +48,7 @@ void reproduce() {
                     {result.energy_mwh, carbon.grid_tco2, carbon.vb_tco2,
                      carbon.avoided_fraction(), availability.mean,
                      availability.min, availability.three_nines_fraction});
-  };
-  run(std::make_unique<core::GreedyScheduler>());
-  run(std::make_unique<core::MipScheduler>(core::make_mip24h_config()));
-  run(std::make_unique<core::MipScheduler>(core::make_mip_config()));
-  run(std::make_unique<core::MipScheduler>(core::make_mip_peak_config()));
+  }
 
   std::printf("\n");
   bench::note("VB avoids ~95% of compute carbon vs grid power at default "

@@ -20,23 +20,21 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "vbatt/core/availability.h"
 #include "vbatt/core/fleet_sim.h"
-#include "vbatt/core/mip_scheduler.h"
-#include "vbatt/energy/site.h"
 #include "vbatt/fault/stream.h"
+#include "vbatt/svc/config.h"
+#include "vbatt/svc/scenario.h"
 #include "vbatt/util/thread_pool.h"
-#include "vbatt/workload/app.h"
 
 namespace {
 
 using namespace vbatt;
 
-constexpr int kSolarSites = 10;
-constexpr int kWindSites = 15;
 constexpr std::size_t kDays = 7;
 constexpr std::uint64_t kChaosSeed = 7;
 
@@ -58,23 +56,6 @@ struct CellResult {
   std::int64_t checked_ticks = 0;
   double ms = 0.0;
 };
-
-core::VbGraph make_fleet(std::size_t ticks) {
-  energy::FleetConfig config;
-  config.n_solar = kSolarSites;
-  config.n_wind = kWindSites;
-  config.region_km = 2500.0;
-  const energy::Fleet fleet =
-      energy::generate_fleet(config, util::TimeAxis{15}, ticks);
-  core::VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 5.0;
-  return core::VbGraph{fleet, graph_config};
-}
-
-std::unique_ptr<core::Scheduler> make_scheduler(const std::string& policy) {
-  if (policy == "greedy") return std::make_unique<core::GreedyScheduler>();
-  return std::make_unique<core::MipScheduler>(core::make_mip24h_config());
-}
 
 /// Lengths of contiguous displaced-stable episodes: how long the fleet
 /// takes to re-home every stable core after a fault bites.
@@ -171,11 +152,12 @@ int main(int argc, char** argv) {
   }
 
   const std::size_t ticks = 96 * kDays;
-  const core::VbGraph graph = make_fleet(ticks);
-  workload::AppGeneratorConfig app_config;
-  app_config.apps_per_hour = 2.2;
-  const auto apps =
-      workload::generate_apps(app_config, util::TimeAxis{15}, ticks);
+  // A 10-solar + 15-wind fleet at 5 cores/MW, every other field the
+  // Table 1 cell's; fault-free, since each cell draws its own schedule.
+  const svc::Scenario scenario = svc::make_scenario(
+      {.days = kDays, .n_solar = 10, .n_wind = 15, .cores_per_mw = 5.0});
+  const core::VbGraph& graph = scenario.graph;
+  const auto& apps = scenario.apps;
 
   bench::header("chaos sweep: fault intensity x scheduler, 25-site fleet");
   std::printf("  %zu sites, %zu days, %zu apps, chaos seed %llu\n",
@@ -190,7 +172,9 @@ int main(int argc, char** argv) {
   bool invariants_ok = true;
   bool baseline_ok = true;
 
-  for (const char* policy : {"greedy", "mip"}) {
+  // The "mip" rows run MIP-24h.
+  for (const auto& [policy, scheduler_policy] :
+       {std::pair{"greedy", "greedy"}, std::pair{"mip", "mip24h"}}) {
     for (const double intensity : intensities) {
       fault::ChaosConfig chaos;
       chaos.intensity = intensity;
@@ -204,7 +188,7 @@ int main(int argc, char** argv) {
       cell.policy = policy;
       cell.intensity = intensity;
       cell.events = schedule.events.size();
-      const auto scheduler = make_scheduler(policy);
+      const auto scheduler = svc::make_service_scheduler(scheduler_policy);
       const auto t0 = std::chrono::steady_clock::now();
       core::VmLevelResult result{graph.n_sites(), ticks};
       try {
@@ -222,7 +206,8 @@ int main(int argc, char** argv) {
 
       if (intensity == 0.0) {
         // The zero-chaos cell must reproduce a run with no injector at all.
-        const auto plain_sched = make_scheduler(policy);
+        const auto plain_sched =
+            svc::make_service_scheduler(scheduler_policy);
         const core::VmLevelResult plain =
             core::run_fleet_simulation(graph, apps, *plain_sched);
         if (!same_result(result, plain)) {

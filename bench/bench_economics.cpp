@@ -6,10 +6,9 @@
 #include "bench_util.h"
 #include "vbatt/core/simulation.h"
 #include "vbatt/energy/cost.h"
-#include "vbatt/energy/site.h"
 #include "vbatt/energy/wind.h"
+#include "vbatt/svc/scenario.h"
 #include "vbatt/util/csv.h"
-#include "vbatt/workload/generator.h"
 
 namespace {
 
@@ -54,17 +53,9 @@ void reproduce() {
   // price within 1e-6 — check_replay aborts otherwise.
   const util::TimeAxis axis{15};
   constexpr std::size_t kSpan = 96u * 7u;
-  energy::FleetConfig fleet_config;
-  fleet_config.n_solar = 4;
-  fleet_config.n_wind = 6;
-  fleet_config.region_km = 2500.0;
-  const energy::Fleet fleet = energy::generate_fleet(fleet_config, axis, kSpan);
-  core::VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 20.0;
-  const core::VbGraph graph{fleet, graph_config};
-  workload::AppGeneratorConfig app_config;
-  app_config.apps_per_hour = 2.2;
-  const auto apps = workload::generate_apps(app_config, axis, kSpan);
+  const svc::Scenario scenario = svc::make_scenario({.days = 7});
+  const core::VbGraph& graph = scenario.graph;
+  const auto& apps = scenario.apps;
 
   const energy::SiteSeries price =
       energy::make_price_series({}, axis, graph.n_sites(), kSpan);

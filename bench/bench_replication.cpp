@@ -7,41 +7,24 @@
 // future work) for typical VM sizes.
 #include "bench_util.h"
 #include "vbatt/core/evaluation.h"
-#include "vbatt/core/mip_scheduler.h"
 #include "vbatt/core/replication.h"
-#include "vbatt/energy/site.h"
 #include "vbatt/net/migration_time.h"
+#include "vbatt/svc/config.h"
+#include "vbatt/svc/scenario.h"
 #include "vbatt/util/csv.h"
-#include "vbatt/workload/app.h"
 
 namespace {
 
 using namespace vbatt;
 
-constexpr std::size_t kSpan = 96u * 7u;
-
-core::VbGraph make_graph() {
-  energy::FleetConfig fleet_config;
-  fleet_config.n_solar = 4;
-  fleet_config.n_wind = 6;
-  fleet_config.region_km = 2500.0;
-  const energy::Fleet fleet =
-      energy::generate_fleet(fleet_config, util::TimeAxis{15}, kSpan);
-  core::VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 20.0;
-  return core::VbGraph{fleet, graph_config};
-}
-
 void reproduce() {
-  const core::VbGraph graph = make_graph();
-  workload::AppGeneratorConfig app_config;
-  app_config.apps_per_hour = 2.2;
-  const auto apps =
-      workload::generate_apps(app_config, util::TimeAxis{15}, kSpan);
+  const svc::Scenario scenario = svc::make_scenario({.days = 7});
+  const core::VbGraph& graph = scenario.graph;
+  const auto& apps = scenario.apps;
 
-  core::MipScheduler mip{core::make_mip_config()};
+  const auto mip = svc::make_service_scheduler("mip");
   const core::PolicyRow migration = core::summarize(
-      "migration", core::run_simulation(graph, apps, mip));
+      "migration", core::run_simulation(graph, apps, *mip));
 
   core::ReplicationConfig hot;
   const core::PolicyRow hot_row = core::summarize(
@@ -97,14 +80,10 @@ void reproduce() {
 }
 
 void bm_replication_week(benchmark::State& state) {
-  const core::VbGraph graph = make_graph();
-  workload::AppGeneratorConfig app_config;
-  app_config.apps_per_hour = 2.2;
-  const auto apps =
-      workload::generate_apps(app_config, util::TimeAxis{15}, kSpan);
+  const svc::Scenario scenario = svc::make_scenario({.days = 7});
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::run_replication_simulation(graph, apps, {}));
+        core::run_replication_simulation(scenario.graph, scenario.apps, {}));
   }
 }
 BENCHMARK(bm_replication_week)->Unit(benchmark::kMillisecond)->Iterations(2);

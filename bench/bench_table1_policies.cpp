@@ -11,38 +11,20 @@
 // fractions order MIP > Greedy > MIP-peak (94% / 81% / 74%).
 #include "bench_util.h"
 #include "vbatt/core/evaluation.h"
-#include "vbatt/core/mip_scheduler.h"
-#include "vbatt/energy/site.h"
 #include "vbatt/stats/percentile.h"
+#include "vbatt/svc/config.h"
+#include "vbatt/svc/scenario.h"
 #include "vbatt/util/csv.h"
-#include "vbatt/workload/app.h"
 
 namespace {
 
 using namespace vbatt;
 
-core::VbGraph make_graph(std::size_t span) {
-  energy::FleetConfig fleet_config;
-  fleet_config.n_solar = 4;
-  fleet_config.n_wind = 6;
-  fleet_config.region_km = 2500.0;
-  const energy::Fleet fleet =
-      energy::generate_fleet(fleet_config, util::TimeAxis{15}, span);
-  core::VbGraphConfig graph_config;
-  graph_config.cores_per_mw = 20.0;  // 8,000 cores per 400 MW site
-  return core::VbGraph{fleet, graph_config};
-}
-
-std::vector<workload::Application> make_apps(std::size_t span) {
-  workload::AppGeneratorConfig config;
-  config.apps_per_hour = 2.2;
-  return workload::generate_apps(config, util::TimeAxis{15}, span);
-}
-
 void reproduce() {
-  const std::size_t span = 96u * 7u;
-  const core::VbGraph graph = make_graph(span);
-  const auto apps = make_apps(span);
+  // svc::ScenarioConfig's defaults are the Table 1 cell.
+  const svc::Scenario scenario = svc::make_scenario({.days = 7});
+  const core::VbGraph& graph = scenario.graph;
+  const auto& apps = scenario.apps;
   std::printf("  fleet: %zu sites, %zu latency edges; workload: %zu apps\n",
               graph.n_sites(), graph.latency().edge_count(), apps.size());
 
@@ -107,27 +89,14 @@ void reproduce() {
 
 void bm_policy_run(benchmark::State& state) {
   // Timing one full 3-day simulation per policy (index via arg).
-  const std::size_t span = 96u * 3u;
-  const core::VbGraph graph = make_graph(span);
-  const auto apps = make_apps(span);
+  static constexpr const char* kPolicies[] = {"greedy", "mip24h", "mip",
+                                              "mippeak"};
+  const svc::Scenario scenario = svc::make_scenario({.days = 3});
   for (auto _ : state) {
-    std::unique_ptr<core::Scheduler> scheduler;
-    switch (state.range(0)) {
-      case 0: scheduler = std::make_unique<core::GreedyScheduler>(); break;
-      case 1:
-        scheduler =
-            std::make_unique<core::MipScheduler>(core::make_mip24h_config());
-        break;
-      case 2:
-        scheduler =
-            std::make_unique<core::MipScheduler>(core::make_mip_config());
-        break;
-      default:
-        scheduler = std::make_unique<core::MipScheduler>(
-            core::make_mip_peak_config());
-        break;
-    }
-    benchmark::DoNotOptimize(core::run_simulation(graph, apps, *scheduler));
+    const auto scheduler =
+        svc::make_service_scheduler(kPolicies[state.range(0)]);
+    benchmark::DoNotOptimize(
+        core::run_simulation(scenario.graph, scenario.apps, *scheduler));
   }
 }
 BENCHMARK(bm_policy_run)->DenseRange(0, 3)->Unit(benchmark::kMillisecond)

@@ -233,8 +233,7 @@ class FleetEngine {
   /// Step 2: at the scheduler's cadence, mirror the live apps into
   /// FleetState (slot == app_id order) and adopt the replan.
   [[gnu::noinline]] void replan(util::Tick t) {
-    const util::Tick period = scheduler_.replan_period_ticks();
-    if (period <= 0 || t == 0 || t % period != 0) return;
+    if (!scheduler_.replans_at(t)) return;
     state_.apps.clear();
     live_bits_.for_each([&](std::size_t u) {
       LiveApp summary;

@@ -84,6 +84,12 @@ class Scheduler {
   }
   /// 0 = never replan.
   virtual util::Tick replan_period_ticks() const { return 0; }
+  /// The one cadence rule every engine follows: replan every
+  /// replan_period_ticks() ticks after tick 0, never with a period of 0.
+  bool replans_at(util::Tick t) const {
+    const util::Tick period = replan_period_ticks();
+    return period > 0 && t > 0 && t % period == 0;
+  }
 
   /// The simulator observed a topology change (FaultHooks::topology_epoch
   /// advanced): a link flap or a server-failure start/repair. Schedulers

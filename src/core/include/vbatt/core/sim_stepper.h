@@ -57,8 +57,10 @@ class SimStepper {
   /// Depart `app_id` immediately (externally ordered — a VmDeparture event).
   /// Unknown ids are ignored, matching the calendar's defensive skip.
   void depart_now(std::int64_t app_id);
+  /// Replan when Scheduler::replans_at(now) says the cadence falls here.
   void maybe_replan();
-  /// Replan immediately regardless of cadence (service fault trigger).
+  /// Replan immediately regardless of cadence (the service calls it on a
+  /// cadence tick and on a fault trigger).
   void force_replan();
   void arrive(const workload::Application& app);
   void execute_due_moves();

@@ -84,10 +84,7 @@ void SimStepper::depart_now(std::int64_t app_id) {
 }
 
 void SimStepper::maybe_replan() {
-  const util::Tick period = scheduler_.replan_period_ticks();
-  if (period > 0 && now_ > 0 && now_ % period == 0) {
-    force_replan();
-  }
+  if (scheduler_.replans_at(now_)) force_replan();
 }
 
 void SimStepper::force_replan() { book_.supersede(scheduler_.replan(state_)); }

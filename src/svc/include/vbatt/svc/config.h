@@ -60,11 +60,13 @@ void validate_service_config(const ServiceConfig& config);
 /// name. Throws without modifying `config` on any error.
 void apply_reconfigure(ServiceConfig& config, std::string_view spec);
 
-/// The scheduler the service runs: the CLI's greedy scheduler or its
-/// make_mip*_config() MipScheduler. A scheduler rebuilt during recovery is
-/// a pure function of the replayed fleet state (see sim_stepper.h on why
-/// that pins output identity). Used by both the ControlPlane and the batch
-/// side of the equivalence check, so the two cannot drift apart.
+/// The one map from a policy name to a scheduler: GreedyScheduler or the
+/// make_mip*_config() MipScheduler. The ControlPlane, the batch side of
+/// the equivalence check, `vbatt schedule` (all but its econ objectives
+/// and replication), the benches and the testkit properties all build
+/// their schedulers here, so none can drift apart. A scheduler rebuilt
+/// during recovery is a pure function of the replayed fleet state (see
+/// sim_stepper.h on why that pins output identity).
 std::unique_ptr<core::Scheduler> make_service_scheduler(
     const std::string& policy);
 

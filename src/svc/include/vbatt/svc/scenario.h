@@ -1,11 +1,14 @@
 // Scripted scenarios: the bridge between the batch engine and the service.
 //
-// make_scenario() builds the same (graph, apps, fault schedule) triple the
-// CLI's `schedule` command builds, from the same generators and seeds.
-// scenario_events() then flattens it into the event stream a telemetry
-// plane would have produced live: full power/forecast series as upfront
-// readings, fault reports in schedule order, then per tick the arrivals
-// due that tick followed by a tick_advance (and optional heartbeats).
+// make_scenario() is the one builder of a scenario (fleet -> VbGraph, apps,
+// chaos schedule, batch workload): `vbatt schedule`, `vbatt_svc` (both
+// reading their flags through tools::scenario_flags), the Table 1 benches
+// and the testkit properties all call it, and ScenarioConfig{}'s defaults
+// are the paper's Table 1 cell. scenario_events() then flattens it into
+// the event stream a telemetry plane would have produced live: full
+// power/forecast series as upfront readings, fault reports in schedule
+// order, then per tick the arrivals due that tick followed by a
+// tick_advance (and optional heartbeats).
 //
 // Feeding that stream through a ControlPlane must produce the same
 // SimResult as run_simulation() over the same scenario — the
@@ -35,6 +38,7 @@ struct ScenarioConfig {
   double cores_per_mw = 20.0;
   double apps_per_hour = 2.2;
   /// 0 = fault-free; otherwise a seeded chaos schedule of this intensity.
+  /// make_scenario() rejects a negative one (fault::validate_chaos_config).
   double chaos_intensity = 0.0;
   std::uint64_t chaos_seed = 7;
   /// Batch overlay arrival rates (entities per hour); both 0 leaves

@@ -10,6 +10,10 @@
 namespace vbatt::svc {
 
 Scenario make_scenario(const ScenarioConfig& config) {
+  fault::ChaosConfig chaos;
+  chaos.intensity = config.chaos_intensity;
+  fault::validate_chaos_config(chaos);
+
   energy::FleetConfig fleet_config;
   fleet_config.n_solar = config.n_solar;
   fleet_config.n_wind = config.n_wind;
@@ -32,12 +36,8 @@ Scenario make_scenario(const ScenarioConfig& config) {
       .schedule = {},
       .batch = {},
   };
-  if (config.chaos_intensity > 0.0) {
-    fault::ChaosConfig chaos;
-    chaos.intensity = config.chaos_intensity;
-    scenario.schedule =
-        fault::make_chaos_schedule(scenario.graph, chaos, config.chaos_seed);
-  }
+  scenario.schedule =
+      fault::make_chaos_schedule(scenario.graph, chaos, config.chaos_seed);
   if (config.batch_jobs_per_hour > 0.0 || config.batch_tasks_per_hour > 0.0) {
     workload::BatchGeneratorConfig batch_config;
     batch_config.jobs_per_hour = config.batch_jobs_per_hour;

@@ -235,16 +235,10 @@ void ControlPlane::advance_one_tick() {
   for (const std::int64_t id : pending_departures_) stepper_->depart_now(id);
   pending_departures_.clear();
 
-  const util::Tick period = scheduler_->replan_period_ticks();
-  const bool cadence = period > 0 && t > 0 && t % period == 0;
-  if (replan_trigger_ || cadence) {
+  if (replan_trigger_ || scheduler_->replans_at(t)) {
     const double build0 = scheduler_->model_build_ms();
     const auto t0 = std::chrono::steady_clock::now();
-    if (cadence && !replan_trigger_) {
-      stepper_->maybe_replan();
-    } else {
-      stepper_->force_replan();
-    }
+    stepper_->force_replan();
     replan_trigger_ = false;
     const auto t1 = std::chrono::steady_clock::now();
     replan_ms_.push_back(

@@ -47,11 +47,10 @@ namespace {
 
 // --- shared helpers ------------------------------------------------------
 
-std::unique_ptr<core::Scheduler> make_scheduler(const Spec& spec) {
-  if (spec.get("sched", std::string{"greedy"}) == "mip24h") {
-    return std::make_unique<core::MipScheduler>(core::make_mip24h_config());
-  }
-  return std::make_unique<core::GreedyScheduler>();
+/// The policy a spec runs: "mip24h" when `sched` says so, else "greedy".
+std::string sched_policy(const Spec& spec) {
+  return spec.get("sched", std::string{"greedy"}) == "mip24h" ? "mip24h"
+                                                              : "greedy";
 }
 
 /// VM-level config for the oracle differentials: `place` picks the
@@ -138,7 +137,7 @@ const std::vector<ShrinkKey> kEconScenarioShrink = {
 
 CaseResult eval_conservation(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
-  const auto scheduler = make_scheduler(spec);
+  const auto scheduler = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult r =
       core::run_fleet_simulation(sc.graph, sc.apps, *scheduler);
   const std::string violation = conservation_violation(sc.graph, sc.apps, r);
@@ -148,7 +147,7 @@ CaseResult eval_conservation(const Spec& spec) {
 
 CaseResult eval_chaos_zero(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
-  const auto sched_a = make_scheduler(spec);
+  const auto sched_a = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult bare =
       core::run_fleet_simulation(sc.graph, sc.apps, *sched_a);
 
@@ -156,7 +155,7 @@ CaseResult eval_chaos_zero(const Spec& spec) {
                                  fault::FaultSchedule{}};
   core::VmLevelConfig config;
   config.faults.hooks = &injector;
-  const auto sched_b = make_scheduler(spec);
+  const auto sched_b = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult hooked =
       core::run_fleet_simulation(injector.graph(), sc.apps, *sched_b, config);
 
@@ -188,10 +187,10 @@ CaseResult eval_chaos_zero(const Spec& spec) {
 CaseResult eval_engine_diff(const Spec& spec) {
   const Scenario sc = make_scenario(spec);
   const core::VmLevelConfig config = make_vm_config(spec);
-  const auto sched_ref = make_scheduler(spec);
+  const auto sched_ref = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult ref =
       reference_vm_run(sc.graph, sc.apps, *sched_ref, config);
-  const auto scheduler = make_scheduler(spec);
+  const auto scheduler = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult fleet =
       core::run_fleet_simulation(sc.graph, sc.apps, *scheduler, config);
   const std::string diff = diff_vm_results(ref, fleet, sc.graph.n_sites());
@@ -216,7 +215,7 @@ CaseResult eval_fleet_chaos_diff(const Spec& spec) {
     fault::StreamInjector injector{sc.graph, noise, schedule};
     core::VmLevelConfig config = make_vm_config(spec);
     config.faults.hooks = &injector;
-    const auto scheduler = make_scheduler(spec);
+    const auto scheduler = svc::make_service_scheduler(sched_policy(spec));
     return engine(injector.graph(), *scheduler, config);
   };
   const core::VmLevelResult baseline = faulted_run(
@@ -369,7 +368,7 @@ CaseResult eval_harvest_closure(const Spec& spec) {
   ext.batch = &batch;
   core::VmLevelConfig config;
   config.ext = &ext;
-  const auto scheduler = make_scheduler(spec);
+  const auto scheduler = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult r =
       core::run_fleet_simulation(sc.graph, sc.apps, *scheduler, config);
   const workload::BatchStats& b = r.base.batch;
@@ -509,10 +508,10 @@ CaseResult eval_batch_fleet_diff(const Spec& spec) {
   core::VmLevelConfig config = make_vm_config(spec);
   config.ext = &ext;
 
-  const auto sched_a = make_scheduler(spec);
+  const auto sched_a = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult ref =
       reference_vm_run(sc.graph, sc.apps, *sched_a, config);
-  const auto sched_b = make_scheduler(spec);
+  const auto sched_b = svc::make_service_scheduler(sched_policy(spec));
   const core::VmLevelResult fleet =
       core::run_fleet_simulation(sc.graph, sc.apps, *sched_b, config);
   const std::string diff = diff_vm_results(ref, fleet, sc.graph.n_sites());
@@ -1425,7 +1424,7 @@ CaseResult eval_chaos_invariants(const Spec& spec) {
                                  schedule};
   core::VmLevelConfig vm_config;
   vm_config.faults.hooks = &injector;
-  const auto scheduler = make_scheduler(spec);
+  const auto scheduler = svc::make_service_scheduler(sched_policy(spec));
   try {
     (void)core::run_fleet_simulation(injector.graph(), sc.apps, *scheduler,
                                      vm_config);
@@ -1924,9 +1923,7 @@ svc::ScenarioConfig svc_scenario_config(const Spec& spec) {
 
 svc::ServiceConfig svc_service_config(const Spec& spec) {
   svc::ServiceConfig config;
-  config.policy = spec.get("sched", std::string{"greedy"}) == "mip24h"
-                      ? "mip24h"
-                      : "greedy";
+  config.policy = sched_policy(spec);
   config.noise_seed = spec.child_seed("noise");
   return config;
 }

@@ -10,15 +10,23 @@
 //                   [--objective=cost|carbon|peak]
 //   vbatt forecast  --source=solar --lead=24
 //
+// `fleet` and `schedule` read the scenario flags vbatt_svc reads, through
+// the one shared reader (tools::scenario_flags); `schedule` builds its
+// scenario with svc::make_scenario and maps --policy through
+// svc::make_service_scheduler, so it runs what vbatt_svc runs.
+//
 // Every run is deterministic for a given --seed.
 #include <cstdio>
 #include <memory>
 #include <numeric>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "args.h"
 #include "vbatt/fault/stream.h"
+#include "vbatt/svc/config.h"
+#include "vbatt/svc/scenario.h"
 #include "vbatt/vbatt.h"
 
 namespace {
@@ -28,7 +36,7 @@ using namespace vbatt;
 using tools::Args;
 
 energy::PowerTrace make_trace(const Args& args, std::size_t ticks) {
-  const auto seed = static_cast<std::uint64_t>(args.number("seed", 11));
+  const auto seed = args.whole<std::uint64_t>("seed", 11);
   if (args.get("source", "wind") == "solar") {
     energy::SolarConfig config;
     config.seed = seed;
@@ -40,7 +48,7 @@ energy::PowerTrace make_trace(const Args& args, std::size_t ticks) {
 }
 
 int cmd_trace(const Args& args) {
-  const auto days = static_cast<std::size_t>(args.number("days", 30));
+  const auto days = args.whole<std::size_t>("days", 30);
   const energy::PowerTrace trace = make_trace(args, 96 * days);
   const std::string out = args.get("out", "trace.csv");
   energy::save_trace_csv(trace, out);
@@ -53,13 +61,14 @@ int cmd_trace(const Args& args) {
 }
 
 int cmd_fleet(const Args& args) {
-  const auto days = static_cast<std::size_t>(args.number("days", 7));
+  const svc::ScenarioConfig flags = tools::scenario_flags(args, 7);
+  const std::size_t days = flags.days;
   energy::FleetConfig config;
-  config.n_solar = static_cast<int>(args.number("solar", 4));
-  config.n_wind = static_cast<int>(args.number("wind", 6));
-  config.region_km = args.number("region", 2500.0);
-  config.enable_storms = args.flag("storms");
-  config.seed = static_cast<std::uint64_t>(args.number("seed", 1234));
+  config.n_solar = flags.n_solar;
+  config.n_wind = flags.n_wind;
+  config.region_km = flags.region_km;
+  config.enable_storms = flags.storms;
+  config.seed = args.whole("seed", config.seed);
   const energy::Fleet fleet =
       energy::generate_fleet(config, util::TimeAxis{15}, 96 * days);
 
@@ -98,11 +107,11 @@ int cmd_fleet(const Args& args) {
 }
 
 int cmd_site_sim(const Args& args) {
-  const auto days = static_cast<std::size_t>(args.number("days", 90));
+  const auto days = args.whole<std::size_t>("days", 90);
   const energy::PowerTrace trace = make_trace(args, 96 * days);
 
   dcsim::SiteSimConfig config;
-  config.site.n_servers = static_cast<int>(args.number("servers", 700));
+  config.site.n_servers = args.whole("servers", 700);
   workload::GeneratorConfig gen;
   const double cores = config.site.n_servers * config.site.server.cores;
   const double per_rate =
@@ -132,83 +141,62 @@ int cmd_site_sim(const Args& args) {
 }
 
 int cmd_schedule(const Args& args) {
-  const auto days = static_cast<std::size_t>(args.number("days", 7));
-  energy::FleetConfig fleet_config;
-  fleet_config.n_solar = static_cast<int>(args.number("solar", 4));
-  fleet_config.n_wind = static_cast<int>(args.number("wind", 6));
-  fleet_config.region_km = args.number("region", 2500.0);
-  fleet_config.enable_storms = args.flag("storms");
-  const energy::Fleet fleet =
-      energy::generate_fleet(fleet_config, util::TimeAxis{15}, 96 * days);
-  core::VbGraphConfig graph_config;
-  graph_config.cores_per_mw = args.number("cores-per-mw", 20.0);
-  const core::VbGraph graph{fleet, graph_config};
+  svc::ScenarioConfig config = tools::scenario_flags(args, /*days=*/7);
+  // --workload=deadline|harvest|mixed runs a batch overlay, at the batch
+  // generator's default rates, on top of the service workload;
+  // --objective=cost|carbon|peak swaps the MIP's second-stage objective
+  // (and for cost/carbon attaches the matching per-site signal so the
+  // econ ledger meters the run). Both are strictly opt-in: without the
+  // flags no overlay or series exists and the output is byte-identical to
+  // a build without them.
+  const std::string workload_mode = args.get("workload", "");
+  if (!workload_mode.empty()) {
+    if (workload_mode != "deadline" && workload_mode != "harvest" &&
+        workload_mode != "mixed") {
+      std::fprintf(stderr, "unknown --workload (deadline|harvest|mixed)\n");
+      return 2;
+    }
+    const workload::BatchGeneratorConfig rates;
+    config.batch_jobs_per_hour =
+        workload_mode == "harvest" ? 0.0 : rates.jobs_per_hour;
+    config.batch_tasks_per_hour =
+        workload_mode == "deadline" ? 0.0 : rates.tasks_per_hour;
+  }
+  const std::string objective = args.get("objective", "");
+  if (!objective.empty() && objective != "cost" && objective != "carbon" &&
+      objective != "peak") {
+    std::fprintf(stderr, "unknown --objective (cost|carbon|peak)\n");
+    return 2;
+  }
 
-  workload::AppGeneratorConfig app_config;
-  app_config.apps_per_hour = args.number("apps-per-hour", 2.2);
-  const auto apps =
-      workload::generate_apps(app_config, util::TimeAxis{15}, 96 * days);
+  svc::Scenario scenario = svc::make_scenario(config);
+  const core::VbGraph& graph = scenario.graph;
+  const std::vector<workload::Application>& apps = scenario.apps;
+  const workload::BatchWorkload& batch = scenario.batch;
 
-  // --chaos=<intensity> injects a seeded fault schedule (--chaos-seed);
+  // --chaos=<intensity> injects make_scenario's seeded fault schedule;
   // --chaos-csv=<path> replays one from disk instead. Without either flag
   // no injector exists and the output is byte-identical to a chaos-free
   // build.
   const bool chaos = args.flag("chaos") || args.flag("chaos-csv");
   std::unique_ptr<fault::StreamInjector> injector;
   if (chaos) {
-    fault::FaultSchedule schedule;
-    const double seed_arg = args.number("chaos-seed", 7);
-    if (seed_arg < 0) {
-      std::fprintf(stderr, "ChaosConfig: field 'chaos-seed' must be >= 0, "
-                           "got %g\n", seed_arg);
-      return 2;
-    }
-    const auto chaos_seed = static_cast<std::uint64_t>(seed_arg);
     if (args.flag("chaos-csv")) {
       // The strict loader rejects out-of-range sites/ticks, link_down rows
       // naming no WAN link and overlapping same-site windows with
       // line/column positions.
-      schedule = fault::load_schedule_csv(
+      scenario.schedule = fault::load_schedule_csv(
           args.get("chaos-csv", ""),
           fault::ScheduleLoadLimits{graph.n_sites(), graph.n_ticks(),
                                     &graph.latency()});
-    } else {
-      fault::ChaosConfig chaos_config;
-      chaos_config.intensity = args.number("chaos", 1.0);
-      fault::validate_chaos_config(chaos_config);
-      schedule = fault::make_chaos_schedule(graph, chaos_config, chaos_seed);
     }
-    injector = std::make_unique<fault::StreamInjector>(graph, chaos_seed,
-                                                       schedule);
+    injector = std::make_unique<fault::StreamInjector>(
+        graph, config.chaos_seed, scenario.schedule);
   }
   const core::VbGraph& sim_graph = chaos ? injector->graph() : graph;
   core::FaultConfig fault_config;
   fault_config.hooks = injector.get();
 
-  // --workload=deadline|harvest|mixed runs a batch overlay on top of the
-  // service workload; --objective=cost|carbon|peak swaps the MIP's
-  // second-stage objective (and for cost/carbon attaches the matching
-  // per-site signal so the econ ledger meters the run). Both are strictly
-  // opt-in: without the flags no overlay or series exists and the output
-  // is byte-identical to a build without them.
-  const std::string workload_mode = args.get("workload", "");
-  workload::BatchWorkload batch;
-  if (!workload_mode.empty()) {
-    workload::BatchGeneratorConfig batch_config;
-    batch_config.seed =
-        static_cast<std::uint64_t>(args.number("batch-seed", 17));
-    if (workload_mode == "deadline") {
-      batch_config.tasks_per_hour = 0.0;
-    } else if (workload_mode == "harvest") {
-      batch_config.jobs_per_hour = 0.0;
-    } else if (workload_mode != "mixed") {
-      std::fprintf(stderr, "unknown --workload (deadline|harvest|mixed)\n");
-      return 2;
-    }
-    batch =
-        workload::generate_batch(batch_config, util::TimeAxis{15}, 96 * days);
-  }
-  const std::string objective = args.get("objective", "");
   energy::SiteSeries econ_series;
   if (objective == "cost") {
     econ_series = energy::make_price_series({}, util::TimeAxis{15},
@@ -216,9 +204,6 @@ int cmd_schedule(const Args& args) {
   } else if (objective == "carbon") {
     econ_series = energy::make_carbon_series({}, util::TimeAxis{15},
                                              graph.n_sites(), graph.n_ticks());
-  } else if (!objective.empty() && objective != "peak") {
-    std::fprintf(stderr, "unknown --objective (cost|carbon|peak)\n");
-    return 2;
   }
   core::ScenarioExtensions ext;
   if (!batch.empty()) ext.batch = &batch;
@@ -239,35 +224,22 @@ int cmd_schedule(const Args& args) {
     }
     result = core::run_replication_simulation(graph, apps, {});
   } else {
-    std::unique_ptr<core::Scheduler> scheduler;
     if (!objective.empty() && policy != "mip") {
       std::fprintf(stderr, "--objective requires --policy=mip\n");
       return 2;
     }
+    // The econ objectives need the signal; every other policy comes from
+    // the service's policy map (--objective=peak is MIP-peak).
+    std::unique_ptr<core::Scheduler> scheduler;
     if (objective == "cost") {
       scheduler = std::make_unique<core::MipScheduler>(
           core::make_mip_cost_config(&econ_series));
     } else if (objective == "carbon") {
       scheduler = std::make_unique<core::MipScheduler>(
           core::make_mip_carbon_config(&econ_series));
-    } else if (objective == "peak") {
-      scheduler =
-          std::make_unique<core::MipScheduler>(core::make_mip_peak_config());
-    } else if (policy == "greedy") {
-      scheduler = std::make_unique<core::GreedyScheduler>();
-    } else if (policy == "mip24h") {
-      scheduler =
-          std::make_unique<core::MipScheduler>(core::make_mip24h_config());
-    } else if (policy == "mippeak") {
-      scheduler =
-          std::make_unique<core::MipScheduler>(core::make_mip_peak_config());
-    } else if (policy == "mip") {
-      scheduler =
-          std::make_unique<core::MipScheduler>(core::make_mip_config());
     } else {
-      std::fprintf(stderr,
-                   "unknown --policy (greedy|mip|mip24h|mippeak|replication)\n");
-      return 2;
+      scheduler =
+          svc::make_service_scheduler(objective == "peak" ? "mippeak" : policy);
     }
     if (args.flag("vm-level")) {
       core::VmLevelConfig vm_config;
@@ -300,7 +272,7 @@ int cmd_schedule(const Args& args) {
                  graph.n_ticks());
   }
   const core::PolicyRow row = core::summarize(policy, result);
-  std::printf("%s over %zu days (%zu apps):\n", policy.c_str(), days,
+  std::printf("%s over %zu days (%zu apps):\n", policy.c_str(), config.days,
               apps.size());
   std::printf("  total=%.0f GB p99=%.0f peak=%.0f std=%.0f zero=%.0f%%\n",
               row.total_gb, row.p99_gb, row.peak_gb, row.std_gb,
@@ -353,7 +325,7 @@ int cmd_schedule(const Args& args) {
 }
 
 int cmd_forecast(const Args& args) {
-  const auto days = static_cast<std::size_t>(args.number("days", 365));
+  const auto days = args.whole<std::size_t>("days", 365);
   const energy::PowerTrace trace = make_trace(args, 96 * days);
   const energy::Forecaster forecaster;
   if (args.flag("lead")) {

@@ -1,8 +1,11 @@
 // vbatt_svc — resident control-plane service driver.
 //
-// Scenario mode (default) builds the same (graph, apps, faults) triple the
-// CLI's `schedule` command builds and feeds it through the ControlPlane as
-// an event stream:
+// Scenario mode (default) builds its scenario with svc::make_scenario, the
+// builder the CLI's `schedule` command calls too, from the scenario flags
+// both tools read through one reader (tools::scenario_flags: --days
+// --solar --wind --region --storms --cores-per-mw --apps-per-hour --chaos
+// --chaos-seed --batch-seed), and feeds it through the ControlPlane as an
+// event stream:
 //
 //   vbatt_svc --days=2 --policy=mip [--chaos=1.0 --chaos-seed=7]
 //             [--heartbeats] [--verify] [--log=run.evlog]
@@ -21,7 +24,8 @@
 //   --state-out write the final snapshot bytes; recovery tests compare
 //               this file across interrupted and uninterrupted runs.
 //
-// Stdin mode (--stdin) reads operator commands, one per line:
+// Stdin mode (--stdin) serves the same fleet and reads operator commands,
+// one per line:
 //   tick [n] | power <site> <start> <v>... | arrive <id> <arrival>
 //   <lifetime> <cores> <mem_gb> <n_stable> <n_degradable> | depart <id> |
 //   job <id> <arrival> <cores> <work_core_ticks> <deadline> |
@@ -57,10 +61,11 @@ using namespace vbatt;
 
 using tools::Args;
 
-svc::ServiceConfig service_config(const Args& args) {
+svc::ServiceConfig service_config(const Args& args,
+                                  const svc::ScenarioConfig& scenario) {
   svc::ServiceConfig config;
   config.policy = args.get("policy", "mip");
-  config.noise_seed = static_cast<std::uint64_t>(args.number("chaos-seed", 7));
+  config.noise_seed = scenario.chaos_seed;
   config.replan_on_fault = args.flag("replan-on-fault");
   if (args.flag("heartbeats") || args.flag("health")) {
     config.health.enabled = true;
@@ -120,34 +125,21 @@ int interrupted_exit(const svc::ControlPlane& service) {
 }
 
 int run_scenario_mode(const Args& args) {
-  svc::ScenarioConfig scenario_config;
-  scenario_config.days = static_cast<std::size_t>(args.number("days", 2));
-  scenario_config.n_solar = static_cast<int>(args.number("solar", 4));
-  scenario_config.n_wind = static_cast<int>(args.number("wind", 6));
-  scenario_config.region_km = args.number("region", 2500.0);
-  scenario_config.storms = args.flag("storms");
-  scenario_config.cores_per_mw = args.number("cores-per-mw", 20.0);
-  scenario_config.apps_per_hour = args.number("apps-per-hour", 2.2);
-  scenario_config.chaos_intensity = args.number("chaos", 0.0);
-  scenario_config.chaos_seed =
-      static_cast<std::uint64_t>(args.number("chaos-seed", 7));
-  scenario_config.batch_jobs_per_hour = args.number("batch-jobs", 0.0);
-  scenario_config.batch_tasks_per_hour = args.number("batch-tasks", 0.0);
-  scenario_config.batch_seed =
-      static_cast<std::uint64_t>(args.number("batch-seed", 17));
+  svc::ScenarioConfig scenario_config = tools::scenario_flags(args, 2);
+  scenario_config.batch_jobs_per_hour =
+      args.number("batch-jobs", scenario_config.batch_jobs_per_hour);
+  scenario_config.batch_tasks_per_hour =
+      args.number("batch-tasks", scenario_config.batch_tasks_per_hour);
+  const svc::ServiceConfig config = service_config(args, scenario_config);
+  const std::string log_path = args.get("log", "");
+  const std::string snapshot_path = args.get("snapshot", "");
+  const auto snapshot_every = args.whole<std::int64_t>("snapshot-every", 0);
+  const auto kill_at = args.whole<std::uint64_t>("kill-at", 0);
 
   const svc::Scenario scenario = svc::make_scenario(scenario_config);
   const std::vector<svc::Event> events =
       svc::scenario_events(scenario, args.flag("heartbeats"));
-
-  const svc::ServiceConfig config = service_config(args);
   svc::ControlPlane service{scenario.graph, config};
-
-  const std::string log_path = args.get("log", "");
-  const std::string snapshot_path = args.get("snapshot", "");
-  const auto snapshot_every =
-      static_cast<std::int64_t>(args.number("snapshot-every", 0));
-  const auto kill_at = static_cast<std::uint64_t>(args.number("kill-at", 0));
 
   if (args.flag("recover")) {
     if (log_path.empty()) {
@@ -221,11 +213,12 @@ int run_scenario_mode(const Args& args) {
 }
 
 int run_stdin_mode(const Args& args) {
-  svc::ScenarioConfig scenario_config;
-  scenario_config.days = static_cast<std::size_t>(args.number("days", 2));
-  scenario_config.chaos_intensity = 0.0;
+  // Faults arrive as `fault` commands; the scenario's own schedule, apps
+  // and batch workload go unused.
+  const svc::ScenarioConfig scenario_config = tools::scenario_flags(args, 2);
   const svc::Scenario scenario = svc::make_scenario(scenario_config);
-  svc::ControlPlane service{scenario.graph, service_config(args)};
+  svc::ControlPlane service{scenario.graph,
+                            service_config(args, scenario_config)};
 
   const std::string log_path = args.get("log", "");
   if (!log_path.empty()) {
@@ -343,6 +336,9 @@ int run_stdin_mode(const Args& args) {
 int usage() {
   std::fprintf(stderr,
                "usage: vbatt_svc [--days=2] [--policy=mip] [--chaos=<x>]\n"
+               "                 [--chaos-seed=N --solar=N --wind=N\n"
+               "                  --region=KM --storms --cores-per-mw=X\n"
+               "                  --apps-per-hour=X]\n"
                "                 [--batch-jobs=R --batch-tasks=R\n"
                "                  --batch-seed=N]\n"
                "                 [--heartbeats] [--verify] [--log=PATH]\n"
