@@ -58,6 +58,12 @@ struct Scenario {
   workload::BatchWorkload batch;
 };
 
+/// Throws std::runtime_error naming the field unless `days` >= 1 and every
+/// real-valued field (region_km, cores_per_mw, apps_per_hour, the chaos
+/// intensity and both batch rates) is finite and >= 0.
+void validate_scenario_config(const ScenarioConfig& config);
+
+/// Validates `config` (validate_scenario_config) before building anything.
 Scenario make_scenario(const ScenarioConfig& config);
 
 /// Flatten a scenario into the full event stream (sequence numbers unset —

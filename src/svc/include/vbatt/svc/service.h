@@ -159,6 +159,9 @@ class ControlPlane {
   std::unique_ptr<EventLogWriter> log_;
   std::vector<double> replan_ms_;
   std::vector<double> replan_build_ms_;
+  /// Size of the last snapshot_bytes() frame, which sizes the next one's
+  /// buffer up front. Capacity only — never part of the snapshot bytes.
+  mutable std::size_t snapshot_size_hint_ = 0;
   bool finished_ = false;
 };
 

@@ -1,7 +1,11 @@
 #include "vbatt/svc/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <span>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "vbatt/energy/site.h"
 #include "vbatt/util/time.h"
@@ -9,7 +13,29 @@
 
 namespace vbatt::svc {
 
+void validate_scenario_config(const ScenarioConfig& config) {
+  if (config.days < 1) {
+    throw std::runtime_error{"ScenarioConfig: field 'days' must be >= 1"};
+  }
+  const std::pair<const char*, double> reals[] = {
+      {"region_km", config.region_km},
+      {"cores_per_mw", config.cores_per_mw},
+      {"apps_per_hour", config.apps_per_hour},
+      {"chaos_intensity", config.chaos_intensity},
+      {"batch_jobs_per_hour", config.batch_jobs_per_hour},
+      {"batch_tasks_per_hour", config.batch_tasks_per_hour},
+  };
+  for (const auto& [field, value] : reals) {
+    if (!std::isfinite(value) || value < 0.0) {
+      throw std::runtime_error{std::string{"ScenarioConfig: field '"} +
+                               field + "' must be finite and >= 0, got " +
+                               std::to_string(value)};
+    }
+  }
+}
+
 Scenario make_scenario(const ScenarioConfig& config) {
+  validate_scenario_config(config);
   fault::ChaosConfig chaos;
   chaos.intensity = config.chaos_intensity;
   fault::validate_chaos_config(chaos);

@@ -300,7 +300,10 @@ std::string ControlPlane::snapshot_bytes() const {
   if (finished_) reject("service already finished");
   // Frame in place: magic, a length/CRC placeholder, then the body,
   // patched once the body is complete — no second copy of the payload.
+  // The buffer is sized once from the previous snapshot (plus 1/8 slack
+  // for a grown state), so the body is written without regrowth copies.
   util::wire::Writer out;
+  out.reserve(snapshot_size_hint_ + snapshot_size_hint_ / 8);
   out.bytes(kSnapshotMagic.data(), kSnapshotMagic.size());
   const std::size_t header_at = out.size();
   out.u64(0);
@@ -330,6 +333,7 @@ std::string ControlPlane::snapshot_bytes() const {
   out.patch_u32(header_at, util::wire::frame_length(body_size));
   out.patch_u32(header_at + 4,
                 util::wire::crc32(out.data().data() + body_at, body_size));
+  snapshot_size_hint_ = out.size();
   return out.take();
 }
 
@@ -395,6 +399,7 @@ void ControlPlane::restore_snapshot(std::string_view bytes) {
   if (!r.done()) {
     reject("restore_snapshot: trailing bytes after snapshot body");
   }
+  snapshot_size_hint_ = bytes.size();
 }
 
 }  // namespace vbatt::svc

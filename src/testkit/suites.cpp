@@ -40,6 +40,7 @@
 #include "vbatt/testkit/ref_site.h"
 #include "vbatt/testkit/vm_reference.h"
 #include "vbatt/util/thread_pool.h"
+#include "vbatt/util/wire.h"
 
 namespace vbatt::testkit {
 
@@ -519,6 +520,52 @@ CaseResult eval_batch_fleet_diff(const Spec& spec) {
   if (svc::result_fingerprint(ref.base) !=
       svc::result_fingerprint(fleet.base)) {
     return fail_str("fingerprints diverge despite field-level equality");
+  }
+  return CaseResult::pass();
+}
+
+/// util::wire::crc32 (the PCLMULQDQ kernel with its slicing tail wherever
+/// the CPU has one) and wire::detail::crc32_portable (slicing-by-8) vs the
+/// bitwise CRC-32 definition on `len` random bytes at byte `offset` into
+/// the buffer, seeded with `crc`, both in one call and chained in two calls
+/// split at `split`.
+CaseResult eval_crc_parity(const Spec& spec) {
+  const auto len = static_cast<std::size_t>(
+      std::clamp<std::int64_t>(spec.get("len", 100), 0, 65536));
+  const auto offset = static_cast<std::size_t>(
+      std::clamp<std::int64_t>(spec.get("offset", 0), 0, 63));
+  const auto split = static_cast<std::size_t>(std::clamp<std::int64_t>(
+      spec.get("split", 0), 0, static_cast<std::int64_t>(len)));
+  const auto seed = static_cast<std::uint32_t>(spec.get("crc", 0));
+  util::Rng rng{spec.child_seed("bytes")};
+  std::string buffer(offset + len, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.next() >> 56);
+  const char* p = buffer.data() + offset;
+
+  std::uint32_t want = seed ^ 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < len; ++i) {
+    want ^= static_cast<unsigned char>(p[i]);
+    for (int k = 0; k < 8; ++k) {
+      want = (want & 1u) ? 0xEDB88320u ^ (want >> 1) : want >> 1;
+    }
+  }
+  want ^= 0xFFFFFFFFu;
+
+  using Crc = std::uint32_t (*)(const void*, std::size_t,
+                                std::uint32_t) noexcept;
+  const std::pair<const char*, Crc> paths[] = {
+      {"crc32", &util::wire::crc32},
+      {"crc32_portable", &util::wire::detail::crc32_portable}};
+  for (const auto& [name, crc] : paths) {
+    const std::uint32_t whole = crc(p, len, seed);
+    const std::uint32_t chained =
+        crc(p + split, len - split, crc(p, split, seed));
+    if (whole != want || chained != want) {
+      std::ostringstream msg;
+      msg << std::hex << name << " = 0x" << whole << ", chained 0x" << chained
+          << ", bitwise 0x" << want;
+      return fail_str(msg.str());
+    }
   }
   return CaseResult::pass();
 }
@@ -2342,6 +2389,25 @@ std::vector<Property> all_properties() {
   registry.push_back({"energy", "stable_monotone", gen_fleet_spec,
                       eval_stable_monotone,
                       {{"days", 1}, {"solar", 0}, {"wind", 0}}});
+  registry.push_back({"wire", "crc_parity",
+                      [](util::Rng& rng) {
+                        Spec spec;
+                        spec.set("seed",
+                                 static_cast<std::int64_t>(rng.next() >> 1));
+                        const auto len =
+                            static_cast<std::int64_t>(rng.below(65537));
+                        spec.set("len", len);
+                        spec.set("offset",
+                                 static_cast<std::int64_t>(rng.below(64)));
+                        spec.set("split",
+                                 static_cast<std::int64_t>(rng.below(
+                                     static_cast<std::uint64_t>(len) + 1)));
+                        spec.set("crc",
+                                 static_cast<std::int64_t>(rng.next() >> 32));
+                        return spec;
+                      },
+                      eval_crc_parity,
+                      {{"len", 0}, {"offset", 0}, {"split", 0}}});
 
   return registry;
 }

@@ -60,9 +60,20 @@ U load_le(const char* src) noexcept {
 
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) over `size` bytes,
 /// chained from a previous `seed`. check("123456789") == 0xCBF43926.
-/// Slicing-by-8: eight bytes per step through compile-time tables.
+/// On an x86-64 CPU with PCLMULQDQ (one cached CPUID check), inputs of
+/// 64 B and more fold 64 bytes per step by carry-less multiplication and
+/// hand the tail under 16 B to slicing-by-8; every other input and host
+/// takes slicing-by-8 (eight bytes per step through compile-time tables)
+/// throughout. Both paths return the same value for every input.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0) noexcept;
+
+namespace detail {
+/// The slicing-by-8 path alone, on every host (so tests can hold both
+/// paths to the bitwise definition).
+std::uint32_t crc32_portable(const void* data, std::size_t size,
+                             std::uint32_t seed = 0) noexcept;
+}  // namespace detail
 
 /// Thrown when a framed payload does not fit the u32 length field of the
 /// event-log and snapshot frames.
@@ -78,6 +89,10 @@ std::uint32_t frame_length(std::size_t size);
 /// Append-only byte sink. All integers little-endian, fixed width.
 class Writer {
  public:
+  /// Reserve room for `n` bytes in total, so writes up to that size never
+  /// regrow (and copy) the buffer.
+  void reserve(std::size_t n) { out_.reserve(n); }
+
   void u8(std::uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void u32(std::uint32_t v) { raw_le(v); }
   void u64(std::uint64_t v) { raw_le(v); }

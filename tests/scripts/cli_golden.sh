@@ -16,8 +16,8 @@
 #             `cksum` is tests/golden/svc_2d_mip24h_state.cksum (its stdout
 #             carries wall-clock replan latencies, so the state file is
 #             pinned instead).
-#   reject    negative scenario flags must exit 2 and name the flag on
-#             stderr.
+#   reject    negative, non-finite or zero-day scenario flags must exit 2
+#             and name the flag on stderr.
 #
 # Unlike cli_thread_invariance, which compares two thread counts of one
 # build, this pins the output across commits, so a refactor that claims to
@@ -121,6 +121,12 @@ svc)
   ;;
 reject)
   reject days "$vbatt" schedule --days=-1
+  reject days "$vbatt" schedule --policy=greedy --days=0
+  reject cores-per-mw "$vbatt" schedule --policy=greedy --days=2 \
+      --cores-per-mw=-5
+  reject cores-per-mw "$vbatt" schedule --policy=greedy --days=2 \
+      --cores-per-mw=nan
+  reject region "$vbatt" schedule --policy=greedy --days=2 --region=-100
   reject chaos "$vbatt_svc" --days=1 --policy=greedy --chaos=-1
   reject chaos-seed "$vbatt_svc" --days=1 --policy=greedy --chaos-seed=-3
   ;;

@@ -1,6 +1,7 @@
 // util::wire: the word-at-a-time codec must write exactly the bytes of an
-// explicit per-byte little-endian encoder, the slicing CRC must equal the
-// bitwise CRC-32 definition, and the Reader must reject counts that do
+// explicit per-byte little-endian encoder, both CRC paths (the dispatched
+// crc32 and the slicing-by-8 fallback) must equal the bitwise CRC-32
+// definition, and the Reader must reject counts that do
 // not fit the remaining input before it allocates anything.
 #include <gtest/gtest.h>
 
@@ -94,31 +95,66 @@ TEST(WireCrc, CheckValue) {
   EXPECT_EQ(crc32(nullptr, 0), 0u);
 }
 
-TEST(WireCrc, SlicingMatchesBitwiseAtEveryLengthAndOffset) {
-  const std::string data = pattern(1024 + 8);
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 1024; ++len) {
+// crc32 (the carry-less-multiply kernel wherever the CPU has one, with its
+// slicing tail) and detail::crc32_portable (slicing-by-8 alone) must both
+// equal the bitwise definition. On a host without the kernel both calls
+// take the same path and the test still holds the table to the definition.
+void expect_both_paths(const char* p, std::size_t len, std::uint32_t seed) {
+  const std::uint32_t want = bitwise_crc32(p, len, seed);
+  ASSERT_EQ(crc32(p, len, seed), want) << "len " << len << " seed " << seed;
+  ASSERT_EQ(detail::crc32_portable(p, len, seed), want)
+      << "portable, len " << len << " seed " << seed;
+}
+
+TEST(WireCrc, BothPathsMatchBitwiseAtEveryLengthAndOffset) {
+  const std::string data = pattern(1100 + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      SCOPED_TRACE("offset " + std::to_string(offset));
       const char* p = data.data() + offset;
-      ASSERT_EQ(crc32(p, len), bitwise_crc32(p, len))
-          << "offset " << offset << " len " << len;
-      const std::uint32_t seed = 0xA5A5F00Du ^ static_cast<std::uint32_t>(len);
-      ASSERT_EQ(crc32(p, len, seed), bitwise_crc32(p, len, seed))
-          << "seeded, offset " << offset << " len " << len;
+      expect_both_paths(p, len, 0);
+      expect_both_paths(p, len,
+                        0xA5A5F00Du ^ static_cast<std::uint32_t>(len));
     }
   }
 }
 
-TEST(WireCrc, ChainingEqualsOneShot) {
-  const std::string data = pattern(777);
-  for (std::size_t split : {0u, 1u, 7u, 8u, 9u, 400u, 777u}) {
-    const std::uint32_t head = crc32(data.data(), split);
-    EXPECT_EQ(crc32(data.data() + split, data.size() - split, head),
-              crc32(data.data(), data.size()))
-        << "split " << split;
+TEST(WireCrc, BothPathsMatchBitwiseAtBlockEdges) {
+  const std::string data = pattern(4111 + 16);
+  for (const std::size_t len : {63u, 64u, 65u, 79u, 80u, 127u, 128u, 4095u,
+                                4096u, 4111u}) {
+    for (const std::size_t offset : {0u, 1u, 8u, 15u}) {
+      expect_both_paths(data.data() + offset, len, 0);
+      expect_both_paths(data.data() + offset, len, 0xFFFFFFFFu);
+    }
   }
 }
 
-// --- Writer bytes ----------------------------------------------------------
+TEST(WireCrc, BothPathsMatchBitwiseOnThreeMegabytes) {
+  const std::string data = pattern(3u << 20);
+  expect_both_paths(data.data(), data.size(), 0);
+  expect_both_paths(data.data() + 3, data.size() - 3, 0x12345678u);
+}
+
+TEST(WireCrc, ChainingEqualsOneShot) {
+  // Splits at both ends and inside the first and later 64-byte blocks, so
+  // one call's kernel output (or slicing tail) seeds the next call's kernel.
+  const std::string data = pattern(1000);
+  const std::uint32_t whole = bitwise_crc32(data.data(), data.size());
+  for (const std::size_t split : {0u, 1u, 7u, 8u, 9u, 15u, 16u, 17u, 33u, 63u,
+                                  64u, 65u, 100u, 130u, 191u, 400u, 777u,
+                                  936u, 999u, 1000u}) {
+    const std::uint32_t head = crc32(data.data(), split);
+    EXPECT_EQ(crc32(data.data() + split, data.size() - split, head), whole)
+        << "split " << split;
+    const std::uint32_t portable_head =
+        detail::crc32_portable(data.data(), split);
+    EXPECT_EQ(detail::crc32_portable(data.data() + split,
+                                     data.size() - split, portable_head),
+              whole)
+        << "portable, split " << split;
+  }
+}
 
 TEST(WireWriter, ScalarsMatchPerByteReference) {
   Writer w;

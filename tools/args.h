@@ -65,6 +65,23 @@ class Args {
     }
     return static_cast<T>(value);
   }
+  /// --key as a finite number >= 0, or `fallback` when absent. A negative,
+  /// non-finite or non-numeric value throws a std::runtime_error naming the
+  /// flag (the tools exit 2 on it).
+  double nonneg(const std::string& key, double fallback) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    const std::string& text = it->second;
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || end != text.c_str() + text.size() ||
+        !std::isfinite(value) || value < 0.0) {
+      throw std::runtime_error{"--" + key +
+                               " must be a finite number >= 0, got '" + text +
+                               "'"};
+    }
+    return value;
+  }
   bool flag(const std::string& key) const { return values_.contains(key); }
 
  private:
@@ -74,22 +91,24 @@ class Args {
 /// The scenario flags both tools read: --days --solar --wind --region
 /// --storms --cores-per-mw --apps-per-hour --chaos --chaos-seed
 /// --batch-seed. An absent flag keeps svc::ScenarioConfig{}'s value, except
-/// --days, which falls back to the tool's `default_days`.
+/// --days, which falls back to the tool's `default_days`. A value that
+/// svc::validate_scenario_config would reject throws here already, naming
+/// the flag rather than the field.
 inline svc::ScenarioConfig scenario_flags(const Args& args,
                                           std::size_t default_days) {
   svc::ScenarioConfig config;
   config.days = args.whole("days", default_days);
+  if (config.days < 1) {
+    throw std::runtime_error{"--days must be at least 1, got '" +
+                             args.get("days", "") + "'"};
+  }
   config.n_solar = args.whole("solar", config.n_solar);
   config.n_wind = args.whole("wind", config.n_wind);
-  config.region_km = args.number("region", config.region_km);
+  config.region_km = args.nonneg("region", config.region_km);
   config.storms = args.flag("storms");
-  config.cores_per_mw = args.number("cores-per-mw", config.cores_per_mw);
-  config.apps_per_hour = args.number("apps-per-hour", config.apps_per_hour);
-  config.chaos_intensity = args.number("chaos", config.chaos_intensity);
-  if (!(config.chaos_intensity >= 0.0)) {
-    throw std::runtime_error{"--chaos must be a number >= 0, got '" +
-                             args.get("chaos", "") + "'"};
-  }
+  config.cores_per_mw = args.nonneg("cores-per-mw", config.cores_per_mw);
+  config.apps_per_hour = args.nonneg("apps-per-hour", config.apps_per_hour);
+  config.chaos_intensity = args.nonneg("chaos", config.chaos_intensity);
   config.chaos_seed = args.whole("chaos-seed", config.chaos_seed);
   config.batch_seed = args.whole("batch-seed", config.batch_seed);
   return config;

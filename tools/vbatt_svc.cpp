@@ -127,9 +127,9 @@ int interrupted_exit(const svc::ControlPlane& service) {
 int run_scenario_mode(const Args& args) {
   svc::ScenarioConfig scenario_config = tools::scenario_flags(args, 2);
   scenario_config.batch_jobs_per_hour =
-      args.number("batch-jobs", scenario_config.batch_jobs_per_hour);
+      args.nonneg("batch-jobs", scenario_config.batch_jobs_per_hour);
   scenario_config.batch_tasks_per_hour =
-      args.number("batch-tasks", scenario_config.batch_tasks_per_hour);
+      args.nonneg("batch-tasks", scenario_config.batch_tasks_per_hour);
   const svc::ServiceConfig config = service_config(args, scenario_config);
   const std::string log_path = args.get("log", "");
   const std::string snapshot_path = args.get("snapshot", "");
